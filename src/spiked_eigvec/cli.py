@@ -21,10 +21,6 @@ import numpy as np
 from . import __version__, montecarlo, numkit, specfun
 from . import spike_density as sd
 
-STAT_CHOICES = ["z1", "z2", "zn", "nz1_asym", "w1_real", "w2_real", "y1_sing", "yn_sing"]
-
-_ARCSINE_STATS = ("w1_real", "w2_real")
-
 _NUMERICAL_ERRORS = (
     numkit.QuadratureFailure,
     specfun.NoConvergence,
@@ -61,44 +57,20 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
 
-def _variant_for(statistic: str) -> str:
-    if statistic.startswith("w"):
-        return "real"
-    if statistic.startswith("y"):
-        return "singular"
-    return "complex"
-
-
 def build_model(cfg: RunConfig) -> sd.SpikedModel:
     """Validate the (statistic, n, m, theta) combination and build the model."""
-    stat = cfg.statistic
-    if stat not in STAT_CHOICES:
-        raise ConfigError(f"unknown statistic {stat!r}")
+    entry = sd.STATISTICS.get(cfg.statistic)
+    if entry is None:
+        raise ConfigError(f"unknown statistic {cfg.statistic!r}")
     if cfg.theta is None:
         raise ConfigError("--theta is required")
-    if cfg.theta < 0:
-        raise ConfigError("theta must be nonnegative")
     if cfg.n is None or cfg.m is None:
         raise ConfigError("--n and --m are required for this statistic")
-    variant = _variant_for(stat)
     try:
-        model = sd.SpikedModel(cfg.n, cfg.m, cfg.theta, variant)
+        model = sd.SpikedModel(cfg.n, cfg.m, cfg.theta, entry.variant)
+        entry.support(model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if stat == "z1" and model.n < 2:
-        raise ConfigError("z1 requires n >= 2")
-    if stat == "z2" and (model.n < 3 or model.theta <= 0):
-        raise ConfigError("z2 requires n >= 3 and theta > 0")
-    if stat == "zn" and model.n >= 3 and model.theta <= 0:
-        raise ConfigError("zn requires theta > 0 for n >= 3")
-    if stat in _ARCSINE_STATS and (model.n != 2 or model.m < 2):
-        raise ConfigError("real-variant statistics require n = 2 and m >= 2")
-    if stat == "y1_sing" and not (model.m == 1 or model.n - model.m == 1):
-        raise ConfigError("y1_sing requires m = 1 or n - m = 1")
-    if stat == "y1_sing" and model.n - model.m == 1 and model.m >= 2 and model.theta <= 0:
-        raise ConfigError("y1_sing with n - m = 1 requires theta > 0")
-    if stat == "yn_sing" and (model.n - model.m != 1 or model.m < 2 or model.theta <= 0):
-        raise ConfigError("yn_sing requires n - m = 1, m >= 2, theta > 0")
     return model
 
 
@@ -109,7 +81,7 @@ def _grid(cfg: RunConfig) -> np.ndarray:
         raise ConfigError("need 0 <= z-min < z-max")
     if cfg.statistic != "nz1_asym" and cfg.z_max > 1.0:
         raise ConfigError("z-max cannot exceed 1 for projection statistics")
-    if cfg.statistic in _ARCSINE_STATS:
+    if sd.STATISTICS[cfg.statistic].arcsine:
         # sin^2-spaced grid resolves the inverse-square-root endpoints.
         lo = np.arcsin(np.sqrt(cfg.z_min))
         hi = np.arcsin(np.sqrt(cfg.z_max))
@@ -152,8 +124,8 @@ def _curve_payload(cfg, curve: sd.DensityCurve, kind) -> str:
 def _evaluate_curve(cfg: RunConfig, kind: str) -> sd.DensityCurve:
     zs = _grid(cfg)
     if cfg.statistic == "nz1_asym":
-        if cfg.theta is None or cfg.theta < 0:
-            raise ConfigError("nz1_asym requires theta >= 0")
+        if cfg.theta is None or not 0.0 <= cfg.theta < np.inf:
+            raise ConfigError("nz1_asym requires a finite theta >= 0")
         fn = sd.pdf_nz1_asymptotic if kind == "pdf" else sd.cdf_nz1_asymptotic
         values = np.asarray(fn(cfg.theta, zs))
         model = None
@@ -185,7 +157,7 @@ def _simulate_values(cfg: RunConfig, theta: float | None = None) -> tuple:
     stat = cfg.statistic
     data_theta = cfg.theta if theta is None else theta
     sample_stat = "z1" if stat == "nz1_asym" else stat
-    data_cfg = RunConfig(**{**asdict(cfg), "statistic": sample_stat, "theta": data_theta})
+    data_cfg = RunConfig(**{**asdict(cfg), "theta": data_theta})
     model = build_model(data_cfg)
     spike = montecarlo.make_spike(model.n, cfg.seed, "first_basis", real=model.variant == "real")
     batches = montecarlo.sample_wishart(
@@ -216,14 +188,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     data_theta = cfg.data_theta if cfg.data_theta is not None else cfg.theta
     _, values = _simulate_values(cfg, theta=data_theta)
-    model_cfg = RunConfig(**{**asdict(cfg)})
-    if cfg.statistic == "nz1_asym":
-        model = build_model(RunConfig(**{**asdict(cfg), "statistic": "z1"}))
-        cdf = sd.model_cdf_fn("nz1_asym", model)
-    else:
-        model = build_model(model_cfg)
-        cdf = sd.model_cdf_fn(cfg.statistic, model)
-    report = numkit.ks_test(values, cdf)
+    model = build_model(cfg)
+    report = numkit.ks_test(values, sd.model_cdf_fn(cfg.statistic, model))
     payload = {
         "statistic": cfg.statistic,
         "model": _model_echo(model),
@@ -272,7 +238,7 @@ def cmd_figure(cfg: RunConfig) -> int:
             columns.append(np.asarray(sd.cdf_nz1_asymptotic(t, zs)))
     else:
         for label, n, m, theta in curves:
-            model = sd.SpikedModel(n, m, theta, _variant_for(stat))
+            model = sd.SpikedModel(n, m, theta, sd.STATISTICS[stat].variant)
             labels.append(label)
             columns.append(sd.density_values(stat, model, zs, preset="fast"))
     rows = ["z," + ",".join(labels)]
@@ -324,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, need_stat=True):
         if need_stat:
-            p.add_argument("--stat", dest="statistic", choices=STAT_CHOICES, required=True)
+            p.add_argument("--stat", dest="statistic", choices=list(sd.STATISTICS), required=True)
             p.add_argument("--n", type=int)
             p.add_argument("--m", type=int)
             p.add_argument("--theta", type=float)

@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spike_density import SpikedModel
+from .spike_density import STATISTICS, SpikedModel
 
 CHUNK_SIZE = 2048
-
-_STAT_INDEX = {
-    "complex": {"z1": 0, "z2": 1, "zn": -1},
-    "real": {"w1_real": 0, "w2_real": -1},
-    "singular": {"y1_sing": 0, "yn_sing": -1},
-}
 
 
 class EigensolverFailure(RuntimeError):
@@ -58,15 +52,6 @@ class SampleBatch:
     model: SpikedModel
     seed: int
     values: np.ndarray
-
-
-def default_statistics(model: SpikedModel) -> tuple[str, ...]:
-    """Projection statistics the sampler can emit for this model variant."""
-    if model.variant == "complex":
-        return ("z1", "z2", "zn") if model.n >= 3 else ("z1", "zn")
-    if model.variant == "real":
-        return ("w1_real", "w2_real")
-    return ("y1_sing", "yn_sing")
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -193,11 +178,18 @@ def sample_wishart(
         raise ValueError("spike dimension does not match the model")
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("spike vector must have unit norm")
-    index_map = _STAT_INDEX[model.variant]
+    columns = {
+        name: entry.column
+        for name, entry in STATISTICS.items()
+        if entry.variant == model.variant and entry.column is not None
+    }
     if statistics is None:
-        statistics = default_statistics(model)
+        # A middle column is its own statistic only below the top one: at
+        # n = 2 the second-smallest eigenvector is the largest.
+        rank = model.m if model.variant == "singular" else model.n
+        statistics = tuple(name for name, col in columns.items() if col <= 0 or col < rank - 1)
     for stat in statistics:
-        if stat not in index_map:
+        if stat not in columns:
             raise ValueError(f"statistic {stat!r} is not sampled for variant {model.variant!r}")
 
     starts = list(range(0, count, CHUNK_SIZE))
@@ -214,6 +206,6 @@ def sample_wishart(
 
     out = {}
     for stat in statistics:
-        values = proj[:, index_map[stat]].copy()
+        values = proj[:, columns[stat]].copy()
         out[stat] = SampleBatch(statistic=stat, model=model, seed=seed, values=values)
     return out

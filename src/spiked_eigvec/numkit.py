@@ -295,39 +295,27 @@ class GofReport:
         }
 
 
-def _eval_cdf(model_cdf, x: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(model_cdf(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(model_cdf(v)) for v in x])
-
-
-def _invert_cdf(model_cdf, p: float, lo: float, hi: float) -> float:
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _eval_cdf(model_cdf, np.array([mid]))[0] < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def ks_test(samples, model_cdf) -> GofReport:
     """Two-sided KS distance of a sample against a model c.d.f.
 
     The critical value is the asymptotic 1% Kolmogorov point 1.628/sqrt(N).
     The attached histogram uses Freedman-Diaconis bins clipped to the support
     and normalized as a density; the Q-Q table holds 99 evenly spaced
-    probability levels.
+    probability levels, each found by 80 bisection steps run on all levels
+    at once.  `model_cdf` must map an array to an array of the same shape.
     """
     arr = np.sort(np.asarray(samples, dtype=float))
     n = arr.size
     if n == 0:
         raise EmptySample("ks_test requires at least one sample")
-    cdf_vals = _eval_cdf(model_cdf, arr)
+
+    def cdf_at(x: np.ndarray) -> np.ndarray:
+        out = np.asarray(model_cdf(x), dtype=float)
+        if out.shape != x.shape:
+            raise ValueError(f"model_cdf returned shape {out.shape} for input shape {x.shape}")
+        return out
+
+    cdf_vals = cdf_at(arr)
     i = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(i / n - cdf_vals)
     d_minus = np.max(cdf_vals - (i - 1.0) / n)
@@ -351,10 +339,15 @@ def ks_test(samples, model_cdf) -> GofReport:
 
     levels = np.arange(1, 100) / 100.0
     emp = np.quantile(arr, levels)
-    qq = []
-    for p, e in zip(levels, emp):
-        theo = _invert_cdf(model_cdf, float(p), support_lo, support_hi)
-        qq.append((float(theo), float(e)))
+    lo = np.full(levels.size, support_lo)
+    hi = np.full(levels.size, support_hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = cdf_at(mid) < levels
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    theo = 0.5 * (lo + hi)
+    qq = [(float(t), float(e)) for t, e in zip(theo, emp)]
 
     return GofReport(
         ks_statistic=d,

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from ._kernels import lag
+
 SERIES_RTOL = 1e-12
 SERIES_MAX_TERMS = 10_000
 
@@ -68,36 +70,14 @@ def _lgamma_abs(x: float) -> float:
 def laguerre(rho: int, M: int, z):
     """Generalized Laguerre polynomial L^(rho)_M(z).
 
-    Accepts a scalar or ndarray argument.  Degrees up to 30 are evaluated by
-    the explicit finite sum; larger degrees switch to the three-term
-    recurrence, which keeps precision for large degree and negative argument
-    where the alternating sum cancels badly.
+    Accepts a scalar or ndarray argument.  Evaluated by the three-term
+    recurrence, which keeps precision for large degree and argument where
+    the explicit alternating sum cancels badly.
     """
     if M < 0:
         raise ValueError("laguerre degree must be nonnegative")
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    if M == 0:
-        out = np.ones_like(z)
-        return float(out) if scalar else out
-
-    if M <= 30:
-        # L = (rho+1)_M / M! * sum_j (-M)_j / (rho+1)_j * z^j / j!
-        lead = pochhammer(rho + 1.0, M) / math.factorial(M)
-        term = np.ones_like(z)
-        acc = term.copy()
-        for j in range(M):
-            term = term * ((-M + j) / ((rho + 1.0 + j) * (j + 1.0))) * z
-            acc = acc + term
-        out = lead * acc
-    else:
-        lkm1 = np.ones_like(z)
-        lk = rho + 1.0 - z
-        for k in range(1, M):
-            lkp1 = ((2.0 * k + 1.0 + rho - z) * lk - (k + rho) * lkm1) / (k + 1.0)
-            lkm1, lk = lk, lkp1
-        out = lk
-    return float(out) if scalar else out
+    out = lag(rho, M, z)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def gauss_2f1(a: float, b: float, c: float, x):

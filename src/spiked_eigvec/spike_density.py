@@ -18,8 +18,10 @@ cache keyed by the frozen model.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, roots_genlaguerre
@@ -34,17 +36,6 @@ from ._kernels import (
 )
 
 THETA_EPS = 1e-8
-
-STATISTICS = (
-    "z1",
-    "z2",
-    "zn",
-    "nz1_asym",
-    "w1_real",
-    "w2_real",
-    "y1_sing",
-    "yn_sing",
-)
 
 
 class UnsupportedModel(ValueError):
@@ -64,8 +55,8 @@ class SpikedModel:
     """Spiked Wishart problem parameters.
 
     n is the matrix dimension, m the degrees of freedom, theta >= 0 the spike
-    strength.  The complex and real variants need m >= n; the singular
-    variant needs m < n.
+    strength (finite).  The complex and real variants need m >= n; the
+    singular variant needs m < n.
     """
 
     n: int
@@ -74,10 +65,12 @@ class SpikedModel:
     variant: str = "complex"
 
     def __post_init__(self):
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.m, numbers.Integral)):
+            raise ValueError("n and m must be integers")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError("theta must be finite and nonnegative")
         if self.variant not in ("complex", "real", "singular"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant in ("complex", "real") and self.m < self.n:
@@ -107,7 +100,7 @@ class DensityCurve:
 
 def _as_z_array(z):
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0) or np.any(z > 1):
+    if not np.all((z >= 0) & (z <= 1)):
         raise DomainError("z must lie in [0, 1]")
     return z
 
@@ -124,6 +117,101 @@ def _clip_density(values: np.ndarray) -> np.ndarray:
     if np.any(values < floor):
         raise ArithmeticError("density evaluated significantly below zero")
     return np.maximum(values, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Statistic table
+# ---------------------------------------------------------------------------
+
+
+def _theta_pole(model: SpikedModel, what: str) -> None:
+    if model.theta < THETA_EPS:
+        raise ThetaZeroSingularity(f"{what} has a pole at theta = 0")
+
+
+def _z1_support(model: SpikedModel) -> None:
+    if model.variant != "complex" or model.n < 2:
+        raise UnsupportedModel("z1 requires the complex variant with n >= 2")
+
+
+def _z2_support(model: SpikedModel) -> None:
+    if model.variant != "complex" or model.n < 3:
+        raise UnsupportedModel("z2 requires the complex variant with n >= 3")
+    _theta_pole(model, "the second-overlap density")
+
+
+def _zn_support(model: SpikedModel) -> None:
+    _z1_support(model)
+    if model.n >= 3:
+        _theta_pole(model, "the largest-overlap density for n >= 3")
+
+
+def _real_support(model: SpikedModel) -> None:
+    if model.variant != "real" or model.n != 2:
+        raise UnsupportedModel("real overlap densities are implemented for n = 2")
+
+
+def _y1_support(model: SpikedModel) -> None:
+    if model.variant != "singular" or not (model.m == 1 or model.n - model.m == 1):
+        raise UnsupportedModel("y1_sing requires the singular variant with m = 1 or n - m = 1")
+    if model.m >= 2:
+        _theta_pole(model, "the n - m = 1 smallest-overlap density")
+
+
+def _yn_support(model: SpikedModel) -> None:
+    if model.variant != "singular" or model.n - model.m != 1 or model.m < 2:
+        raise UnsupportedModel("yn_sing requires the singular variant with n - m = 1, m >= 2")
+    _theta_pole(model, "the singular largest-overlap density")
+
+
+def _variant_density():
+    from . import variant_density
+
+    return variant_density
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """Everything the library, sampler and CLI need to know about a statistic.
+
+    `column` indexes the sampler's ascending projection row (None: not
+    sampled); `pdf(model, z, preset)` looks its density up through the module
+    at call time; `support(model)` raises when the density is undefined for
+    the model; `arcsine` marks inverse-square-root endpoints, which the
+    c.d.f. integrates in the sin^2-substituted variable.
+    """
+
+    variant: str
+    column: int | None
+    pdf: Callable
+    support: Callable
+    arcsine: bool = False
+
+
+STATISTICS = {
+    "z1": Statistic("complex", 0, lambda mo, z, p: pdf_z1(mo, z), _z1_support),
+    "z2": Statistic("complex", 1, lambda mo, z, p: pdf_z2(mo, z, preset=p), _z2_support),
+    "zn": Statistic("complex", -1, lambda mo, z, p: pdf_zn(mo, z, preset=p), _zn_support),
+    # The law of n * z1 needs a model on which z1 is defined.
+    "nz1_asym": Statistic(
+        "complex", None, lambda mo, z, p: pdf_nz1_asymptotic(mo.theta, z), _z1_support
+    ),
+    "w1_real": Statistic(
+        "real", 0, lambda mo, z, p: _variant_density().pdf_w1_real(mo, z), _real_support, True
+    ),
+    "w2_real": Statistic(
+        "real", -1, lambda mo, z, p: _variant_density().pdf_w2_real(mo, z), _real_support, True
+    ),
+    "y1_sing": Statistic(
+        "singular", 0, lambda mo, z, p: _variant_density().pdf_y1_singular(mo, z), _y1_support
+    ),
+    "yn_sing": Statistic(
+        "singular",
+        -1,
+        lambda mo, z, p: _variant_density().pdf_yn_singular(mo, z, preset=p),
+        _yn_support,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +319,7 @@ def pdf_z1(model: SpikedModel, z) -> float | np.ndarray:
     the general nested-sum route; theta = 0 reduces to the Haar density
     (n-1)(1-z)^(n-2).
     """
-    if model.variant != "complex":
-        raise UnsupportedModel("z1 requires the complex variant")
-    if model.n < 2:
-        raise UnsupportedModel("z1 requires n >= 2")
+    _z1_support(model)
     z = _as_z_array(z)
     scalar = z.ndim == 0
     zz = np.atleast_1d(z)
@@ -270,10 +355,10 @@ def pdf_z1_general_vs_fastpath(model: SpikedModel, z) -> tuple:
 
 def pdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
     """Limit density of n * z1 as the dimension grows with m - n fixed."""
-    if theta < 0:
-        raise DomainError("theta must be nonnegative")
+    if not 0.0 <= theta < math.inf:
+        raise DomainError("theta must be finite and nonnegative")
     v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
+    if not np.all(v >= 0):
         raise DomainError("v must be nonnegative")
     out = (1.0 + theta) * np.exp(-(1.0 + theta) * v)
     return float(out) if out.ndim == 0 else out
@@ -281,10 +366,10 @@ def pdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
 
 def cdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
     """Limit c.d.f. 1 - exp(-(1+theta) v) of n * z1."""
-    if theta < 0:
-        raise DomainError("theta must be nonnegative")
+    if not 0.0 <= theta < math.inf:
+        raise DomainError("theta must be finite and nonnegative")
     v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
+    if not np.all(v >= 0):
         raise DomainError("v must be nonnegative")
     out = -np.expm1(-(1.0 + theta) * v)
     return float(out) if out.ndim == 0 else out
@@ -299,15 +384,8 @@ _PRESETS = {
     "fine": dict(x_nodes=64, t_nodes=40, w_nodes=24, y_nodes=24, z2_x_nodes=48),
 }
 
-_ENGINE_CACHE: dict = {}
-_ENGINE_CACHE_MAX = 12
-
-
-def _cache_put(key, value):
-    if len(_ENGINE_CACHE) >= _ENGINE_CACHE_MAX:
-        _ENGINE_CACHE.pop(next(iter(_ENGINE_CACHE)))
-    _ENGINE_CACHE[key] = value
-    return value
+# Per-model engine precomputations kept by each prepare function.
+ENGINE_CACHE_SIZE = 12
 
 
 def _max_overlap_log_prefactor(n: int, alpha: int, beta: float) -> float:
@@ -321,10 +399,8 @@ def _max_overlap_log_prefactor(n: int, alpha: int, beta: float) -> float:
     return out
 
 
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _zn_prepare(model: SpikedModel, preset: str):
-    key = (model, preset, "zn")
-    if key in _ENGINE_CACHE:
-        return _ENGINE_CACHE[key]
     p = _PRESETS[preset]
     n, alpha, beta = model.n, model.alpha, model.beta
     d = n - 2
@@ -342,8 +418,7 @@ def _zn_prepare(model: SpikedModel, preset: str):
         logwq = np.where(wq > 0, np.log(np.maximum(wq, 1e-320)), -np.inf)
     logpref = _max_overlap_log_prefactor(n, alpha, beta)
     base = logpref + power * np.log(x) - x + log_norm + shift + np.log(wx)
-    prep = dict(x=x, t=t, wq=wq, logwq=logwq, p_deg=p_deg, base=base, beta=beta, d=d)
-    return _cache_put(key, prep)
+    return dict(x=x, t=t, wq=wq, logwq=logwq, p_deg=p_deg, base=base, beta=beta, d=d)
 
 
 def _pdf_zn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
@@ -413,12 +488,7 @@ def pdf_zn(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
     representation on vectorized panel grids.  For n >= 3 the formula has a
     pole at theta = 0 and such calls raise ThetaZeroSingularity.
     """
-    if model.variant != "complex":
-        raise UnsupportedModel("zn requires the complex variant")
-    if model.n < 2:
-        raise UnsupportedModel("zn requires n >= 2")
-    if model.n >= 3 and model.theta < THETA_EPS:
-        raise ThetaZeroSingularity("largest-overlap density diverges as theta -> 0 for n >= 3")
+    _zn_support(model)
     z = _as_z_array(z)
     scalar = z.ndim == 0
     zz = np.atleast_1d(z)
@@ -432,10 +502,9 @@ def pdf_zn(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
 
 def pdf_zn_closed(model: SpikedModel, z) -> float | np.ndarray:
     """Closed-form largest-overlap density for n in {2, 3, 4}."""
-    if model.variant != "complex" or model.n not in (2, 3, 4):
+    _zn_support(model)
+    if model.n > 4:
         raise UnsupportedModel("closed form exists for complex n in {2, 3, 4} only")
-    if model.n >= 3 and model.theta < THETA_EPS:
-        raise ThetaZeroSingularity("largest-overlap density diverges as theta -> 0 for n >= 3")
     z = _as_z_array(z)
     scalar = z.ndim == 0
     out = _clip_density(_pdf_zn_closed_values(model, np.atleast_1d(z)))
@@ -629,10 +698,8 @@ def check_zn_convexity_n2(model: SpikedModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _z2_prepare(model: SpikedModel, preset: str):
-    key = (model, preset, "z2")
-    if key in _ENGINE_CACHE:
-        return _ENGINE_CACHE[key]
     p = _PRESETS[preset]
     n, alpha, beta = model.n, model.alpha, model.beta
     lam_x = max(n - 1.0 - beta, 0.5)
@@ -684,8 +751,7 @@ def _z2_prepare(model: SpikedModel, preset: str):
     sign = 1.0 if n % 2 == 0 else -1.0
     pref = sign * math.exp(logpref)
 
-    prep = dict(u=u, w=w, gvec=gvec, cof=cof, sv=sv, su=su, pref=pref, beta=beta)
-    return _cache_put(key, prep)
+    return dict(u=u, w=w, gvec=gvec, cof=cof, sv=sv, su=su, pref=pref, beta=beta)
 
 
 def _pdf_z2_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
@@ -720,12 +786,7 @@ def pdf_z2(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
     determinant integrand is expanded along its z-dependent column, with the
     Cauchy-kernel column integrals shared across the z grid.
     """
-    if model.variant != "complex":
-        raise UnsupportedModel("z2 requires the complex variant")
-    if model.n < 3:
-        raise UnsupportedModel("z2 requires n >= 3")
-    if model.theta < THETA_EPS:
-        raise ThetaZeroSingularity("second-overlap density diverges as theta -> 0")
+    _z2_support(model)
     z = _as_z_array(z)
     scalar = z.ndim == 0
     out = _clip_density(_pdf_z2_grid(model, np.atleast_1d(z), preset))
@@ -767,36 +828,15 @@ def phi_column_integral(model: SpikedModel, u: float, z: float, i: int) -> float
 # ---------------------------------------------------------------------------
 
 
-def _pdf_dispatch(statistic: str, model: SpikedModel, preset: str = "fine"):
-    """Vectorized z -> density callable for any implemented statistic."""
-    if statistic == "z1":
-        return lambda zz: pdf_z1(model, zz)
-    if statistic == "z2":
-        return lambda zz: pdf_z2(model, zz, preset=preset)
-    if statistic == "zn":
-        return lambda zz: pdf_zn(model, zz, preset=preset)
-    if statistic == "nz1_asym":
-        return lambda zz: pdf_nz1_asymptotic(model.theta, zz)
-    from . import variant_density
-
-    if statistic == "w1_real":
-        return lambda zz: variant_density.pdf_w1_real(model, zz)
-    if statistic == "w2_real":
-        return lambda zz: variant_density.pdf_w2_real(model, zz)
-    if statistic == "y1_sing":
-        return lambda zz: variant_density.pdf_y1_singular(model, zz)
-    if statistic == "yn_sing":
-        return lambda zz: variant_density.pdf_yn_singular(model, zz, preset=preset)
-    raise UnsupportedModel(f"unknown statistic {statistic!r}")
+def _statistic(name: str) -> Statistic:
+    if name not in STATISTICS:
+        raise UnsupportedModel(f"unknown statistic {name!r}")
+    return STATISTICS[name]
 
 
 def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fine") -> np.ndarray:
     """Density of `statistic` on a z grid."""
-    f = _pdf_dispatch(statistic, model, preset)
-    return np.asarray(f(np.asarray(zs, dtype=float)))
-
-
-_ARCSINE_STATS = ("w1_real", "w2_real")
+    return np.asarray(_statistic(statistic).pdf(model, np.asarray(zs, dtype=float), preset))
 
 
 def cdf(statistic: str, model: SpikedModel, z: float, spec: numkit.QuadratureSpec | None = None) -> float:
@@ -813,8 +853,8 @@ def cdf(statistic: str, model: SpikedModel, z: float, spec: numkit.QuadratureSpe
     if z <= 0.0:
         return 0.0
     z = min(z, 1.0)
-    f = _pdf_dispatch(statistic, model)
-    if statistic in _ARCSINE_STATS:
+    f = partial(density_values, statistic, model)
+    if _statistic(statistic).arcsine:
         phi_hi = math.asin(math.sqrt(z))
 
         def g(s):
@@ -829,46 +869,41 @@ def cdf(statistic: str, model: SpikedModel, z: float, spec: numkit.QuadratureSpe
 
 def _cdf_interpolant(statistic: str, model: SpikedModel, breakpoints: int, order: int,
                      preset: str):
-    """Monotone interpolant of the c.d.f. built from one vectorized pdf pass."""
+    """Monotone interpolant of the c.d.f. built from one vectorized pdf pass.
+
+    The composite mesh lives in the variable s with z = sin^2(s) for the
+    arcsine-type statistics, which removes their inverse-square-root
+    endpoints, and z = s for all others.
+    """
     from scipy.interpolate import PchipInterpolator
 
+    arcsine = _statistic(statistic).arcsine
     gl_x, gl_w = numkit.gauss_legendre_panel(0.0, 1.0, order)
-    if statistic in _ARCSINE_STATS:
-        phib = np.linspace(0.0, 0.5 * math.pi, breakpoints)
-        widths = np.diff(phib)
-        nodes = (phib[:-1, None] + widths[:, None] * gl_x[None, :]).ravel()
-        wts = (widths[:, None] * gl_w[None, :]).ravel()
-        f = _pdf_dispatch(statistic, model, preset)
-        vals = f(np.sin(nodes) ** 2) * np.sin(2.0 * nodes) * wts
-        zb = np.sin(phib) ** 2
-    else:
-        zb = np.linspace(0.0, 1.0, breakpoints)
-        widths = np.diff(zb)
-        nodes = (zb[:-1, None] + widths[:, None] * gl_x[None, :]).ravel()
-        wts = (widths[:, None] * gl_w[None, :]).ravel()
-        vals = density_values(statistic, model, nodes, preset) * wts
+    sb = np.linspace(0.0, 0.5 * math.pi if arcsine else 1.0, breakpoints)
+    widths = np.diff(sb)
+    nodes = (sb[:-1, None] + widths[:, None] * gl_x[None, :]).ravel()
+    wts = (widths[:, None] * gl_w[None, :]).ravel()
+    to_z = (lambda s: np.sin(s) ** 2) if arcsine else (lambda s: s)
+    jac = np.sin(2.0 * nodes) if arcsine else 1.0
+    vals = density_values(statistic, model, to_z(nodes), preset) * jac * wts
     cum = np.concatenate([[0.0], np.cumsum(vals.reshape(breakpoints - 1, order).sum(axis=1))])
+    zb = to_z(sb)
     return PchipInterpolator(zb, np.maximum.accumulate(cum), extrapolate=False), zb
 
 
 def cdf_grid(statistic: str, model: SpikedModel, zs, breakpoints: int = 257, order: int = 8,
              preset: str = "fast"):
-    """Cumulative distribution at many z values via one vectorized pdf pass.
-
-    The pdf is evaluated on Gauss-Legendre nodes of a composite mesh, summed
-    cumulatively, and interpolated monotonically between the breakpoints.
-    """
-    zs = np.asarray(zs, dtype=float)
-    if statistic == "nz1_asym":
-        return np.asarray(cdf_nz1_asymptotic(model.theta, np.maximum(zs, 0.0)))
-    interp, zb = _cdf_interpolant(statistic, model, breakpoints, order, preset)
-    out = interp(np.clip(zs, zb[0], zb[-1]))
-    return np.clip(out, 0.0, 1.0)
+    """Cumulative distribution at many z values; see model_cdf_fn."""
+    return model_cdf_fn(statistic, model, breakpoints, order, preset)(zs)
 
 
 def model_cdf_fn(statistic: str, model: SpikedModel, breakpoints: int = 257, order: int = 8,
                  preset: str = "fast"):
-    """Vectorized c.d.f. callable suitable for the KS test."""
+    """Vectorized c.d.f. callable suitable for the KS test.
+
+    The pdf is evaluated on Gauss-Legendre nodes of a composite mesh, summed
+    cumulatively, and interpolated monotonically between the breakpoints.
+    """
     if statistic == "nz1_asym":
         theta = model.theta
         return lambda x: np.asarray(cdf_nz1_asymptotic(theta, np.maximum(np.asarray(x, float), 0.0)))

@@ -10,7 +10,7 @@ same orthogonal-polynomial kernel machinery as the complex engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -18,37 +18,16 @@ from scipy.special import gammaln
 from . import numkit, specfun
 from ._kernels import discrete_orthogonal_basis
 from .spike_density import (
-    THETA_EPS,
+    ENGINE_CACHE_SIZE,
     DomainError,
     SpikedModel,
-    ThetaZeroSingularity,
-    UnsupportedModel,
     _PRESETS,
     _as_z_array,
-    _cache_put,
     _clip_density,
-    _ENGINE_CACHE,
+    _real_support,
+    _y1_support,
+    _yn_support,
 )
-
-
-@dataclass(frozen=True)
-class VariantParams:
-    """A model checked against the closed-form variant coverage.
-
-    The real spiked path only exists for n = 2; the singular closed forms
-    cover m = 1 and n - m = 1.
-    """
-
-    model: SpikedModel
-
-    def __post_init__(self):
-        m = self.model
-        if m.variant == "real" and m.n != 2:
-            raise UnsupportedModel("real spiked densities are implemented for n = 2")
-        if m.variant == "singular" and not (m.m == 1 or m.n - m.m == 1):
-            raise UnsupportedModel("singular closed forms cover m = 1 or n - m = 1")
-        if m.variant == "complex":
-            raise UnsupportedModel("variant densities cover the real and singular cases")
 
 
 def pdf_w1_real(model: SpikedModel, z) -> float | np.ndarray:
@@ -57,10 +36,7 @@ def pdf_w1_real(model: SpikedModel, z) -> float | np.ndarray:
     Carries the arcsine-type z^(-1/2) (1-z)^(-1/2) endpoint singularities;
     at theta = 0 it reduces to the arcsine law 1/(pi sqrt(z(1-z))).
     """
-    if model.variant != "real" or model.n != 2:
-        raise UnsupportedModel("real overlap density is implemented for n = 2")
-    if model.m < 2:
-        raise UnsupportedModel("real overlap density requires m >= 2")
+    _real_support(model)
     z = _as_z_array(z)
     scalar = z.ndim == 0
     zz = np.atleast_1d(z).astype(float)
@@ -94,8 +70,7 @@ def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
     Closed forms exist for m = 1 (any theta >= 0) and for n - m = 1
     (theta > 0; the coefficients carry beta poles).
     """
-    if model.variant != "singular":
-        raise UnsupportedModel("y1_sing requires the singular variant")
+    _y1_support(model)
     z = _as_z_array(z)
     scalar = z.ndim == 0
     zz = np.atleast_1d(z).astype(float)
@@ -104,9 +79,7 @@ def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
         out = (n - 1.0) * (1.0 - zz) ** (n - 2) / (
             (1.0 + model.theta) * (1.0 - beta * zz) ** float(n)
         )
-    elif n - m == 1:
-        if model.theta < THETA_EPS:
-            raise ThetaZeroSingularity("n - m = 1 coefficients have a pole at theta = 0")
+    else:  # n - m = 1
         acc = np.zeros_like(zz)
         for ell in range(m - 1):
             for k in range(m - 1 - ell):
@@ -127,16 +100,12 @@ def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
                 )
         acc += (-1.0) ** (m - 1) / (m - beta * zz) ** 2
         out = m * (1.0 - beta) ** m / beta ** (m - 1.0) * acc
-    else:
-        raise UnsupportedModel("closed singular forms cover m = 1 or n - m = 1 only")
     out = _clip_density(out)
     return float(out[0]) if scalar else out
 
 
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _yn_prepare(model: SpikedModel, preset: str):
-    key = (model, preset, "yn")
-    if key in _ENGINE_CACHE:
-        return _ENGINE_CACHE[key]
     p = _PRESETS[preset]
     m, beta = model.m, model.beta
     d = m - 2
@@ -158,11 +127,10 @@ def _yn_prepare(model: SpikedModel, preset: str):
         - 2.0 * sum(math.lgamma(m - j + 1.0) for j in range(1, m + 1))
     )
     base = logpref + power * np.log(x) - x + np.log(wx)
-    prep = dict(
+    return dict(
         x=x, t=t, wt=wt, p_deg=p_deg, log_c1=log_c1, log_a0=log_a0,
         base=base, beta=beta, m=m,
     )
-    return _cache_put(key, prep)
 
 
 def _pdf_yn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
@@ -195,12 +163,7 @@ def pdf_yn_singular(model: SpikedModel, z, preset: str = "fine") -> float | np.n
     integral with a pure Hankel determinant term; the empty determinant at
     m = 2 is 1 by convention.
     """
-    if model.variant != "singular":
-        raise UnsupportedModel("yn_sing requires the singular variant")
-    if model.n - model.m != 1 or model.m < 2:
-        raise UnsupportedModel("yn_sing is implemented for n - m = 1 with m >= 2")
-    if model.theta < THETA_EPS:
-        raise ThetaZeroSingularity("yn_sing has a beta pole at theta = 0")
+    _yn_support(model)
     z = _as_z_array(z)
     scalar = z.ndim == 0
     out = _clip_density(_pdf_yn_grid(model, np.atleast_1d(z).astype(float), preset))

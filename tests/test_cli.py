@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -5,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from spiked_eigvec import cli
 from spiked_eigvec import spike_density as sd
 from spiked_eigvec.cli import main
 
@@ -127,11 +129,45 @@ def test_validate_negative_control(tmp_path):
     assert payload["report"]["passed"] is False
 
 
-def test_exit_code_invalid_config():
+def test_exit_code_invalid_config(capsys):
     assert main("pdf --stat z2 --n 4 --m 6 --theta 0".split()) == 2
     assert main("pdf --stat z1 --n 1 --m 6 --theta 1".split()) == 2
     assert main("pdf --stat w1_real --n 3 --m 5 --theta 1".split()) == 2
     assert main("pdf --stat z1 --n 4 --m 6 --theta 1 --grid-points 1".split()) == 2
+    assert main("pdf --stat z1 --n 4 --m 6 --theta nan".split()) == 2
+    assert main("pdf --stat z1 --n 4 --m 6 --theta inf".split()) == 2
+    assert main("pdf --stat nz1_asym --theta nan".split()) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _stat_choices():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices["pdf"]._actions if a.dest == "statistic")
+
+
+def test_stat_choices_are_the_statistic_table():
+    assert list(_stat_choices()) == list(sd.STATISTICS)
+
+
+@pytest.mark.parametrize("stat", list(sd.STATISTICS))
+def test_cli_rejects_exactly_where_the_pdf_raises(stat, tmp_path):
+    # `simulate` never evaluates the density, so its exit code shows the
+    # CLI's own support check.
+    entry = sd.STATISTICS[stat]
+    out = str(tmp_path / "sim.csv")
+    for n in (2, 3, 4):
+        for m in sorted({1, n - 1, n, n + 1}):
+            for theta in (0.0, 1e-9, 1.0):
+                try:
+                    model = sd.SpikedModel(n, m, theta, entry.variant)
+                    sd.density_values(stat, model, [0.5], preset="fast")
+                    raises = False
+                except ValueError:
+                    raises = True
+                argv = ["simulate", "--stat", stat, "--n", str(n), "--m", str(m),
+                        "--theta", repr(theta), "--samples", "4", "--out", out]
+                assert (main(argv) == 2) == raises, (n, m, theta)
 
 
 def test_unknown_figure():

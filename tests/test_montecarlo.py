@@ -70,6 +70,23 @@ def test_sample_values_in_unit_interval():
         assert np.all(batch.values >= 0.0) and np.all(batch.values <= 1.0)
 
 
+@pytest.mark.parametrize(
+    "n,m,variant,keys",
+    [
+        # At n = 2 the second-smallest eigenvector is the largest one.
+        (2, 4, "complex", ("z1", "zn")),
+        (3, 5, "complex", ("z1", "z2", "zn")),
+        (2, 4, "real", ("w1_real", "w2_real")),
+        (4, 3, "singular", ("y1_sing", "yn_sing")),
+        (4, 1, "singular", ("y1_sing", "yn_sing")),
+    ],
+)
+def test_default_statistics(n, m, variant, keys):
+    model = sd.SpikedModel(n, m, 1.0, variant)
+    spike = mc.make_spike(n, 0, real=variant == "real")
+    assert tuple(mc.sample_wishart(model, spike, seed=3, count=8)) == keys
+
+
 def test_per_draw_projection_sum():
     model = sd.SpikedModel(5, 7, 3.0)
     v = mc.make_spike(5, 0).entries

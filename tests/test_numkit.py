@@ -122,6 +122,29 @@ def test_ks_histogram_normalized_and_qq_shape():
     assert rep.passed == (rep.ks_statistic <= rep.critical_value_1pct)
 
 
+def test_ks_qq_matches_scalar_bisection():
+    cdf = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** 1.7
+    rng = np.random.default_rng(9)
+    rep = numkit.ks_test(rng.uniform(size=400), cdf)
+    for p, (theo, _) in zip(np.arange(1, 100) / 100.0, rep.qq):
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if cdf(np.array([mid]))[0] < p:
+                lo = mid
+            else:
+                hi = mid
+        assert theo == 0.5 * (lo + hi)
+
+
+def test_ks_rejects_scalar_cdf():
+    samples = [0.2, 0.5, 0.7]
+    with pytest.raises(ValueError):
+        numkit.ks_test(samples, lambda x: min(max(x, 0.0), 1.0))
+    with pytest.raises(ValueError):
+        numkit.ks_test(samples, lambda x: 0.5)
+
+
 def test_ks_empty_sample():
     with pytest.raises(numkit.EmptySample):
         numkit.ks_test([], lambda x: np.asarray(x, dtype=float))

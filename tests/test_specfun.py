@@ -75,6 +75,14 @@ def test_laguerre_recurrence_matches_sum_across_switch():
         assert np.allclose(specfun.laguerre(2, deg, z), direct, rtol=1e-10)
 
 
+def test_laguerre_large_argument():
+    # The explicit alternating sum loses 3e-4 relative here; the recurrence does not.
+    import mpmath
+
+    exact = float(mpmath.laguerre(25, 6, 10))
+    assert specfun.laguerre(6, 25, 10.0) == pytest.approx(exact, rel=1e-10)
+
+
 def test_laguerre_derivative_identity():
     # d/dz L^(rho)_M = -L^(rho+1)_(M-1), checked by central differences.
     rng = np.random.default_rng(7)

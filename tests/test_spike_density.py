@@ -15,6 +15,12 @@ def test_model_validation():
         sd.SpikedModel(3, 3, 1.0, "singular")
     with pytest.raises(ValueError):
         sd.SpikedModel(3, 5, -0.5)
+    with pytest.raises(ValueError):
+        sd.SpikedModel(3, 5, math.nan)
+    with pytest.raises(ValueError):
+        sd.SpikedModel(3, 5, math.inf)
+    with pytest.raises(ValueError):
+        sd.SpikedModel(3.5, 5, 1.0)
     m = sd.SpikedModel(3, 5, 3.0)
     assert m.alpha == 2
     assert m.beta == pytest.approx(0.75)
@@ -38,6 +44,8 @@ def test_pdf_z1_n2_uniform():
 def test_pdf_z1_domain_and_variant_errors():
     with pytest.raises(sd.DomainError):
         sd.pdf_z1(sd.SpikedModel(3, 5, 1.0), 1.5)
+    with pytest.raises(sd.DomainError):
+        sd.pdf_z1(sd.SpikedModel(3, 5, 1.0), math.nan)
     with pytest.raises(sd.UnsupportedModel):
         sd.pdf_z1(sd.SpikedModel(2, 5, 1.0, "real"), 0.5)
 

@@ -9,48 +9,22 @@ reproducible Monte-Carlo sampler.
 
 __version__ = "0.1.0"
 
-from .numkit import (  # noqa: F401
-    EmptySample,
-    GofReport,
-    QuadratureFailure,
-    QuadratureSpec,
-    ScaledDeterminant,
-    integrate_halfline,
-    integrate_unit,
-    ks_test,
-    scaled_det,
-)
-from .specfun import (  # noqa: F401
-    NoConvergence,
-    appell_f2,
-    bessel_i,
-    gauss_2f1,
-    kummer_1f1,
-    laguerre,
-    pochhammer,
-    recip_gamma,
-    tricomi_u,
-)
+from .numkit import EmptySample, GofReport, ks_test  # noqa: F401
+from .specfun import NoConvergence, gauss_2f1  # noqa: F401
 from .spike_density import (  # noqa: F401
     DensityCurve,
     DomainError,
     SpikedModel,
     ThetaZeroSingularity,
     UnsupportedModel,
-    cdf,
     cdf_grid,
     cdf_nz1_asymptotic,
-    check_zn_convexity_n2,
     density_values,
-    kalpha_normalization_check,
-    mehta_identity_check,
     model_cdf_fn,
     pdf_nz1_asymptotic,
     pdf_z1,
-    pdf_z1_general_vs_fastpath,
     pdf_z2,
     pdf_zn,
-    pdf_zn_closed,
 )
 from .variant_density import (  # noqa: F401
     pdf_w1_real,

@@ -1,10 +1,11 @@
 """Vectorized integrand kernels shared by the exact-density evaluators.
 
 These helpers evaluate, over whole node grids at once, the building blocks
-that appear inside the density integrals: Laguerre-polynomial stacks, the
-exponential-beta moments that fill the Hankel-type determinants, and the
-log-scaled assembly of panel quadrature weights.  They are private to the
-package; the public contracts live in spike_density / variant_density.
+that appear inside the density integrals: Laguerre-polynomial stacks,
+stacked determinants, the discrete orthogonal polynomials that factorize the
+Hankel-type determinants, and the stable exponential remainder they are
+integrated against.  They are private to the package; the public contracts
+live in spike_density / variant_density.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 
 def lag(rho: int, M: int, z: np.ndarray) -> np.ndarray:
@@ -31,61 +31,6 @@ def lag(rho: int, M: int, z: np.ndarray) -> np.ndarray:
     for k in range(1, M):
         lkm1, lk = lk, ((2.0 * k + 1.0 + rho - z) * lk - (k + rho) * lkm1) / (k + 1.0)
     return lk
-
-
-def exp_beta_moment(q: int, x: np.ndarray) -> np.ndarray:
-    """int_0^1 t^q (1-t)^2 e^{-x t} dt for integer q >= 0, vectorized in x.
-
-    For x away from zero this is a three-term combination of regularized
-    lower incomplete gamma functions; tiny x switches to the Taylor series in
-    x to dodge the 0/0 in gamma(a, x)/x^a.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 1e-3
-    if np.any(small):
-        xs = x[small]
-        # sum_j (-x)^j / j! * B(q+j+1, 3)
-        term = np.ones_like(xs)
-        acc = term * _beta3(q + 1)
-        for j in range(1, 40):
-            term = term * (-xs) / j
-            acc = acc + term * _beta3(q + j + 1)
-            if np.max(np.abs(term)) * _beta3(q + j + 1) < 1e-17 * np.max(np.abs(acc)):
-                break
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        xb = x[big]
-        acc = np.zeros_like(xb)
-        for r, coef in ((0, 1.0), (1, -2.0), (2, 1.0)):
-            a = q + 1 + r
-            acc = acc + coef * np.exp(gammaln(a) - a * np.log(xb)) * gammainc(a, xb)
-        out[big] = acc
-    return out
-
-
-def _beta3(p: int) -> float:
-    # B(p, 3) = 2 / (p (p+1) (p+2))
-    return 2.0 / (p * (p + 1.0) * (p + 2.0))
-
-
-def hankel_entry_stacks(shift: int, d: int, x: np.ndarray) -> np.ndarray:
-    """Stack of d x d Hankel-kernel matrices over the x grid.
-
-    Entry (i, j) is B(3, i+j+shift-1) * 1F1(i+j+shift-1; i+j+shift+2; -x),
-    which equals the moment int_0^1 t^{i+j+shift-2} (1-t)^2 e^{-xt} dt and is
-    evaluated in that form for stability at large x.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((x.size, d, d))
-    moments = {}
-    for p in range(2, 2 * d + 1):
-        moments[p] = exp_beta_moment(p + shift - 2, x)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            out[:, i - 1, j - 1] = moments[i + j]
-    return out
 
 
 def det_stack(mats: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from . import __version__, montecarlo, numkit, specfun
 from . import spike_density as sd
 
 _NUMERICAL_ERRORS = (
-    numkit.QuadratureFailure,
     specfun.NoConvergence,
     montecarlo.EigensolverFailure,
     ArithmeticError,

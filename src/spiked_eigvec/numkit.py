@@ -1,12 +1,10 @@
-"""Overflow-safe determinants, 1-D quadrature, and goodness-of-fit statistics.
+"""Composite Gauss-Legendre node layouts and goodness-of-fit statistics.
 
-The quadrature routines are adaptive Gauss-Legendre: panels whose value does
-not survive a node-count doubling are bisected, which grades the mesh toward
-integrable endpoint singularities or sharp exponential boundary layers.  The
-`max_panels` budget bounds the refinement depth of any one panel chain.
+The density engines integrate on fixed composite grids: each layout is a
+list of panel edges with one Gauss-Legendre rule per panel, so callers
+evaluate vectorized integrands over the whole grid at once.
 
-Everything here is pure and safe for concurrent use; integrand callbacks may
-be evaluated on whole node arrays at once and must accept ndarray input.
+Everything here is pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -18,76 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 
-class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature exhausted its panel budget without converging."""
-
-
 class EmptySample(ValueError):
     """A goodness-of-fit test was handed an empty sample."""
-
-
-@dataclass(frozen=True)
-class ScaledDeterminant:
-    """Sign and natural-log magnitude of a determinant.
-
-    `log_magnitude` is meaningless when sign == 0.  The reconstructed value
-    sign * exp(log_magnitude) equals the determinant whenever representable.
-    """
-
-    sign: int
-    log_magnitude: float
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node counts, tolerances, and truncation policy for the integrators."""
-
-    unit_nodes: int = 128
-    tail_epsilon: float = 1e-12
-    max_panels: int = 64
-    panel_growth: float = 1.5
-
-    def __post_init__(self):
-        if self.unit_nodes < 8:
-            raise ValueError("unit_nodes must be at least 8")
-        if self.tail_epsilon <= 0:
-            raise ValueError("tail_epsilon must be positive")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be positive")
-        if self.panel_growth <= 1.0:
-            raise ValueError("panel_growth must exceed 1")
-
-
-DEFAULT_SPEC = QuadratureSpec()
-
-
-def scaled_det(matrix, d: int | None = None) -> ScaledDeterminant:
-    """LU-based determinant in log-scaled form.
-
-    A 0x0 matrix (d = 0) is the empty determinant and evaluates to exactly 1.
-    Exact singularity is reported as sign 0 rather than an error.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.size == 0:
-        a = a.reshape(0, 0)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("scaled_det requires a square matrix")
-    if d is not None and d != a.shape[0]:
-        raise ValueError("declared dimension does not match the matrix")
-    if a.shape[0] == 0:
-        return ScaledDeterminant(sign=1, log_magnitude=0.0)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    sign, logmag = np.linalg.slogdet(a)
-    if sign == 0:
-        return ScaledDeterminant(sign=0, log_magnitude=-math.inf)
-    return ScaledDeterminant(sign=int(round(sign)), log_magnitude=float(logmag))
 
 
 @lru_cache(maxsize=64)
@@ -103,84 +33,10 @@ def gauss_legendre_panel(a: float, b: float, n: int):
     return a + (b - a) * x, (b - a) * w
 
 
-def _panel_value(f, a, b, n):
-    x, w = gauss_legendre_panel(a, b, n)
-    return float(np.dot(w, np.asarray(f(x), dtype=float)))
-
-
-def _adaptive_interval(f, a: float, b: float, spec: QuadratureSpec) -> float:
-    """Adaptive bisection on [a, b] with a refinement-depth budget."""
-    coarse = _panel_value(f, a, b, spec.unit_nodes)
-    fine = _panel_value(f, a, b, 2 * spec.unit_nodes)
-    # (value, error, left, right, depth)
-    panels = [(fine, abs(fine - coarse), a, b, 0)]
-    total = fine
-    for _ in range(200_000):
-        scale = max(abs(total), 1e-300)
-        err = sum(p[1] for p in panels)
-        if err <= spec.tail_epsilon * scale:
-            return total
-        worst = max(range(len(panels)), key=lambda i: panels[i][1])
-        val, perr, lo, hi, depth = panels.pop(worst)
-        if depth >= spec.max_panels:
-            if perr <= 10 * spec.tail_epsilon * scale:
-                # Deepest panel stalled within an order of the target;
-                # remaining panels may still converge.
-                panels.append((val, 0.0, lo, hi, depth))
-                total = sum(p[0] for p in panels)
-                continue
-            raise QuadratureFailure(
-                f"panel [{lo:g},{hi:g}] did not converge at depth {depth}"
-            )
-        mid = 0.5 * (lo + hi)
-        for aa, bb in ((lo, mid), (mid, hi)):
-            c = _panel_value(f, aa, bb, spec.unit_nodes)
-            fn = _panel_value(f, aa, bb, 2 * spec.unit_nodes)
-            panels.append((fn, abs(fn - c), aa, bb, depth + 1))
-        total = sum(p[0] for p in panels)
-    raise QuadratureFailure("adaptive refinement did not terminate")
-
-
-def integrate_unit(f, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Integral of f over (0, 1).
-
-    Endpoint singularities of order > -1 are handled by the dyadic
-    subdivision toward the offending endpoint.
-    """
-    return _adaptive_interval(f, 0.0, 1.0, spec)
-
-
-def integrate_halfline(f, decay_rate: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Integral of f over (0, inf) for integrands with an exponential envelope.
-
-    `decay_rate` is the rate lambda of the known envelope
-    |f(x)| <= C x^k e^{-lambda x}; panels grow geometrically until the
-    envelope tail bound falls below tail_epsilon relative to the estimate.
-    """
-    if decay_rate <= 0:
-        raise ValueError("decay_rate must be positive")
-    width = min(1.0, 1.0 / decay_rate)
-    lo = 0.0
-    total = 0.0
-    prev_contrib = math.inf
-    for _ in range(spec.max_panels):
-        hi = lo + width
-        contrib = _adaptive_interval(f, lo, hi, spec)
-        total += contrib
-        scale = max(abs(total), 1e-300)
-        endpoint = float(np.max(np.abs(np.asarray(f(np.array([hi])), dtype=float))))
-        tail_bound = 2.0 * endpoint / decay_rate
-        past_peak = abs(contrib) < abs(prev_contrib)
-        if (
-            past_peak
-            and abs(contrib) <= spec.tail_epsilon * scale
-            and tail_bound <= spec.tail_epsilon * scale
-        ):
-            return total
-        prev_contrib = contrib
-        lo = hi
-        width *= spec.panel_growth
-    raise QuadratureFailure("half-line truncation did not converge within max_panels")
+def _panels(edges, nodes_per_panel: int):
+    """One Gauss-Legendre rule per [edges[i], edges[i+1]], concatenated."""
+    rules = [gauss_legendre_panel(a, b, nodes_per_panel) for a, b in zip(edges[:-1], edges[1:])]
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def envelope_end(decay_rate: float, power_hint: float = 0.0, rel_tail: float = 1e-18) -> float:
@@ -206,23 +62,16 @@ def halfline_grid(
     """Fixed geometric-panel node layout for int_0^inf x^k e^{-lambda x} ... dx.
 
     Returns (nodes, weights) covering [0, x_end] where the envelope
-    x^power_hint e^{-decay_rate x} has dropped rel_tail below its peak.  This
-    is the same panel policy integrate_halfline follows, unrolled so callers
-    can evaluate vectorized integrands over the whole grid at once.
+    x^power_hint e^{-decay_rate x} has dropped rel_tail below its peak; panel
+    widths start at min(1, 1/decay_rate) and grow geometrically.
     """
-    lam = decay_rate
     x_end = envelope_end(decay_rate, power_hint, rel_tail)
-    width = min(1.0, 1.0 / lam, x_end / 8.0)
-    nodes, weights = [], []
-    lo = 0.0
-    while lo < x_end:
-        hi = min(lo + width, x_end)
-        x, w = gauss_legendre_panel(lo, hi, nodes_per_panel)
-        nodes.append(x)
-        weights.append(w)
-        lo = hi
+    width = min(1.0, 1.0 / decay_rate, x_end / 8.0)
+    edges = [0.0]
+    while edges[-1] < x_end:
+        edges.append(min(edges[-1] + width, x_end))
         width *= growth
-    return np.concatenate(nodes), np.concatenate(weights)
+    return _panels(edges, nodes_per_panel)
 
 
 def unit_grid(nodes_per_panel: int = 32, grade_left: int = 0, grade_right: int = 0):
@@ -242,13 +91,7 @@ def unit_grid(nodes_per_panel: int = 32, grade_left: int = 0, grade_right: int =
         for lev in range(1, grade_right + 1):
             edges.append(1.0 - 2.0 ** (-lev - 1))
         edges.append(1.0)
-    edges = sorted(set(edges))
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre_panel(a, b, nodes_per_panel)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return _panels(sorted(set(edges)), nodes_per_panel)
 
 
 def geometric_grid(
@@ -265,12 +108,7 @@ def geometric_grid(
     edges = [0.0, start]
     while edges[-1] < end:
         edges.append(min(edges[-1] * ratio, end))
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre_panel(a, b, nodes_per_panel)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return _panels(edges, nodes_per_panel)
 
 
 @dataclass

@@ -8,11 +8,13 @@ The smallest-overlap density has a closed finite-sum form whose nested sums
 are collapsed, once per (n, m, theta), into cofactor coefficients of the
 z-dependent first determinant column.  The largest and second-smallest
 densities are double integrals with determinant integrands; those are
-evaluated on fixed geometric panel grids (the same layout the adaptive
-half-line integrator uses), vectorized across a whole grid of z values.
+evaluated on fixed geometric panel grids, vectorized across a whole grid of z
+values.  The n = 2, 3, 4 largest-overlap densities have closed forms.
 
-All evaluators are pure; per-model precomputations are memoized in a small
-cache keyed by the frozen model.
+Every density passes through one boundary (`_pdf_boundary`) that checks the
+model and z and rejects non-finite output.  All evaluators are pure;
+per-model precomputations are memoized in a small cache keyed by the frozen
+model.  The cumulative distribution is `model_cdf_fn` / `cdf_grid`.
 """
 
 from __future__ import annotations
@@ -20,20 +22,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre
+from scipy.special import gammaln
 
 from . import numkit, specfun
-from ._kernels import (
-    det_stack,
-    discrete_orthogonal_basis,
-    hankel_entry_stacks,
-    lag,
-    weighted_exp_remainder,
-)
+from ._kernels import det_stack, discrete_orthogonal_basis, lag, weighted_exp_remainder
 
 THETA_EPS = 1e-8
 
@@ -111,12 +107,39 @@ def _clip_density(values: np.ndarray) -> np.ndarray:
     The tolerance is relative to the curve scale: far-tail cancellation in
     the double-integral engines leaves residue up to ~1e-5 of the peak, while
     genuinely negative densities (a formula transcription bug) show up orders
-    of magnitude larger.
+    of magnitude larger.  A non-finite value is never a density.
     """
+    if not np.all(np.isfinite(values)):
+        raise ArithmeticError("density evaluated to a non-finite value")
     floor = -2e-5 * max(1.0, float(np.max(values, initial=0.0)))
     if np.any(values < floor):
         raise ArithmeticError("density evaluated significantly below zero")
     return np.maximum(values, 0.0)
+
+
+def _pdf_boundary(support: Callable):
+    """Decorator: the one validation boundary every density passes.
+
+    The wrapped body takes (model, z, ...) with z a 1-d float array in
+    [0, 1].  The wrapper runs `support(model)`, rejects a theta so large that
+    beta = theta/(1+theta) rounds to 1 (the formulas carry 1 - beta factors
+    and logs), validates z, clips the body's values with `_clip_density`,
+    and returns a float for scalar z.
+    """
+
+    def decorate(body):
+        @wraps(body)
+        def pdf(model: SpikedModel, z, *args, **kwargs):
+            support(model)
+            if model.beta == 1.0:
+                raise ArithmeticError("theta is too large: beta = theta/(1+theta) rounds to 1")
+            z = _as_z_array(z)
+            out = _clip_density(body(model, np.atleast_1d(z), *args, **kwargs))
+            return float(out[0]) if z.ndim == 0 else out
+
+        return pdf
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +335,7 @@ def _pdf_z1_fast(n: int, alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
     raise ValueError("fast path supports alpha in {0, 1} only")
 
 
+@_pdf_boundary(_z1_support)
 def pdf_z1(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the smallest-eigenvalue overlap |v^H u_1|^2.
 
@@ -319,38 +343,14 @@ def pdf_z1(model: SpikedModel, z) -> float | np.ndarray:
     the general nested-sum route; theta = 0 reduces to the Haar density
     (n-1)(1-z)^(n-2).
     """
-    _z1_support(model)
-    z = _as_z_array(z)
-    scalar = z.ndim == 0
-    zz = np.atleast_1d(z)
     n, alpha, beta = model.n, model.alpha, model.beta
     if model.theta == 0.0:
-        out = (n - 1.0) * (1.0 - zz) ** (n - 2)
-    elif n == 2:
-        out = _pdf_z1_n2(alpha, beta, zz)
-    elif alpha in (0, 1):
-        out = _pdf_z1_fast(n, alpha, beta, zz)
-    else:
-        out = _pdf_z1_series(n, alpha, beta, zz)
-    out = _clip_density(out)
-    return float(out[0]) if scalar else out
-
-
-def pdf_z1_general_vs_fastpath(model: SpikedModel, z) -> tuple:
-    """Both routes to the smallest-overlap density, for cross-validation.
-
-    Returns (nested-sum value, closed-form value); requires alpha in {0, 1}
-    and n >= 3 so that both routes are defined.
-    """
-    if model.variant != "complex" or model.n < 3 or model.alpha not in (0, 1):
-        raise UnsupportedModel("dual path needs complex variant, n >= 3, alpha in {0,1}")
-    z = _as_z_array(z)
-    zz = np.atleast_1d(z)
-    general = _pdf_z1_series(model.n, model.alpha, model.beta, zz)
-    fast = _pdf_z1_fast(model.n, model.alpha, model.beta, zz)
-    if z.ndim == 0:
-        return float(general[0]), float(fast[0])
-    return general, fast
+        return (n - 1.0) * (1.0 - z) ** (n - 2)
+    if n == 2:
+        return _pdf_z1_n2(alpha, beta, z)
+    if alpha in (0, 1):
+        return _pdf_z1_fast(n, alpha, beta, z)
+    return _pdf_z1_series(n, alpha, beta, z)
 
 
 def pdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
@@ -405,8 +405,7 @@ def _zn_prepare(model: SpikedModel, preset: str):
     n, alpha, beta = model.n, model.alpha, model.beta
     d = n - 2
     power = n * n + n * alpha - n + 1
-    lam = max(1.0 - beta, 1e-3)
-    x, wx = numkit.halfline_grid(lam, power_hint=power, nodes_per_panel=p["x_nodes"])
+    x, wx = numkit.halfline_grid(1.0 - beta, power_hint=power, nodes_per_panel=p["x_nodes"])
     levels = int(np.clip(math.ceil(math.log2(max(x[-1], 2.0))), 2, 40))
     t, wt = numkit.unit_grid(p["t_nodes"], grade_left=levels)
 
@@ -442,45 +441,7 @@ def _pdf_zn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
     return out
 
 
-def _pdf_zn_adaptive(model: SpikedModel, z: float, spec: numkit.QuadratureSpec | None = None) -> float:
-    """Reference evaluation by nested adaptive quadrature at a single z.
-
-    Outer semi-infinite integral in x with decay rate 1 - beta z, inner unit
-    integral in t.  Kept alongside the grid engine as an independent route
-    for the test suite.
-    """
-    spec = spec or numkit.DEFAULT_SPEC
-    n, alpha, beta = model.n, model.alpha, model.beta
-    d = n - 2
-    power = n * n + n * alpha - n + 1
-    logpref = _max_overlap_log_prefactor(n, alpha, beta)
-    q = 1.0 - (1.0 - z) * beta
-
-    def outer(x_arr):
-        x_arr = np.atleast_1d(np.asarray(x_arr, dtype=float))
-        vals = np.empty_like(x_arr)
-        for ix, xv in enumerate(x_arr):
-            if xv <= 0:
-                vals[ix] = 0.0
-                continue
-            a_stack = hankel_entry_stacks(alpha, d, np.array([xv]))[0]
-            b_stack = hankel_entry_stacks(alpha + 1, d, np.array([xv]))[0]
-
-            def inner(t_arr):
-                t_arr = np.asarray(t_arr, dtype=float)
-                mats = t_arr[:, None, None] * a_stack - b_stack
-                dd = det_stack(mats)
-                return np.exp(-q * xv * t_arr) * t_arr**alpha * (1.0 - t_arr) ** 2 * dd
-
-            j_val = numkit.integrate_unit(inner, spec)
-            vals[ix] = math.copysign(1.0, j_val) * math.exp(
-                logpref + power * math.log(xv) - (1.0 - beta * z) * xv + math.log(abs(j_val) + 1e-300)
-            )
-        return vals
-
-    return numkit.integrate_halfline(outer, decay_rate=1.0 - beta * z, spec=spec)
-
-
+@_pdf_boundary(_zn_support)
 def pdf_zn(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
     """Density of the largest-eigenvalue overlap |v^H u_n|^2.
 
@@ -488,27 +449,9 @@ def pdf_zn(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
     representation on vectorized panel grids.  For n >= 3 the formula has a
     pole at theta = 0 and such calls raise ThetaZeroSingularity.
     """
-    _zn_support(model)
-    z = _as_z_array(z)
-    scalar = z.ndim == 0
-    zz = np.atleast_1d(z)
     if model.n in (2, 3, 4):
-        out = _pdf_zn_closed_values(model, zz)
-    else:
-        out = _pdf_zn_grid(model, zz, preset)
-    out = _clip_density(out)
-    return float(out[0]) if scalar else out
-
-
-def pdf_zn_closed(model: SpikedModel, z) -> float | np.ndarray:
-    """Closed-form largest-overlap density for n in {2, 3, 4}."""
-    _zn_support(model)
-    if model.n > 4:
-        raise UnsupportedModel("closed form exists for complex n in {2, 3, 4} only")
-    z = _as_z_array(z)
-    scalar = z.ndim == 0
-    out = _clip_density(_pdf_zn_closed_values(model, np.atleast_1d(z)))
-    return float(out[0]) if scalar else out
+        return _pdf_zn_closed_values(model, z)
+    return _pdf_zn_grid(model, z, preset)
 
 
 def _pdf_zn_closed_values(model: SpikedModel, z: np.ndarray) -> np.ndarray:
@@ -679,20 +622,6 @@ def _pdf_zn_closed_n4(alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
     return (np.exp(ld(logc)) * total).astype(np.float64)
 
 
-def check_zn_convexity_n2(model: SpikedModel) -> bool:
-    """Second central differences of the n = 2 largest-overlap density.
-
-    Returns True when the raw second difference on a 1001-point grid never
-    drops below -1e-8, the numerical signature of convexity in z.
-    """
-    if model.n != 2:
-        raise UnsupportedModel("convexity check is defined for n = 2")
-    grid = np.linspace(0.0, 1.0, 1001)
-    vals = pdf_zn(model, grid)
-    second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-    return bool(np.min(second) >= -1e-8)
-
-
 # ---------------------------------------------------------------------------
 # Second-smallest-eigenvalue overlap
 # ---------------------------------------------------------------------------
@@ -702,7 +631,7 @@ def check_zn_convexity_n2(model: SpikedModel) -> bool:
 def _z2_prepare(model: SpikedModel, preset: str):
     p = _PRESETS[preset]
     n, alpha, beta = model.n, model.alpha, model.beta
-    lam_x = max(n - 1.0 - beta, 0.5)
+    lam_x = n - 1.0 - beta
     power_x = 5.0 + alpha + (alpha + 1.0) * (n + alpha)
     x, wx = numkit.halfline_grid(lam_x, power_hint=power_x, nodes_per_panel=p["z2_x_nodes"])
     y, wy = numkit.unit_grid(p["y_nodes"], grade_left=2, grade_right=2)
@@ -736,7 +665,7 @@ def _z2_prepare(model: SpikedModel, preset: str):
         cof[:, i] = sign_i * det_stack(np.delete(rest, i, axis=1))
 
     # Shared w grid for the phi-column integrals (Cauchy kernel against u).
-    lam_w = max(1.0 - beta, 1e-3)
+    lam_w = 1.0 - beta
     w_end = numkit.envelope_end(lam_w, power_hint=n + alpha + 2.0)
     w, ww = numkit.geometric_grid(1e-7, w_end, nodes_per_panel=p["w_nodes"])
     gvec = np.empty((w.size, du))
@@ -778,6 +707,7 @@ def _pdf_z2_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
     return out
 
 
+@_pdf_boundary(_z2_support)
 def pdf_z2(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
     """Density of the second-smallest-eigenvalue overlap |v^H u_2|^2.
 
@@ -786,41 +716,7 @@ def pdf_z2(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
     determinant integrand is expanded along its z-dependent column, with the
     Cauchy-kernel column integrals shared across the z grid.
     """
-    _z2_support(model)
-    z = _as_z_array(z)
-    scalar = z.ndim == 0
-    out = _clip_density(_pdf_z2_grid(model, np.atleast_1d(z), preset))
-    return float(out[0]) if scalar else out
-
-
-def phi_column_reference(model: SpikedModel, u: float, z: float, i: int) -> float:
-    """Finite hypergeometric-sum route to the phi column entries.
-
-    phi_i = (n+i-2)! sum_l (-beta u (1-z))^l / l! U(n+i-1; 3+l; u(1-beta+beta z)).
-    Used by the tests to pin the Cauchy-kernel integral route.
-    """
-    n, beta = model.n, model.beta
-    s = u * (1.0 - beta + beta * z)
-    v = -beta * u * (1.0 - z)
-    total = 0.0
-    term = 1.0
-    for ell in range(n + i - 4 + 1):
-        if ell > 0:
-            term *= v / ell
-        total += term * specfun.tricomi_u(n + i - 1.0, 3.0 + ell, s)
-    return math.exp(gammaln(n + i - 1.0)) * total
-
-
-def phi_column_integral(model: SpikedModel, u: float, z: float, i: int) -> float:
-    """Cauchy-kernel integral route to the same phi column entry."""
-    n, beta = model.n, model.beta
-    c = 1.0 - beta + beta * z
-
-    def f(w_arr):
-        w_arr = np.asarray(w_arr, dtype=float)
-        return np.exp(-c * w_arr) * w_arr**2 * lag(2, n + i - 4, w_arr) / (w_arr + u)
-
-    return numkit.integrate_halfline(f, decay_rate=c) / u**2
+    return _pdf_z2_grid(model, z, preset)
 
 
 # ---------------------------------------------------------------------------
@@ -837,34 +733,6 @@ def _statistic(name: str) -> Statistic:
 def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fine") -> np.ndarray:
     """Density of `statistic` on a z grid."""
     return np.asarray(_statistic(statistic).pdf(model, np.asarray(zs, dtype=float), preset))
-
-
-def cdf(statistic: str, model: SpikedModel, z: float, spec: numkit.QuadratureSpec | None = None) -> float:
-    """Cumulative distribution of `statistic` at z, by quadrature of its pdf.
-
-    The endpoint-singular real-variant statistics integrate in the
-    sin^2-substituted variable, which removes the inverse-square-root
-    endpoints exactly.
-    """
-    if statistic == "nz1_asym":
-        return float(cdf_nz1_asymptotic(model.theta, z))
-    spec = spec or numkit.DEFAULT_SPEC
-    z = float(z)
-    if z <= 0.0:
-        return 0.0
-    z = min(z, 1.0)
-    f = partial(density_values, statistic, model)
-    if _statistic(statistic).arcsine:
-        phi_hi = math.asin(math.sqrt(z))
-
-        def g(s):
-            phi = phi_hi * np.asarray(s, dtype=float)
-            return phi_hi * f(np.sin(phi) ** 2) * np.sin(2.0 * phi)
-
-        val = numkit.integrate_unit(g, spec)
-    else:
-        val = numkit.integrate_unit(lambda s: z * f(z * np.asarray(s, dtype=float)), spec)
-    return float(np.clip(val, 0.0, 1.0))
 
 
 def _cdf_interpolant(statistic: str, model: SpikedModel, breakpoints: int, order: int,
@@ -914,75 +782,3 @@ def model_cdf_fn(statistic: str, model: SpikedModel, breakpoints: int = 257, ord
         return np.clip(interp(np.clip(x, zb[0], zb[-1])), 0.0, 1.0)
 
     return model_cdf
-
-
-# ---------------------------------------------------------------------------
-# Identity oracles
-# ---------------------------------------------------------------------------
-
-
-def mehta_identity_check(n: int, alpha: int, y: float, x: float) -> tuple[float, float]:
-    """Both sides of the orthogonal-polynomial determinant identity.
-
-    Left side: the n-fold integral of Delta^2 prod_j (y - t_j)(x - t_j)^alpha
-    t_j^2 e^{-t_j} by tensor-product generalized Gauss-Laguerre quadrature
-    (exact for the polynomial integrand).  Right side: the closed determinant
-    form with Laguerre columns.
-    """
-    if n < 1 or n > 4:
-        raise ValueError("brute-force side supports n in 1..4")
-    if x == y and alpha > 0:
-        raise DomainError("closed form is singular at x = y for alpha > 0")
-    deg = 2 * (n - 1) + alpha + 3
-    nodes, weights = roots_genlaguerre(max(deg, 6), 2)
-    k = nodes.size
-    idx = np.stack(np.meshgrid(*([np.arange(k)] * n), indexing="ij"), axis=0).reshape(n, -1)
-    pts = nodes[idx]  # (n, T)
-    wts = np.prod(weights[idx], axis=0)
-    vandermonde_sq = np.ones(pts.shape[1])
-    for i in range(n):
-        for j in range(i + 1, n):
-            vandermonde_sq *= (pts[j] - pts[i]) ** 2
-    factor = np.prod((y - pts) * (x - pts) ** alpha, axis=0)
-    lhs = float(np.dot(wts, vandermonde_sq * factor))
-
-    logk = sum(math.lgamma(n + j) for j in range(1, alpha + 2))
-    logk += sum(math.lgamma(j + 2.0) + math.lgamma(j + 3.0) for j in range(n))
-    logk -= sum(math.lgamma(j + 1.0) for j in range(alpha))
-    sign = -1.0 if (n + alpha * (n + alpha)) % 2 else 1.0
-    mat = np.empty((alpha + 1, alpha + 1))
-    for i in range(1, alpha + 2):
-        mat[i - 1, 0] = specfun.laguerre(2, n + i - 1, y)
-        for j in range(2, alpha + 2):
-            mat[i - 1, j - 1] = specfun.laguerre(j, n + i + 1 - j, x)
-    det = numkit.scaled_det(mat)
-    if alpha == 0:
-        denom = 1.0
-    else:
-        denom = (x - y) ** alpha
-    rhs = sign * det.sign * math.exp(logk + det.log_magnitude) / denom
-    return lhs, rhs
-
-
-def kalpha_normalization_check(alpha: int) -> float:
-    """Half-line integral of the Bessel-determinant density; contract: 1.
-
-    Evaluates int_0^inf e^{-x} det[I_{j-i+2}(2 sqrt(x))]_{i,j=1..alpha} dx.
-    """
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
-
-    def f(x_arr):
-        x_arr = np.atleast_1d(np.asarray(x_arr, dtype=float))
-        out = np.empty_like(x_arr)
-        for k, xv in enumerate(x_arr):
-            arg = 2.0 * math.sqrt(max(xv, 0.0))
-            mat = np.empty((alpha, alpha))
-            for i in range(1, alpha + 1):
-                for j in range(1, alpha + 1):
-                    p = j - i + 2
-                    mat[i - 1, j - 1] = specfun.bessel_i(p, arg) if p >= 0 else specfun.bessel_i(-p, arg)
-            out[k] = math.exp(-xv) * float(np.linalg.det(mat))
-        return out
-
-    return numkit.integrate_halfline(f, decay_rate=0.4)

@@ -22,40 +22,34 @@ from .spike_density import (
     DomainError,
     SpikedModel,
     _PRESETS,
-    _as_z_array,
-    _clip_density,
+    _pdf_boundary,
     _real_support,
     _y1_support,
     _yn_support,
 )
 
 
+@_pdf_boundary(_real_support)
 def pdf_w1_real(model: SpikedModel, z) -> float | np.ndarray:
     """Smallest-overlap density for the real spiked case with n = 2.
 
     Carries the arcsine-type z^(-1/2) (1-z)^(-1/2) endpoint singularities;
     at theta = 0 it reduces to the arcsine law 1/(pi sqrt(z(1-z))).
     """
-    _real_support(model)
-    z = _as_z_array(z)
-    scalar = z.ndim == 0
-    zz = np.atleast_1d(z).astype(float)
-    if np.any(zz <= 0) or np.any(zz >= 1):
+    if np.any(z <= 0) or np.any(z >= 1):
         raise DomainError("real overlap density needs z strictly inside (0, 1)")
     m, beta = model.m, model.beta
-    u = (1.0 - beta * zz) / (1.0 - beta * (1.0 - zz))
+    u = (1.0 - beta * z) / (1.0 - beta * (1.0 - z))
     h1 = specfun.gauss_2f1(m, (m - 1.0) / 2.0, (m + 1.0) / 2.0, -u)
     h2 = specfun.gauss_2f1(m, (m + 1.0) / 2.0, (m + 3.0) / 2.0, -u)
     pref = 2.0 ** (m - 1.0) * (m - 1.0) / (math.pi * (1.0 + model.theta) ** (m / 2.0))
-    out = (
+    return (
         pref
-        * zz ** (-0.5)
-        * (1.0 - zz) ** (-0.5)
-        * (1.0 - beta * (1.0 - zz)) ** (-float(m))
+        * z ** (-0.5)
+        * (1.0 - z) ** (-0.5)
+        * (1.0 - beta * (1.0 - z)) ** (-float(m))
         * (h1 / (m - 1.0) - h2 / (m + 1.0))
     )
-    out = _clip_density(out)
-    return float(out[0]) if scalar else out
 
 
 def pdf_w2_real(model: SpikedModel, z) -> float | np.ndarray:
@@ -64,44 +58,39 @@ def pdf_w2_real(model: SpikedModel, z) -> float | np.ndarray:
     return pdf_w1_real(model, 1.0 - z)
 
 
+@_pdf_boundary(_y1_support)
 def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
     """Smallest-positive-overlap density for the singular case.
 
     Closed forms exist for m = 1 (any theta >= 0) and for n - m = 1
     (theta > 0; the coefficients carry beta poles).
     """
-    _y1_support(model)
-    z = _as_z_array(z)
-    scalar = z.ndim == 0
-    zz = np.atleast_1d(z).astype(float)
     n, m, beta = model.n, model.m, model.beta
     if m == 1:
-        out = (n - 1.0) * (1.0 - zz) ** (n - 2) / (
-            (1.0 + model.theta) * (1.0 - beta * zz) ** float(n)
+        return (n - 1.0) * (1.0 - z) ** (n - 2) / (
+            (1.0 + model.theta) * (1.0 - beta * z) ** float(n)
         )
-    else:  # n - m = 1
-        acc = np.zeros_like(zz)
-        for ell in range(m - 1):
-            for k in range(m - 1 - ell):
-                log_a = (
-                    gammaln(m - ell + 1.0)
-                    + (m - 2.0 - ell) * math.log(beta)
-                    - math.log(k + 2.0)
-                    - gammaln(k + 1.0)
-                    - gammaln(m - 1.0 - ell - k)
-                    - (k + 2.0) * math.log(m - beta)
-                )
-                sign = -1.0 if ell % 2 else 1.0
-                acc += (
-                    sign
-                    * math.exp(log_a)
-                    * (1.0 - zz) ** (m - 2 - ell)
-                    / (1.0 - (1.0 - zz) * beta) ** (m - ell + 1.0)
-                )
-        acc += (-1.0) ** (m - 1) / (m - beta * zz) ** 2
-        out = m * (1.0 - beta) ** m / beta ** (m - 1.0) * acc
-    out = _clip_density(out)
-    return float(out[0]) if scalar else out
+    # n - m = 1
+    acc = np.zeros_like(z)
+    for ell in range(m - 1):
+        for k in range(m - 1 - ell):
+            log_a = (
+                gammaln(m - ell + 1.0)
+                + (m - 2.0 - ell) * math.log(beta)
+                - math.log(k + 2.0)
+                - gammaln(k + 1.0)
+                - gammaln(m - 1.0 - ell - k)
+                - (k + 2.0) * math.log(m - beta)
+            )
+            sign = -1.0 if ell % 2 else 1.0
+            acc += (
+                sign
+                * math.exp(log_a)
+                * (1.0 - z) ** (m - 2 - ell)
+                / (1.0 - (1.0 - z) * beta) ** (m - ell + 1.0)
+            )
+    acc += (-1.0) ** (m - 1) / (m - beta * z) ** 2
+    return m * (1.0 - beta) ** m / beta ** (m - 1.0) * acc
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
@@ -156,6 +145,7 @@ def _pdf_yn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
     return out
 
 
+@_pdf_boundary(_yn_support)
 def pdf_yn_singular(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
     """Largest-overlap density for the singular case with n - m = 1.
 
@@ -163,8 +153,4 @@ def pdf_yn_singular(model: SpikedModel, z, preset: str = "fine") -> float | np.n
     integral with a pure Hankel determinant term; the empty determinant at
     m = 2 is 1 by convention.
     """
-    _yn_support(model)
-    z = _as_z_array(z)
-    scalar = z.ndim == 0
-    out = _clip_density(_pdf_yn_grid(model, np.atleast_1d(z).astype(float), preset))
-    return float(out[0]) if scalar else out
+    return _pdf_yn_grid(model, z, preset)

@@ -17,6 +17,8 @@ from spiked_eigvec import spike_density as sd
 from spiked_eigvec import variant_density as vd
 from spiked_eigvec.cli import main as cli_main
 
+import oracles
+
 KS_N = 100_000
 KS_CRIT = 1.628 / np.sqrt(KS_N)  # ~0.00515
 
@@ -108,7 +110,7 @@ def test_criterion_3_dual_path_equality():
         for n in range(3, 9):
             for theta in (0.5, 2.0, 10.0):
                 model = sd.SpikedModel(n, n + alpha, theta)
-                general, fast = sd.pdf_z1_general_vs_fastpath(model, zs)
+                general, fast = oracles.pdf_z1_general_vs_fastpath(model, zs)
                 worst_z1 = max(worst_z1, float(np.max(np.abs(general / fast - 1.0))))
     ok1 = worst_z1 <= 1e-10
 
@@ -118,7 +120,7 @@ def test_criterion_3_dual_path_equality():
         for alpha in (0, 1, 2):
             for theta in (1.0, 3.0):
                 model = sd.SpikedModel(n, n + alpha, theta)
-                closed = sd.pdf_zn_closed(model, grid)
+                closed = oracles.pdf_zn_closed(model, grid)
                 generic = sd._pdf_zn_grid(model, grid, "fine")
                 worst_zn = max(worst_zn, float(np.max(np.abs(generic / closed - 1.0))))
     ok2 = worst_zn <= 1e-6
@@ -202,13 +204,13 @@ def test_criterion_7_identity_oracles():
     for n in (1, 2, 3):
         for alpha in (0, 1, 2):
             for (y, x) in ((0.5, 2.0), (1.5, 3.0)):
-                lhs, rhs = sd.mehta_identity_check(n, alpha, y, x)
+                lhs, rhs = oracles.mehta_identity_check(n, alpha, y, x)
                 rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
                 ok = ok and rel <= 1e-5
                 if rel > 1e-5:
                     details.append(f"mehta({n},{alpha},{y},{x}) rel={rel:.1e}")
     for alpha in (1, 2, 3):
-        val = sd.kalpha_normalization_check(alpha)
+        val = oracles.kalpha_normalization_check(alpha)
         ok = ok and abs(val - 1.0) <= 1e-8
         details.append(f"K_{alpha}={val:.10f}")
     _report("7 (identity oracles)", ok, "; ".join(details))
@@ -231,7 +233,7 @@ def test_criterion_8_structural_invariants(tmp_path):
     conv_ok = True
     for alpha in (0, 3):
         for theta in (0.0, 1.0, 5.0):
-            conv_ok &= sd.check_zn_convexity_n2(sd.SpikedModel(2, 2 + alpha, theta))
+            conv_ok &= oracles.check_zn_convexity_n2(sd.SpikedModel(2, 2 + alpha, theta))
 
     # byte determinism of cmd_simulate across 1 vs 8 workers
     a, b = tmp_path / "w1.csv", tmp_path / "w8.csv"

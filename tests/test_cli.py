@@ -140,6 +140,13 @@ def test_exit_code_invalid_config(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_exit_code_beta_rounds_to_one(capsys):
+    # beta = theta/(1+theta) is exactly 1 in floating point for theta >~ 9e15.
+    assert main("pdf --stat z1 --n 4 --m 6 --theta 1e300".split()) == 3
+    assert main("pdf --stat y1_sing --n 4 --m 3 --theta 1e16".split()) == 3
+    assert capsys.readouterr().out == ""
+
+
 def _stat_choices():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -175,10 +182,10 @@ def test_unknown_figure():
 
 
 def test_exit_code_numerical_failure(monkeypatch):
-    from spiked_eigvec import numkit
+    from spiked_eigvec import specfun
 
     def boom(*args, **kwargs):
-        raise numkit.QuadratureFailure("synthetic non-convergence")
+        raise specfun.NoConvergence("synthetic non-convergence")
 
     monkeypatch.setattr(sd, "density_values", boom)
     assert main("pdf --stat zn --n 5 --m 7 --theta 3".split()) == 3

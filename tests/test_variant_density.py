@@ -5,6 +5,8 @@ import pytest
 
 from spiked_eigvec import numkit, spike_density as sd, variant_density as vd
 
+import oracles
+
 Z = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
 
 
@@ -58,7 +60,7 @@ def test_y1_m1_point_value():
 @pytest.mark.parametrize("n,theta", [(3, 1.0), (5, 0.3), (7, 10.0)])
 def test_y1_nm1_normalization(n, theta):
     model = sd.SpikedModel(n, n - 1, theta, "singular")
-    val = numkit.integrate_unit(lambda s: vd.pdf_y1_singular(model, s))
+    val = oracles.integrate_unit(lambda s: vd.pdf_y1_singular(model, s))
     assert val == pytest.approx(1.0, abs=1e-6)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class RunConfig:
     fmt: str = "csv"
     data_theta: float | None = None
     figure_id: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def build_model(cfg: RunConfig) -> sd.SpikedModel:

@@ -30,10 +30,9 @@ class InvalidCount(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SpikeVector:
-    """Unit-norm spike direction, with the seed that produced it."""
+    """Unit-norm spike direction."""
 
     entries: np.ndarray
-    construction_seed: int
 
 
 @dataclass(eq=False)
@@ -83,7 +82,7 @@ def make_spike(n: int, seed: int = 0, style: str = "first_basis", real: bool = F
         v = v / np.linalg.norm(v)
     else:
         raise ValueError(f"unknown spike style {style!r}")
-    return SpikeVector(entries=v, construction_seed=seed)
+    return SpikeVector(entries=v)
 
 
 def eigh(w) -> EigenSystem:
@@ -123,24 +122,15 @@ def _chunk_projections(model: SpikedModel, v: np.ndarray, seed: int, start: int,
     bit_gen = np.random.Philox(key=[seed & (2**64 - 1), 0])
     rng = np.random.Generator(bit_gen)
     state = bit_gen.state
-    if real:
-        g = np.empty((count, n, m), dtype=np.float64)
-        for k in range(count):
-            state["state"]["key"][1] = (start + k) & (2**64 - 1)
-            state["state"]["counter"][:] = 0
-            state["buffer_pos"] = 4
-            bit_gen.state = state
-            g[k] = rng.standard_normal((n, m))
-    else:
-        g = np.empty((count, n, m), dtype=np.complex128)
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        for k in range(count):
-            state["state"]["key"][1] = (start + k) & (2**64 - 1)
-            state["state"]["counter"][:] = 0
-            state["buffer_pos"] = 4
-            bit_gen.state = state
-            gg = rng.standard_normal((2, n, m))
-            g[k] = (gg[0] + 1j * gg[1]) * inv_sqrt2
+    g = np.empty((count, n, m), dtype=np.float64 if real else np.complex128)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for k in range(count):
+        state["state"]["key"][1] = (start + k) & (2**64 - 1)
+        state["state"]["counter"][:] = 0
+        state["buffer_pos"] = 4
+        bit_gen.state = state
+        gg = rng.standard_normal((1 if real else 2, n, m))
+        g[k] = gg[0] if real else (gg[0] + 1j * gg[1]) * inv_sqrt2
 
     # Sigma^{1/2} G = G + (sqrt(1+theta)-1) v (v^H G): exact rank-one update.
     vh_g = np.einsum("i,kij->kj", v.conj(), g)

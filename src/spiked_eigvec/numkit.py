@@ -1,8 +1,12 @@
-"""Composite Gauss-Legendre node layouts and goodness-of-fit statistics.
+"""Composite Gauss-Legendre node layouts, discrete orthogonal polynomials and
+goodness-of-fit statistics.
 
 The density engines integrate on fixed composite grids: each layout is a
 list of panel edges with one Gauss-Legendre rule per panel, so callers
-evaluate vectorized integrands over the whole grid at once.
+evaluate vectorized integrands over the whole grid at once.  The
+determinants inside the double-integral densities factorize over the
+orthogonal polynomials of the quadrature-discretized weight, built here by
+the Stieltjes recurrence.
 
 Everything here is pure and safe for concurrent use.
 """
@@ -94,6 +98,19 @@ def unit_grid(nodes_per_panel: int = 32, grade_left: int = 0, grade_right: int =
     return _panels(sorted(set(edges)), nodes_per_panel)
 
 
+def halfline_unit_grids(decay_rate: float, power_hint: float, x_nodes: int, t_nodes: int):
+    """The (x, t) layout of the half-line engines: (x, wx, t, wt).
+
+    x is `halfline_grid` for the envelope x^power_hint e^{-decay_rate x}; t
+    is `unit_grid` graded toward 0 with one dyadic level per doubling of the
+    x range (2 to 40 levels), since e^{-x t} varies on the scale t ~ 1/x.
+    """
+    x, wx = halfline_grid(decay_rate, power_hint=power_hint, nodes_per_panel=x_nodes)
+    levels = int(np.clip(math.ceil(math.log2(max(x[-1], 2.0))), 2, 40))
+    t, wt = unit_grid(t_nodes, grade_left=levels)
+    return x, wx, t, wt
+
+
 def geometric_grid(
     start: float,
     end: float,
@@ -109,6 +126,55 @@ def geometric_grid(
     while edges[-1] < end:
         edges.append(min(edges[-1] * ratio, end))
     return _panels(edges, nodes_per_panel)
+
+
+def discrete_orthogonal_basis(x: np.ndarray, t: np.ndarray, wt: np.ndarray,
+                              weight_power: float, degree: int):
+    """Monic orthogonal polynomials of t^p (1-t)^2 e^{-x t} dt, per x node.
+
+    Runs the Stieltjes recurrence on the quadrature-discretized measure, which
+    sidesteps the catastrophic conditioning of the equivalent Hankel moment
+    matrices.  Returns (log_norm_product, row_shift, logwq, p_deg) where
+
+      * logwq[ix, q] = log w - row_shift[ix], the log normalized weights,
+      * p_deg[ix, q] = values of the monic degree-`degree` polynomial,
+      * log_norm_product[ix] = log prod_{k<degree} h_k of the true measure,
+
+    so that det[t A^(p) - A^(p+1)]_{degree x degree} =
+    exp(log_norm_product) * p_deg(t) for every x.  The discrete orthogonality
+    sum_q exp(logwq_q) t_q^r p_deg_q = 0 (r < degree) holds to rounding, so
+    callers can cancel the polynomial part of smooth integrands exactly at
+    grid level.
+    """
+    with np.errstate(divide="ignore"):
+        logw = (
+            np.log(wt)[None, :]
+            + weight_power * np.log(t)[None, :]
+            + 2.0 * np.log1p(-t)[None, :]
+            - x[:, None] * t[None, :]
+        )
+    shift = np.max(logw, axis=1)
+    logwq = logw - shift[:, None]
+    wq = np.exp(logwq)
+
+    nx = x.size
+    log_norm = np.zeros(nx)
+    p_km1 = np.zeros_like(wq)
+    p_k = np.ones_like(wq)
+    h_prev = None
+    for k in range(degree):
+        h_k = np.einsum("xq,xq->x", wq, p_k * p_k)
+        a_k = np.einsum("xq,xq->x", wq * t[None, :], p_k * p_k) / h_k
+        log_norm += np.log(h_k)
+        if k == 0:
+            p_next = (t[None, :] - a_k[:, None]) * p_k
+        else:
+            b_k = h_k / h_prev
+            p_next = (t[None, :] - a_k[:, None]) * p_k - b_k[:, None] * p_km1
+        h_prev = h_k
+        p_km1, p_k = p_k, p_next
+    log_norm += degree * shift
+    return log_norm, shift, logwq, p_k
 
 
 @dataclass

@@ -10,6 +10,8 @@ z-dependent first determinant column.  The largest and second-smallest
 densities are double integrals with determinant integrands; those are
 evaluated on fixed geometric panel grids, vectorized across a whole grid of z
 values.  The n = 2, 3, 4 largest-overlap densities have closed forms.
+Laguerre values and the incomplete gamma function come from scipy.special,
+determinants from numpy.linalg.
 
 Every density passes through one boundary (`_pdf_boundary`) that checks the
 model and z and rejects non-finite output.  All evaluators are pure;
@@ -21,15 +23,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from . import numkit, specfun
-from ._kernels import det_stack, discrete_orthogonal_basis, lag, weighted_exp_remainder
 
 THETA_EPS = 1e-8
 
@@ -91,7 +92,6 @@ class DensityCurve:
     values: np.ndarray
     model: SpikedModel
     statistic: str
-    metadata: dict = field(default_factory=dict)
 
 
 def _as_z_array(z):
@@ -273,7 +273,7 @@ def _min_overlap_coeffs(n: int, alpha: int, beta: float):
 
     t_coef = np.empty(alpha + 1)
     for i in range(alpha + 1):
-        minors = det_stack(np.delete(a, i, axis=1))
+        minors = np.linalg.det(np.delete(a, i, axis=1))
         t_coef[i] = float(np.dot(w, minors))
     return t_coef, shift
 
@@ -405,32 +405,30 @@ def _zn_prepare(model: SpikedModel, preset: str):
     n, alpha, beta = model.n, model.alpha, model.beta
     d = n - 2
     power = n * n + n * alpha - n + 1
-    x, wx = numkit.halfline_grid(1.0 - beta, power_hint=power, nodes_per_panel=p["x_nodes"])
-    levels = int(np.clip(math.ceil(math.log2(max(x[-1], 2.0))), 2, 40))
-    t, wt = numkit.unit_grid(p["t_nodes"], grade_left=levels)
+    x, wx, t, wt = numkit.halfline_unit_grids(1.0 - beta, power, p["x_nodes"], p["t_nodes"])
 
     # The determinant in the inner integrand factorizes over the orthogonal
     # polynomials of the weight t^alpha (1-t)^2 e^{-x t}; the factorized form
     # is stable where the raw Hankel assembly loses all digits.
-    log_norm, shift, wq, p_deg = discrete_orthogonal_basis(x, t, wt, float(alpha), d)
-    with np.errstate(divide="ignore"):
-        logwq = np.where(wq > 0, np.log(np.maximum(wq, 1e-320)), -np.inf)
+    log_norm, shift, logwq, p_deg = numkit.discrete_orthogonal_basis(x, t, wt, float(alpha), d)
     logpref = _max_overlap_log_prefactor(n, alpha, beta)
     base = logpref + power * np.log(x) - x + log_norm + shift + np.log(wx)
-    return dict(x=x, t=t, wq=wq, logwq=logwq, p_deg=p_deg, base=base, beta=beta, d=d)
+    return dict(x=x, t=t, logwq=logwq, p_deg=p_deg, base=base, beta=beta, d=d)
 
 
 def _pdf_zn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
     prep = _zn_prepare(model, preset)
-    x, t, wq, logwq, p_deg = prep["x"], prep["t"], prep["wq"], prep["logwq"], prep["p_deg"]
+    x, t, logwq, p_deg = prep["x"], prep["t"], prep["logwq"], prep["p_deg"]
     base, beta, d = prep["base"], prep["beta"], prep["d"]
     out = np.empty(zs.size)
     for i, z in enumerate(zs):
-        # Inner integral: the Taylor part of e^{beta x (1-z) t} up to degree
-        # d-1 is annihilated by discrete orthogonality, so only the stable
-        # positive remainder is summed.
-        s = beta * x * (1.0 - z)
-        wrem = weighted_exp_remainder(wq, logwq, s[:, None] * t[None, :], d)
+        # Inner integral: the Taylor part of e^{st}, s = beta x (1-z), up to
+        # degree d-1 is annihilated by discrete orthogonality, so only the
+        # positive remainder e^{st} P(d, st) is summed (P the regularized
+        # lower incomplete gamma function); logwq carries the -x t that keeps
+        # the weighted exponential bounded.
+        st = (beta * x * (1.0 - z))[:, None] * t[None, :]
+        wrem = np.exp(logwq + st) * gammainc(d, st)
         inner = np.einsum("xq,xq->x", wrem, p_deg)
         logv = base + beta * x * z
         mshift = np.max(logv)
@@ -646,23 +644,23 @@ def _z2_prepare(model: SpikedModel, preset: str):
     dv = alpha + 1
     vmat = np.empty((u.size, dv, dv))
     for i in range(1, dv + 1):
-        vmat[:, i - 1, 0] = lag(2, n + i - 3, -u)
+        vmat[:, i - 1, 0] = eval_genlaguerre(n + i - 3, 2, -u)
         for j in range(2, dv + 1):
-            vmat[:, i - 1, j - 1] = lag(j, n + i - j - 1, -xu)
-    vdet = det_stack(vmat)
+            vmat[:, i - 1, j - 1] = eval_genlaguerre(n + i - j - 1, j, -xu)
+    vdet = np.linalg.det(vmat)
 
     # Cofactors of the phi column in the (alpha+3) determinant.
     du = alpha + 3
     rest = np.empty((u.size, du, du - 1))
     for i in range(1, du + 1):
-        rest[:, i - 1, 0] = lag(2, n + i - 4, -u)
-        rest[:, i - 1, 1] = lag(3, n + i - 5, -u)
+        rest[:, i - 1, 0] = eval_genlaguerre(n + i - 4, 2, -u)
+        rest[:, i - 1, 1] = eval_genlaguerre(n + i - 5, 3, -u)
         for k in range(4, du + 1):
-            rest[:, i - 1, k - 2] = lag(k - 2, n + i - k, -xu)
+            rest[:, i - 1, k - 2] = eval_genlaguerre(n + i - k, k - 2, -xu)
     cof = np.empty((u.size, du))
     for i in range(du):
         sign_i = 1.0 if i % 2 == 0 else -1.0
-        cof[:, i] = sign_i * det_stack(np.delete(rest, i, axis=1))
+        cof[:, i] = sign_i * np.linalg.det(np.delete(rest, i, axis=1))
 
     # Shared w grid for the phi-column integrals (Cauchy kernel against u).
     lam_w = 1.0 - beta
@@ -670,7 +668,7 @@ def _z2_prepare(model: SpikedModel, preset: str):
     w, ww = numkit.geometric_grid(1e-7, w_end, nodes_per_panel=p["w_nodes"])
     gvec = np.empty((w.size, du))
     for i in range(1, du + 1):
-        gvec[:, i - 1] = ww * w * w * lag(2, n + i - 4, w) * np.exp(-lam_w * w)
+        gvec[:, i - 1] = ww * w * w * eval_genlaguerre(n + i - 4, 2, w) * np.exp(-lam_w * w)
 
     r_ratio = math.exp(gammaln(n) - gammaln(n + alpha))
     base = wxy * np.exp(-xu * (n - beta) + u)

@@ -4,7 +4,8 @@ The real spiked case has a closed two-term Gauss-hypergeometric density for
 n = 2; its largest-overlap twin is the reflection z -> 1 - z.  The singular
 case (m < n) has closed forms for m = 1 and for n - m = 1; the singular
 largest-overlap density is a single half-line integral evaluated with the
-same orthogonal-polynomial kernel machinery as the complex engine.
+same grids and discrete orthogonal polynomials (`numkit`) as the complex
+engine.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import numkit, specfun
-from ._kernels import discrete_orthogonal_basis
 from .spike_density import (
     ENGINE_CACHE_SIZE,
     DomainError,
@@ -100,15 +100,13 @@ def _yn_prepare(model: SpikedModel, preset: str):
     d = m - 2
     power = m * m
     lam = max(1.0 - beta, 1e-3)
-    x, wx = numkit.halfline_grid(lam, power_hint=power + 2.0 * m, nodes_per_panel=p["x_nodes"])
-    levels = int(np.clip(math.ceil(math.log2(max(x[-1], 2.0))), 2, 40))
-    t, wt = numkit.unit_grid(p["t_nodes"], grade_left=levels)
+    x, wx, t, wt = numkit.halfline_unit_grids(lam, power + 2.0 * m, p["x_nodes"], p["t_nodes"])
 
     # det[t A^(1) - A^(2)] factorizes over the weight t (1-t)^2 e^{-x t};
     # det[A^(0)] is the plain Hankel of (1-t)^2 e^{-x t} and reduces to the
     # product of its orthogonal-polynomial norms.
-    log_c1, _, _, p_deg = discrete_orthogonal_basis(x, t, wt, 1.0, d)
-    log_a0, _, _, _ = discrete_orthogonal_basis(x, t, wt, 0.0, m - 1)
+    log_c1, _, _, p_deg = numkit.discrete_orthogonal_basis(x, t, wt, 1.0, d)
+    log_a0, _, _, _ = numkit.discrete_orthogonal_basis(x, t, wt, 0.0, m - 1)
 
     logpref = (
         m * math.log1p(-beta)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import gammainc, gammaln, roots_genlaguerre
+from scipy.special import eval_genlaguerre, gammainc, gammaln, roots_genlaguerre
 
-from spiked_eigvec._kernels import det_stack, lag
 from spiked_eigvec.numkit import gauss_legendre_panel
 from spiked_eigvec.specfun import (
     SERIES_MAX_TERMS,
@@ -233,13 +232,13 @@ def _lgamma_abs(x: float) -> float:
 def laguerre(rho: int, M: int, z):
     """Generalized Laguerre polynomial L^(rho)_M(z).
 
-    Accepts a scalar or ndarray argument.  Evaluated by the three-term
-    recurrence, which keeps precision for large degree and argument where
-    the explicit alternating sum cancels badly.
+    Accepts a scalar or ndarray argument.  scipy.special.eval_genlaguerre
+    runs the three-term recurrence, which keeps precision for large degree
+    and argument where the explicit alternating sum cancels badly.
     """
     if M < 0:
         raise ValueError("laguerre degree must be nonnegative")
-    out = lag(rho, M, z)
+    out = eval_genlaguerre(M, rho, z)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -506,7 +505,7 @@ def _pdf_zn_adaptive(model: SpikedModel, z: float, spec: QuadratureSpec | None =
             def inner(t_arr):
                 t_arr = np.asarray(t_arr, dtype=float)
                 mats = t_arr[:, None, None] * a_stack - b_stack
-                dd = det_stack(mats)
+                dd = np.linalg.det(mats)
                 return np.exp(-q * xv * t_arr) * t_arr**alpha * (1.0 - t_arr) ** 2 * dd
 
             j_val = integrate_unit(inner, spec)
@@ -569,7 +568,7 @@ def phi_column_integral(model: SpikedModel, u: float, z: float, i: int) -> float
 
     def f(w_arr):
         w_arr = np.asarray(w_arr, dtype=float)
-        return np.exp(-c * w_arr) * w_arr**2 * lag(2, n + i - 4, w_arr) / (w_arr + u)
+        return np.exp(-c * w_arr) * w_arr**2 * eval_genlaguerre(n + i - 4, 2, w_arr) / (w_arr + u)
 
     return integrate_halfline(f, decay_rate=c) / u**2
 

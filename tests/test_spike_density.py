@@ -136,6 +136,15 @@ def test_pdf_z2_normalization_large_theta():
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
+def test_pdf_zn_normalization_large_theta():
+    # At theta = 1e4 the x grid reaches about 1e6, so the exponential
+    # remainder runs at arguments st where e^{st} alone overflows.
+    model = sd.SpikedModel(5, 6, 1e4)
+    zq, wq = numkit.unit_grid(12, grade_left=16, grade_right=16)
+    total = float(np.dot(wq, sd.pdf_zn(model, zq, preset="fast")))
+    assert total == pytest.approx(1.0, abs=1e-6)
+
+
 def test_clip_density_rejects_non_finite():
     with pytest.raises(ArithmeticError):
         sd._clip_density(np.array([1.0, math.nan, 0.5]))

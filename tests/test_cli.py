@@ -147,6 +147,26 @@ def test_exit_code_beta_rounds_to_one(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_exit_code_cdf_mass_check(capsys):
+    # The yn_sing density loses its mass at this theta; the c.d.f. mesh
+    # total misses 1, so no table is written.
+    assert main("cdf --stat yn_sing --n 5 --m 4 --theta 1e8".split()) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,floor", [
+    ("cdf --stat z2 --n 4 --m 5 --theta 3000", 1.0 - 1e-6),
+    ("cdf --stat yn_sing --n 5 --m 4 --theta 300", 0.9999),
+], ids=["z2", "yn_sing"])
+def test_cdf_table_reaches_full_mass(argv, floor, tmp_path):
+    # Both densities pile up near z = 1; the table ends at the default z-max.
+    out = tmp_path / "cdf.csv"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    _, data = _read_csv(out)
+    assert data[-1, 1] >= floor
+    assert np.all(np.diff(data[:, 1]) >= 0)
+
+
 def _stat_choices():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -178,12 +178,24 @@ def test_cdf_endpoints():
 
 
 def test_cdf_monotone_grid():
-    model = sd.SpikedModel(4, 6, 3.0)
     grid = np.linspace(0.0, 1.0, 1000)
-    vals = sd.cdf_grid("z1", model, grid)
-    assert np.all(np.diff(vals) >= -1e-12)
-    vals2 = sd.cdf_grid("zn", model, grid)
-    assert np.all(np.diff(vals2) >= -1e-12)
+    perm = np.random.default_rng(0).permutation(grid.size)
+    for stat, n, m in (("z1", 4, 6), ("zn", 4, 6), ("z1", 10, 15)):
+        cdf = sd.model_cdf_fn(stat, sd.SpikedModel(n, m, 3.0))
+        vals = cdf(grid)
+        assert np.all(np.diff(vals) >= 0), (stat, n, m)
+        # Unsorted input gets the same values, position by position.
+        assert np.array_equal(cdf(grid[perm]), vals[perm]), (stat, n, m)
+
+
+@pytest.mark.parametrize("stat,n,m,theta", [("z1", 10, 15, 3.0), ("z1", 40, 42, 1.0),
+                                            ("zn", 3, 5, 3.0)])
+def test_model_cdf_matches_quadrature_oracle(stat, n, m, theta):
+    # Z1 sits within O(1/n) of 0: the graded mesh must resolve both ends.
+    model = sd.SpikedModel(n, m, theta)
+    zs = np.array([0.002, 0.01, 0.04, 0.1, 0.3, 0.7, 0.95, 0.999])
+    ref = [oracles.cdf(stat, model, z) for z in zs]
+    assert np.max(np.abs(sd.model_cdf_fn(stat, model)(zs) - ref)) < 1e-4
 
 
 @pytest.mark.parametrize("n,alpha,theta", [(4, 2, 3.0), (6, 4, 0.5)])
@@ -229,6 +241,6 @@ def test_asymptotic_consistency_of_exact_cdf():
     n, alpha, theta = 40, 2, 1.0
     model = sd.SpikedModel(n, n + alpha, theta)
     v = np.linspace(0.05, 6.0, 25)
-    exact = sd.cdf_grid("z1", model, v / n, breakpoints=513)
+    exact = sd.cdf_grid("z1", model, v / n)
     limit = sd.cdf_nz1_asymptotic(theta, v)
     assert np.max(np.abs(exact - limit)) < 0.02

@@ -6,18 +6,21 @@ list of panel edges with one Gauss-Legendre rule per panel, so callers
 evaluate vectorized integrands over the whole grid at once.  The
 determinants inside the double-integral densities factorize over the
 orthogonal polynomials of the quadrature-discretized weight, built here by
-the Stieltjes recurrence.
+the Stieltjes recurrence; `halfline_series` turns their z-dependent inner
+sums into power series in 1 - z, so a z grid costs one matrix product.
 
 Everything here is pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 
 class EmptySample(ValueError):
@@ -175,6 +178,64 @@ def discrete_orthogonal_basis(x: np.ndarray, t: np.ndarray, wt: np.ndarray,
         p_km1, p_k = p_k, p_next
     log_norm += degree * shift
     return log_norm, shift, logwq, p_k
+
+
+@dataclass(frozen=True)
+class HalfLineSeries:
+    """sum_x exp(log_scale[x] + bx[x] z) sum_k coef[x, k] (1 - z)^powers[k]."""
+
+    bx: np.ndarray
+    powers: np.ndarray
+    log_scale: np.ndarray
+    coef: np.ndarray
+
+    def __call__(self, zs: np.ndarray) -> np.ndarray:
+        out, chunk = np.empty(zs.size), 256  # z chunks keep the (x, z) arrays small
+        for lo in range(0, zs.size, chunk):
+            zc = zs[lo : lo + chunk]
+            logv = self.log_scale[:, None] + np.outer(self.bx, zc)
+            top = np.max(logv, axis=0)
+            inner = self.coef @ (1.0 - zc) ** self.powers[:, None]
+            out[lo : lo + chunk] = np.einsum("xz,xz->z", inner, np.exp(logv - top)) * np.exp(top)
+        return out
+
+
+def halfline_series(x, t, a, log_row, beta: float, r0: int, const=0.0):
+    """Power series in u = 1 - z of const[x] u^r0 + sum_q a[x, q] sum_{r >= r0}
+    (beta x u t_q)^r / r!, scaled by exp(log_row[x]).
+
+    The coefficients (beta x)^r / r! sum_q a[x, q] t_q^r take one matrix
+    product.  Weighted by exp(log_row + beta x z), z in [0, 1], the (x, q) term
+    is at most exp(lb), lb = log_row + beta x + log|a| + r0 log t_q, because
+    e^-v v^r / r! <= 1.  Terms with lb below 1e-20 of the largest are dropped;
+    the series stops where Chernoff's bound on P(Poisson(beta x t_q) >= R) puts
+    every kept tail below that threshold too.  Rows are rescaled by exact powers
+    of two, so the u^r0 coefficient keeps its digits where const cancels it.
+    Returns None (the engine runs its per-z loop) when the bound is not finite
+    or needs more than 2 * t.size terms, so the coefficients never outgrow two
+    (x, t) arrays, the zn loop's weights and polynomial values.
+    """
+    bx, ln2 = beta * x, math.log(2.0)
+    with np.errstate(divide="ignore"):
+        lb0 = (log_row + bx)[:, None] + np.log(np.abs(a))
+        lb = lb0 + r0 * np.log(t)
+    thr = np.max(lb) + math.log(1e-20)
+    keep = lb >= thr
+    lam, lb0 = (bx[:, None] * t)[keep], lb0[keep]
+    # Chernoff: P <= e^-lam (e lam / r)^r for r > lam; a non-finite thr never passes.
+    powers = range(r0 + 1, r0 + 2 * t.size + 1)
+    k = bisect.bisect_left(powers, True, key=lambda r: np.max(
+        lb0 + np.where(r > lam, r * (1.0 + np.log(lam / r)) - lam, 0.0), initial=-np.inf) < thr)
+    if k == len(powers):
+        return None
+    r = np.arange(r0, powers[k])
+    expo = r * np.log(bx)[:, None] - gammaln(r + 1.0)  # (beta x)^r / r! = 2^k2 e^(expo - k2 ln 2)
+    k2 = np.floor(expo / ln2)
+    mant = (np.where(keep, a, 0.0) @ t[:, None] ** r) * np.exp(expo - k2 * ln2)
+    mant[:, 0] += np.ldexp(const, -k2[:, 0].astype(int))
+    big = np.max(np.where(mant != 0.0, k2 + np.frexp(mant)[1], -np.inf), axis=1)  # -inf: empty row
+    coef = np.ldexp(mant, (k2 - np.nan_to_num(big, neginf=0.0)[:, None]).astype(int))
+    return HalfLineSeries(bx, r, log_row + ln2 * big, coef)
 
 
 @dataclass

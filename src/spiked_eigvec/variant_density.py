@@ -3,15 +3,15 @@
 The real spiked case has a closed two-term Gauss-hypergeometric density for
 n = 2; its largest-overlap twin is the reflection z -> 1 - z.  The singular
 case (m < n) has closed forms for m = 1 and for n - m = 1; the singular
-largest-overlap density is a single half-line integral evaluated with the
-same grids and discrete orthogonal polynomials (`numkit`) as the complex
-engine.
+largest-overlap density is a single half-line integral on the same grids,
+orthogonal polynomials and moment series (`numkit`) as the complex zn engine,
+at every theta; its per-z loop runs only where the series cannot be bounded.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -93,8 +93,8 @@ def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
     return m * (1.0 - beta) ** m / beta ** (m - 1.0) * acc
 
 
-@lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _yn_prepare(model: SpikedModel, preset: str):
+def _yn_basis(model: SpikedModel, preset: str) -> dict:
+    """The (x, t) grid arrays of the yn engine; the per-z loop runs on them."""
     p = _PRESETS[preset]
     m, beta = model.m, model.beta
     d = m - 2
@@ -106,22 +106,30 @@ def _yn_prepare(model: SpikedModel, preset: str):
     # det[A^(0)] is the plain Hankel of (1-t)^2 e^{-x t} and reduces to the
     # product of its orthogonal-polynomial norms.
     log_c1, _, _, p_deg = numkit.discrete_orthogonal_basis(x, t, wt, 1.0, d)
-    log_a0, _, _, _ = numkit.discrete_orthogonal_basis(x, t, wt, 0.0, m - 1)
+    log_a0, shift0, logwq0, _ = numkit.discrete_orthogonal_basis(x, t, wt, 0.0, m - 1)
 
-    logpref = (
-        m * math.log1p(-beta)
-        + (1.0 - m) * math.log(beta)
-        - 2.0 * sum(math.lgamma(m - j + 1.0) for j in range(1, m + 1))
-    )
+    logpref = m * math.log1p(-beta) + (1.0 - m) * math.log(beta) - 2.0 * sum(
+        math.lgamma(m - j + 1.0) for j in range(1, m + 1))
     base = logpref + power * np.log(x) - x + np.log(wx)
-    return dict(
-        x=x, t=t, wt=wt, p_deg=p_deg, log_c1=log_c1, log_a0=log_a0,
-        base=base, beta=beta, m=m,
-    )
+    return dict(x=x, t=t, wt=wt, p_deg=p_deg, log_c1=log_c1, log_a0=log_a0, base=base, beta=beta,
+                m=m, logwq0=logwq0, shift0=shift0)
 
 
-def _pdf_yn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
-    prep = _yn_prepare(model, preset)
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
+def _yn_prepare(model: SpikedModel, preset: str):
+    """The z-grid evaluator: the bracket as one series, or the per-z loop where it
+    does not fit.  The kernel sum expands e^{beta x u t} against (1-t)^2 e^{-x t}
+    from r = 0; the z-free Hankel term joins the r = 0 coefficient."""
+    prep = _yn_basis(model, preset)
+    a = np.exp(prep.pop("logwq0")) * prep["p_deg"]  # the weight (1-t)^2 e^{-x t}
+    shift0 = prep.pop("shift0")
+    hankel = (-1.0) ** (prep["m"] - 1) * np.exp(prep["log_a0"] - prep["log_c1"] - shift0)
+    log_row = prep["base"] + prep["log_c1"] + shift0
+    series = numkit.halfline_series(prep["x"], prep["t"], a, log_row, prep["beta"], 0, hankel)
+    return partial(_pdf_yn_loop, prep) if series is None else series
+
+
+def _pdf_yn_loop(prep: dict, zs: np.ndarray) -> np.ndarray:
     x, t, wt, p_deg = prep["x"], prep["t"], prep["wt"], prep["p_deg"]
     log_c1, log_a0, base = prep["log_c1"], prep["log_a0"], prep["base"]
     beta, m = prep["beta"], prep["m"]
@@ -141,6 +149,10 @@ def _pdf_yn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
         top = np.max(logterm)
         out[i] = float(np.dot(bracket, np.exp(logterm - top))) * math.exp(top)
     return out
+
+
+def _pdf_yn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
+    return _yn_prepare(model, preset)(zs)
 
 
 @_pdf_boundary(_yn_support)

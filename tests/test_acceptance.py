@@ -19,6 +19,8 @@ from spiked_eigvec.cli import main as cli_main
 
 import oracles
 
+pytestmark = pytest.mark.slow
+
 KS_N = 100_000
 KS_CRIT = 1.628 / np.sqrt(KS_N)  # ~0.00515
 

@@ -150,3 +150,26 @@ def test_ks_rejects_scalar_cdf():
 def test_ks_empty_sample():
     with pytest.raises(numkit.EmptySample):
         numkit.ks_test([], lambda x: np.asarray(x, dtype=float))
+
+
+def test_halfline_series_sums_the_taylor_remainder():
+    # sum_x e^{log_row + beta x z} (const u^r0 + sum_q a e^{y} P(r0, y)),
+    # u = 1 - z, y = beta x u t_q.
+    from scipy.special import gammainc
+
+    x, t = np.array([0.5, 2.0, 5.0]), np.linspace(0.05, 0.95, 16)
+    a = np.random.default_rng(7).standard_normal((x.size, t.size))
+    log_row, beta, r0, const = np.array([-1.0, 0.0, -3.0]), 0.6, 2, np.array([0.5, -1.0, 2.0])
+    z = np.linspace(0.0, 1.0, 601)  # three 256-z chunks
+    y = beta * x[:, None, None] * (1.0 - z)[None, None, :] * t[None, :, None]
+    inner = np.sum(a[:, :, None] * np.exp(y) * gammainc(r0, y), axis=1) + np.outer(const, (1.0 - z) ** r0)
+    expected = np.sum(np.exp(log_row[:, None] + beta * np.outer(x, z)) * inner, axis=0)
+    series = numkit.halfline_series(x, t, a, log_row, beta, r0, const)
+    assert np.max(np.abs(series(z) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_halfline_series_refuses_what_it_cannot_bound():
+    one = np.ones((1, 1))
+    # Poisson mean 4500 at t = 0.5: far more terms than 2 * t.size.
+    assert numkit.halfline_series(np.array([1e4]), np.array([0.5]), one, np.zeros(1), 0.9, 0) is None
+    assert numkit.halfline_series(np.array([1.0]), np.array([0.5]), one, np.array([math.nan]), 0.9, 0) is None

@@ -137,12 +137,69 @@ def test_pdf_z2_normalization_large_theta():
 
 
 def test_pdf_zn_normalization_large_theta():
-    # At theta = 1e4 the x grid reaches about 1e6, so the exponential
-    # remainder runs at arguments st where e^{st} alone overflows.
+    # At theta = 1e4 the x grid reaches about 1e6; the moment series still
+    # fits (about 130 terms), since its length follows the t weight, not x.
     model = sd.SpikedModel(5, 6, 1e4)
     zq, wq = numkit.unit_grid(12, grade_left=16, grade_right=16)
     total = float(np.dot(wq, sd.pdf_zn(model, zq, preset="fast")))
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+SHAPE_MODELS = {
+    "z1": sd.SpikedModel(4, 6, 1.0),
+    "z2": sd.SpikedModel(3, 4, 3.0),
+    "zn": sd.SpikedModel(5, 6, 3.0),
+    "nz1_asym": sd.SpikedModel(4, 6, 1.0),
+    "w1_real": sd.SpikedModel(2, 5, 1.0, "real"),
+    "w2_real": sd.SpikedModel(2, 5, 1.0, "real"),
+    "y1_sing": sd.SpikedModel(4, 1, 1.0, "singular"),
+    "yn_sing": sd.SpikedModel(5, 4, 0.3, "singular"),
+}
+
+
+@pytest.mark.parametrize("stat", sorted(sd.STATISTICS))
+def test_density_keeps_z_shape(stat):
+    z = np.array([[0.05, 0.3, 0.5], [0.6, 0.8, 0.95]])
+    flat = sd.density_values(stat, SHAPE_MODELS[stat], z.ravel(), preset="fast")
+    grid = sd.density_values(stat, SHAPE_MODELS[stat], z, preset="fast")
+    assert grid.shape == z.shape
+    assert np.array_equal(grid, flat.reshape(z.shape))
+
+
+@pytest.mark.parametrize("preset", ["fast", "fine"])
+@pytest.mark.parametrize(
+    "n,m,theta,tol",
+    [(5, 6, 3.0, 1e-12), (7, 9, 3.0, 1e-12), (8, 12, 10.0, 1e-12), (5, 6, 0.1, 1e-12),
+     # x reaches 1e6: exponents r log(beta x) near 1,800 carry ~4e-13 rounding.
+     (5, 6, 1e4, 1e-11)],
+)
+def test_zn_series_matches_loop(n, m, theta, tol, preset):
+    model = sd.SpikedModel(n, m, theta)
+    zs = np.concatenate([np.linspace(0.0, 0.95, 20), 1.0 - np.geomspace(1e-6, 0.04, 12)])
+    assert isinstance(sd._zn_prepare(model, preset), numkit.HalfLineSeries)
+    loop = sd._pdf_zn_loop(sd._zn_basis(model, preset), zs)
+    series = sd._pdf_zn_grid(model, zs, preset)
+    assert np.max(np.abs(series - loop)) <= tol * np.max(loop)
+
+
+def test_zn_falls_back_to_loop(monkeypatch, request):
+    # The series route is refused (see test_numkit); the engine then caches
+    # the loop's arrays and runs the per-z loop on them.
+    request.addfinalizer(sd._zn_prepare.cache_clear)
+    model = sd.SpikedModel(5, 6, 2.75)
+    monkeypatch.setattr(numkit, "halfline_series", lambda *args: None)
+    assert sd._zn_prepare(model, "fast").func is sd._pdf_zn_loop
+    zs = np.linspace(0.05, 0.95, 7)
+    loop = sd._pdf_zn_loop(sd._zn_basis(model, "fast"), zs)
+    assert np.array_equal(sd._pdf_zn_grid(model, zs, "fast"), loop)
+
+
+def test_zn_series_chunks_do_not_interact():
+    model = sd.SpikedModel(5, 6, 3.0)
+    zs = np.linspace(0.0, 1.0, 1001)
+    whole = sd._pdf_zn_grid(model, zs, "fast")
+    pieces = np.concatenate([sd._pdf_zn_grid(model, zs[i : i + 7], "fast") for i in range(0, zs.size, 7)])
+    assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(whole)
 
 
 def test_clip_density_rejects_non_finite():

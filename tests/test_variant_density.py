@@ -88,3 +88,27 @@ def test_yn_preconditions():
         vd.pdf_yn_singular(sd.SpikedModel(5, 3, 1.0, "singular"), 0.5)
     with pytest.raises(sd.ThetaZeroSingularity):
         vd.pdf_yn_singular(sd.SpikedModel(4, 3, 0.0, "singular"), 0.5)
+
+
+@pytest.mark.parametrize("preset", ["fast", "fine"])
+@pytest.mark.parametrize(
+    "n,theta,tol",
+    # At theta = 300 the Hankel term cancels the kernel sum to ~1e-14 near
+    # z = 1; the loop's own fast-vs-fine spread there is 1.7e-9.
+    [(5, 0.3, 1e-9), (4, 0.1, 1e-9), (4, 300.0, 1e-8)],
+)
+def test_yn_series_matches_loop(n, theta, tol, preset):
+    model = sd.SpikedModel(n, n - 1, theta, "singular")
+    zs = np.concatenate([np.linspace(0.0, 0.95, 20), 1.0 - np.geomspace(1e-6, 0.04, 12)])
+    assert isinstance(vd._yn_prepare(model, preset), numkit.HalfLineSeries)
+    loop = vd._pdf_yn_loop(vd._yn_basis(model, preset), zs)
+    series = vd._pdf_yn_grid(model, zs, preset)
+    assert np.max(np.abs(series - loop)) <= tol * np.max(loop)
+
+
+def test_yn_series_chunks_do_not_interact():
+    model = sd.SpikedModel(5, 4, 0.3, "singular")
+    zs = np.linspace(0.0, 1.0, 1001)
+    whole = vd._pdf_yn_grid(model, zs, "fast")
+    pieces = np.concatenate([vd._pdf_yn_grid(model, zs[i : i + 7], "fast") for i in range(0, zs.size, 7)])
+    assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(whole)

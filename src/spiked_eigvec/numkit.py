@@ -211,9 +211,8 @@ def halfline_series(x, t, a, log_row, beta: float, r0: int, const=0.0):
     the series stops where Chernoff's bound on P(Poisson(beta x t_q) >= R) puts
     every kept tail below that threshold too.  Rows are rescaled by exact powers
     of two, so the u^r0 coefficient keeps its digits where const cancels it.
-    Returns None (the engine runs its per-z loop) when the bound is not finite
-    or needs more than 2 * t.size terms, so the coefficients never outgrow two
-    (x, t) arrays, the zn loop's weights and polynomial values.
+    Raises ArithmeticError when the bound is not finite or needs more than
+    2 * t.size terms, so the coefficients never outgrow two (x, t) arrays.
     """
     bx, ln2 = beta * x, math.log(2.0)
     with np.errstate(divide="ignore"):
@@ -227,7 +226,7 @@ def halfline_series(x, t, a, log_row, beta: float, r0: int, const=0.0):
     k = bisect.bisect_left(powers, True, key=lambda r: np.max(
         lb0 + np.where(r > lam, r * (1.0 + np.log(lam / r)) - lam, 0.0), initial=-np.inf) < thr)
     if k == len(powers):
-        return None
+        raise ArithmeticError("the moment series of the inner integral cannot be bounded")
     r = np.arange(r0, powers[k])
     expo = r * np.log(bx)[:, None] - gammaln(r + 1.0)  # (beta x)^r / r! = 2^k2 e^(expo - k2 ln 2)
     k2 = np.floor(expo / ln2)

@@ -10,11 +10,12 @@ z-dependent first determinant column.  The largest and second-smallest
 densities are double integrals with determinant integrands on fixed geometric
 panel grids.  The n = 2, 3, 4 largest-overlap densities have closed forms.
 For n >= 5 the inner integral is a power series in 1 - z built once per model
-(`numkit.halfline_series`), so a z grid costs one matrix product.  It runs at
-every theta: its length follows the t weight, not theta (20 terms at theta =
-0.1, 134 at 1e4); a per-z loop runs only where the series cannot be bounded.
-Laguerre values and the incomplete gamma function come from scipy.special,
-determinants from numpy.linalg.
+(`numkit.halfline_series`), so a z grid costs one matrix product.  It is the
+only route: its length follows the t weight, not theta (20 terms at theta =
+0.1, 134 at 1e4), and a model whose series cannot be bounded raises
+ArithmeticError.
+Laguerre values and log-gamma come from scipy.special, determinants from
+numpy.linalg.
 
 Every density passes through one boundary (`_pdf_boundary`) that checks the
 model and z and rejects non-finite output.  All evaluators are pure;
@@ -27,11 +28,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammainc, gammaln
+from scipy.special import eval_genlaguerre, gammaln
 
 from . import numkit, specfun
 
@@ -403,7 +404,7 @@ def _max_overlap_log_prefactor(n: int, alpha: int, beta: float) -> float:
 
 
 def _zn_basis(model: SpikedModel, preset: str) -> dict:
-    """The (x, t) grid arrays of the zn engine; the per-z loop runs on them."""
+    """The (x, t) grid arrays of the zn engine."""
     p = _PRESETS[preset]
     n, alpha, beta = model.n, model.alpha, model.beta
     d = n - 2
@@ -420,34 +421,13 @@ def _zn_basis(model: SpikedModel, preset: str) -> dict:
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _zn_prepare(model: SpikedModel, preset: str):
-    """The z-grid evaluator: the moment series, or the per-z loop where it does not fit."""
+def _zn_prepare(model: SpikedModel, preset: str) -> numkit.HalfLineSeries:
+    """The z-grid evaluator: the inner sum e^{st} P(d, st), s = beta x (1-z), as
+    a moment series in 1 - z (P the regularized lower incomplete gamma
+    function; the Taylor part below degree d is annihilated by orthogonality)."""
     prep = _zn_basis(model, preset)
     a = np.exp(prep["logwq"]) * prep["p_deg"]
-    series = numkit.halfline_series(prep["x"], prep["t"], a, prep["base"], prep["beta"], prep["d"])
-    return partial(_pdf_zn_loop, prep) if series is None else series
-
-
-def _pdf_zn_loop(prep: dict, zs: np.ndarray) -> np.ndarray:
-    x, t, logwq, p_deg = prep["x"], prep["t"], prep["logwq"], prep["p_deg"]
-    base, beta, d = prep["base"], prep["beta"], prep["d"]
-    out = np.empty(zs.size)
-    for i, z in enumerate(zs):
-        # Inner integral: the Taylor part of e^{st}, s = beta x (1-z), up to
-        # degree d-1 is annihilated by discrete orthogonality, so only the
-        # positive remainder e^{st} P(d, st) is summed (P the regularized
-        # lower incomplete gamma function); logwq carries the -x t that keeps
-        # the weighted exponential bounded.
-        st = (beta * x * (1.0 - z))[:, None] * t[None, :]
-        wrem = np.exp(logwq + st) * gammainc(d, st)
-        inner = np.einsum("xq,xq->x", wrem, p_deg)
-        logv = base + beta * x * z
-        mshift = np.max(logv)
-        if not np.isfinite(mshift):
-            out[i] = 0.0
-            continue
-        out[i] = float(np.dot(inner, np.exp(logv - mshift))) * math.exp(mshift)
-    return out
+    return numkit.halfline_series(prep["x"], prep["t"], a, prep["base"], prep["beta"], prep["d"])
 
 
 def _pdf_zn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:

@@ -4,14 +4,13 @@ The real spiked case has a closed two-term Gauss-hypergeometric density for
 n = 2; its largest-overlap twin is the reflection z -> 1 - z.  The singular
 case (m < n) has closed forms for m = 1 and for n - m = 1; the singular
 largest-overlap density is a single half-line integral on the same grids,
-orthogonal polynomials and moment series (`numkit`) as the complex zn engine,
-at every theta; its per-z loop runs only where the series cannot be bounded.
+orthogonal polynomials and moment series (`numkit`) as the complex zn engine.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -94,7 +93,7 @@ def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
 
 
 def _yn_basis(model: SpikedModel, preset: str) -> dict:
-    """The (x, t) grid arrays of the yn engine; the per-z loop runs on them."""
+    """The (x, t) grid arrays of the yn engine."""
     p = _PRESETS[preset]
     m, beta = model.m, model.beta
     d = m - 2
@@ -116,39 +115,15 @@ def _yn_basis(model: SpikedModel, preset: str) -> dict:
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _yn_prepare(model: SpikedModel, preset: str):
-    """The z-grid evaluator: the bracket as one series, or the per-z loop where it
-    does not fit.  The kernel sum expands e^{beta x u t} against (1-t)^2 e^{-x t}
-    from r = 0; the z-free Hankel term joins the r = 0 coefficient."""
+def _yn_prepare(model: SpikedModel, preset: str) -> numkit.HalfLineSeries:
+    """The z-grid evaluator: the bracket as one moment series.  The kernel sum
+    expands e^{beta x u t} against (1-t)^2 e^{-x t} from r = 0; the z-free
+    Hankel term joins the r = 0 coefficient."""
     prep = _yn_basis(model, preset)
-    a = np.exp(prep.pop("logwq0")) * prep["p_deg"]  # the weight (1-t)^2 e^{-x t}
-    shift0 = prep.pop("shift0")
-    hankel = (-1.0) ** (prep["m"] - 1) * np.exp(prep["log_a0"] - prep["log_c1"] - shift0)
-    log_row = prep["base"] + prep["log_c1"] + shift0
-    series = numkit.halfline_series(prep["x"], prep["t"], a, log_row, prep["beta"], 0, hankel)
-    return partial(_pdf_yn_loop, prep) if series is None else series
-
-
-def _pdf_yn_loop(prep: dict, zs: np.ndarray) -> np.ndarray:
-    x, t, wt, p_deg = prep["x"], prep["t"], prep["wt"], prep["p_deg"]
-    log_c1, log_a0, base = prep["log_c1"], prep["log_a0"], prep["base"]
-    beta, m = prep["beta"], prep["m"]
-    sign_m = (-1.0) ** (m - 1)
-    log_t_weight = np.log(wt) + 2.0 * np.log1p(-t)
-    out = np.empty(zs.size)
-    for i, z in enumerate(zs):
-        q = 1.0 - (1.0 - z) * beta
-        logw2 = log_t_weight[None, :] - q * x[:, None] * t[None, :]
-        shift2 = np.max(logw2, axis=1)
-        s_t = np.einsum("xq,xq->x", np.exp(logw2 - shift2[:, None]), p_deg)
-        log_j = log_c1 + shift2 + np.log(np.maximum(np.abs(s_t), 1e-320))
-        sign_j = np.sign(s_t)
-        mshift = np.maximum(log_j, log_a0)
-        bracket = sign_j * np.exp(log_j - mshift) + sign_m * np.exp(log_a0 - mshift)
-        logterm = base + beta * x * z + mshift
-        top = np.max(logterm)
-        out[i] = float(np.dot(bracket, np.exp(logterm - top))) * math.exp(top)
-    return out
+    a = np.exp(prep["logwq0"]) * prep["p_deg"]  # the weight (1-t)^2 e^{-x t}
+    hankel = (-1.0) ** (prep["m"] - 1) * np.exp(prep["log_a0"] - prep["log_c1"] - prep["shift0"])
+    log_row = prep["base"] + prep["log_c1"] + prep["shift0"]
+    return numkit.halfline_series(prep["x"], prep["t"], a, log_row, prep["beta"], 0, hankel)
 
 
 def _pdf_yn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:

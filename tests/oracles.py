@@ -4,8 +4,9 @@ None of this runs in the library or the CLI.  It holds the adaptive
 Gauss-Legendre integrators and a log-scaled determinant, scalar special
 functions (Laguerre, 1F1, U, Appell F2, Bessel I), the Hankel moment stacks
 of the largest-overlap integrand, the nested adaptive quadrature of that
-double integral, the quadrature c.d.f., and the Mehta determinant identity
-and Bessel-determinant normalization checks.
+double integral, the per-z loops of the zn and yn_sing grid engines, the
+quadrature c.d.f., and the Mehta determinant identity and Bessel-determinant
+normalization checks.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ from spiked_eigvec.spike_density import (
     _pdf_z1_series,
     _pdf_zn_closed_values,
     _statistic,
+    _zn_basis,
     _zn_support,
     cdf_nz1_asymptotic,
     density_values,
     pdf_zn,
 )
+from spiked_eigvec.variant_density import _yn_basis
 
 
 class QuadratureFailure(RuntimeError):
@@ -515,6 +518,55 @@ def _pdf_zn_adaptive(model: SpikedModel, z: float, spec: QuadratureSpec | None =
         return vals
 
     return integrate_halfline(outer, decay_rate=1.0 - beta * z, spec=spec)
+
+
+def pdf_zn_loop(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
+    """The zn grid engine's double integral summed z by z on its own (x, t) grid.
+
+    The engine expands the inner sum as a moment series in 1 - z; this loop
+    evaluates the same sum directly, one incomplete-gamma array per z.
+    """
+    prep = _zn_basis(model, preset)
+    x, t, logwq, p_deg = prep["x"], prep["t"], prep["logwq"], prep["p_deg"]
+    base, beta, d = prep["base"], prep["beta"], prep["d"]
+    out = np.empty(zs.size)
+    for i, z in enumerate(zs):
+        # Inner integral: the Taylor part of e^{st}, s = beta x (1-z), up to
+        # degree d-1 is annihilated by discrete orthogonality, so only the
+        # positive remainder e^{st} P(d, st) is summed (P the regularized
+        # lower incomplete gamma function); logwq carries the -x t that keeps
+        # the weighted exponential bounded.
+        st = (beta * x * (1.0 - z))[:, None] * t[None, :]
+        wrem = np.exp(logwq + st) * gammainc(d, st)
+        inner = np.einsum("xq,xq->x", wrem, p_deg)
+        logv = base + beta * x * z
+        mshift = np.max(logv)
+        out[i] = float(np.dot(inner, np.exp(logv - mshift))) * math.exp(mshift)
+    return out
+
+
+def pdf_yn_loop(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
+    """The yn_sing engine's half-line integral summed z by z on its own (x, t) grid."""
+    prep = _yn_basis(model, preset)
+    x, t, wt, p_deg = prep["x"], prep["t"], prep["wt"], prep["p_deg"]
+    log_c1, log_a0, base = prep["log_c1"], prep["log_a0"], prep["base"]
+    beta, m = prep["beta"], prep["m"]
+    sign_m = (-1.0) ** (m - 1)
+    log_t_weight = np.log(wt) + 2.0 * np.log1p(-t)
+    out = np.empty(zs.size)
+    for i, z in enumerate(zs):
+        q = 1.0 - (1.0 - z) * beta
+        logw2 = log_t_weight[None, :] - q * x[:, None] * t[None, :]
+        shift2 = np.max(logw2, axis=1)
+        s_t = np.einsum("xq,xq->x", np.exp(logw2 - shift2[:, None]), p_deg)
+        log_j = log_c1 + shift2 + np.log(np.maximum(np.abs(s_t), 1e-320))
+        sign_j = np.sign(s_t)
+        mshift = np.maximum(log_j, log_a0)
+        bracket = sign_j * np.exp(log_j - mshift) + sign_m * np.exp(log_a0 - mshift)
+        logterm = base + beta * x * z + mshift
+        top = np.max(logterm)
+        out[i] = float(np.dot(bracket, np.exp(logterm - top))) * math.exp(top)
+    return out
 
 
 def _zn_closed_support(model: SpikedModel) -> None:

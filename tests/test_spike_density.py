@@ -177,21 +177,17 @@ def test_zn_series_matches_loop(n, m, theta, tol, preset):
     model = sd.SpikedModel(n, m, theta)
     zs = np.concatenate([np.linspace(0.0, 0.95, 20), 1.0 - np.geomspace(1e-6, 0.04, 12)])
     assert isinstance(sd._zn_prepare(model, preset), numkit.HalfLineSeries)
-    loop = sd._pdf_zn_loop(sd._zn_basis(model, preset), zs)
+    loop = oracles.pdf_zn_loop(model, zs, preset)
     series = sd._pdf_zn_grid(model, zs, preset)
     assert np.max(np.abs(series - loop)) <= tol * np.max(loop)
 
 
-def test_zn_falls_back_to_loop(monkeypatch, request):
-    # The series route is refused (see test_numkit); the engine then caches
-    # the loop's arrays and runs the per-z loop on them.
-    request.addfinalizer(sd._zn_prepare.cache_clear)
-    model = sd.SpikedModel(5, 6, 2.75)
-    monkeypatch.setattr(numkit, "halfline_series", lambda *args: None)
-    assert sd._zn_prepare(model, "fast").func is sd._pdf_zn_loop
-    zs = np.linspace(0.05, 0.95, 7)
-    loop = sd._pdf_zn_loop(sd._zn_basis(model, "fast"), zs)
-    assert np.array_equal(sd._pdf_zn_grid(model, zs, "fast"), loop)
+def test_zn_unbounded_series_raises():
+    # At theta = 1e15 the orthogonal basis breaks down (non-finite norms), so
+    # the kernel cannot bound the moment series: an error, not a zero density.
+    sd._zn_prepare.cache_clear()
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
+        sd.pdf_zn(sd.SpikedModel(5, 6, 1e15), np.linspace(0.05, 0.95, 7), preset="fast")
 
 
 def test_zn_series_chunks_do_not_interact():

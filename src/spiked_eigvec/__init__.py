@@ -10,10 +10,10 @@ reproducible Monte-Carlo sampler.
 __version__ = "0.1.0"
 
 from .numkit import EmptySample, GofReport, ks_test  # noqa: F401
-from .specfun import NoConvergence, gauss_2f1  # noqa: F401
 from .spike_density import (  # noqa: F401
     DensityCurve,
     DomainError,
+    NoConvergence,
     SpikedModel,
     ThetaZeroSingularity,
     UnsupportedModel,

@@ -18,15 +18,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__, montecarlo, numkit, specfun
+from . import __version__, montecarlo, numkit
 from . import spike_density as sd
 
-_NUMERICAL_ERRORS = (
-    specfun.NoConvergence,
-    montecarlo.EigensolverFailure,
-    ArithmeticError,
-    FloatingPointError,
-)
+# NoConvergence and FloatingPointError are ArithmeticErrors too.
+_NUMERICAL_ERRORS = (montecarlo.EigensolverFailure, ArithmeticError)
 
 
 class ConfigError(ValueError):

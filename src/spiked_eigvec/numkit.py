@@ -147,7 +147,8 @@ def discrete_orthogonal_basis(x: np.ndarray, t: np.ndarray, wt: np.ndarray,
     exp(log_norm_product) * p_deg(t) for every x.  The discrete orthogonality
     sum_q exp(logwq_q) t_q^r p_deg_q = 0 (r < degree) holds to rounding, so
     callers can cancel the polynomial part of smooth integrands exactly at
-    grid level.
+    grid level.  A norm h_k that is zero or not finite means the basis has
+    broken down on this grid, and raises ArithmeticError.
     """
     with np.errstate(divide="ignore"):
         logw = (
@@ -167,6 +168,8 @@ def discrete_orthogonal_basis(x: np.ndarray, t: np.ndarray, wt: np.ndarray,
     h_prev = None
     for k in range(degree):
         h_k = np.einsum("xq,xq->x", wq, p_k * p_k)
+        if not np.all((h_k > 0.0) & (h_k < np.inf)):
+            raise ArithmeticError(f"the orthogonal basis breaks down at degree {k}")
         a_k = np.einsum("xq,xq->x", wq * t[None, :], p_k * p_k) / h_k
         log_norm += np.log(h_k)
         if k == 0:

@@ -8,12 +8,13 @@ The smallest-overlap density has a closed finite-sum form whose nested sums
 are collapsed, once per (n, m, theta), into cofactor coefficients of the
 z-dependent first determinant column.  The largest and second-smallest
 densities are double integrals with determinant integrands on fixed geometric
-panel grids.  The n = 2, 3, 4 largest-overlap densities have closed forms.
-For n >= 5 the inner integral is a power series in 1 - z built once per model
-(`numkit.halfline_series`), so a z grid costs one matrix product.  It is the
-only route: its length follows the t weight, not theta (20 terms at theta =
-0.1, 134 at 1e4), and a model whose series cannot be bounded raises
-ArithmeticError.
+panel grids.  At n = 2 the largest-overlap density is the smallest-overlap
+finite sum reflected (z -> 1 - z); at n = 3 it is the closed Appell-F2 form,
+the one series here with a term budget (NoConvergence).  For n >= 4 the inner
+integral is a power series in 1 - z built once per model
+(`numkit.halfline_series`), so a z grid costs one matrix product.  Its length
+follows the t weight, not theta (20 terms at theta = 0.1, 134 at 1e4), and a
+model whose series cannot be bounded raises ArithmeticError.
 Laguerre values and log-gamma come from scipy.special, determinants from
 numpy.linalg.
 
@@ -34,9 +35,16 @@ from typing import Callable
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from . import numkit, specfun
+from . import numkit
 
 THETA_EPS = 1e-8
+# Term budgets of the n = 3 largest-overlap series: the inner 2F1 and the F2 sum.
+SERIES_MAX_TERMS = 10_000
+F2_MAX_TERMS = 60_000
+
+
+class NoConvergence(ArithmeticError):
+    """A hypergeometric series failed to converge within the term budget."""
 
 
 class UnsupportedModel(ValueError):
@@ -296,10 +304,11 @@ def _pdf_z1_series(n: int, alpha: int, beta: float, z: np.ndarray) -> np.ndarray
     return math.exp(log_base) * omz ** (n - 2) * denom ** (-(n + 1.0)) * acc
 
 
-def _pdf_z1_n2(alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
-    """Closed finite-k sum for the n = 2 smallest-overlap density."""
-    denom = 1.0 - beta * (1.0 - z)
-    acc = np.zeros_like(z)
+def _pdf_n2_sum(alpha: int, beta: float, denom: np.ndarray) -> np.ndarray:
+    """Closed finite-k sum of the n = 2 smallest-overlap density, given its
+    denominator 1 - beta (1 - z); with 1 - beta z it is the largest-overlap
+    density, by the n = 2 reflection z -> 1 - z."""
+    acc = np.zeros_like(denom)
     for k in range(alpha + 1):
         logc = (
             gammaln(k + 3.0)
@@ -312,48 +321,18 @@ def _pdf_z1_n2(alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
     return math.exp((2.0 + alpha) * math.log1p(-beta) - gammaln(alpha + 2.0)) * acc
 
 
-def _pdf_z1_fast(n: int, alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
-    """Closed forms for alpha = 0 and alpha = 1, n >= 3."""
-    omz = 1.0 - z
-    denom = 1.0 - beta * omz
-    if alpha == 0:
-        return (
-            n
-            * (n - 1.0)
-            * (1.0 - beta) ** n
-            * omz ** (n - 2)
-            / ((n - beta) * denom ** (n + 1.0))
-        )
-    if alpha == 1:
-        arg = -1.0 / (n - beta)
-        h1 = specfun.gauss_2f1(-n + 1.0, 2.0, 3.0, arg)
-        h2 = specfun.gauss_2f1(-n + 2.0, 2.0, 3.0, arg)
-        lead = (
-            n
-            * (n * n - 1.0)
-            * (1.0 - beta) ** (n + 1.0)
-            * omz ** (n - 2)
-            / (2.0 * (n - beta) ** 2 * denom ** (n + 1.0))
-        )
-        return lead * (h1 + beta * omz / denom * h2)
-    raise ValueError("fast path supports alpha in {0, 1} only")
-
-
 @_pdf_boundary(_z1_support)
 def pdf_z1(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the smallest-eigenvalue overlap |v^H u_1|^2.
 
-    Dispatches to the closed alpha in {0, 1} forms, the n = 2 finite sum, or
-    the general nested-sum route; theta = 0 reduces to the Haar density
-    (n-1)(1-z)^(n-2).
+    Dispatches to the n = 2 finite sum or the general nested-sum route;
+    theta = 0 reduces to the Haar density (n-1)(1-z)^(n-2).
     """
     n, alpha, beta = model.n, model.alpha, model.beta
     if model.theta == 0.0:
         return (n - 1.0) * (1.0 - z) ** (n - 2)
     if n == 2:
-        return _pdf_z1_n2(alpha, beta, z)
-    if alpha in (0, 1):
-        return _pdf_z1_fast(n, alpha, beta, z)
+        return _pdf_n2_sum(alpha, beta, 1.0 - beta * (1.0 - z))
     return _pdf_z1_series(n, alpha, beta, z)
 
 
@@ -438,62 +417,52 @@ def _pdf_zn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
 def pdf_zn(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
     """Density of the largest-eigenvalue overlap |v^H u_n|^2.
 
-    Closed forms cover n in {2, 3, 4}; larger n evaluates the double-integral
-    representation on vectorized panel grids.  For n >= 3 the formula has a
-    pole at theta = 0 and such calls raise ThetaZeroSingularity.
+    n = 2 is the reflected smallest-overlap finite sum, n = 3 the closed F2
+    form, and n >= 4 the moment series of the double-integral representation
+    on the `preset` grids.  For n >= 3 the formula has a pole at theta = 0 and
+    such calls raise ThetaZeroSingularity.
     """
-    if model.n in (2, 3, 4):
-        return _pdf_zn_closed_values(model, z)
+    if model.n == 2:
+        return _pdf_n2_sum(model.alpha, model.beta, 1.0 - model.beta * z)
+    if model.n == 3:
+        return _pdf_zn_closed_n3(model.alpha, model.beta, z)
     return _pdf_zn_grid(model, z, preset)
 
 
-def _pdf_zn_closed_values(model: SpikedModel, z: np.ndarray) -> np.ndarray:
-    n, alpha, beta = model.n, model.alpha, model.beta
-    if n == 2:
-        logc = (
-            math.log(2.0)
-            + gammaln(2.0 * alpha + 4.0)
-            + (alpha + 2.0) * math.log1p(-beta)
-            - gammaln(alpha + 2.0)
-            - gammaln(alpha + 4.0)
-            - (2.0 * alpha + 4.0) * math.log(2.0 - beta)
-        )
-        arg = (1.0 - beta * (1.0 - z)) / (2.0 - beta)
-        return math.exp(logc) * specfun.gauss_2f1(3.0, 2.0 * alpha + 4.0, alpha + 4.0, arg)
-    if n == 3:
-        logc = (
-            math.log(4.0)
-            + gammaln(3.0 * alpha + 8.0)
-            + (alpha + 3.0) * math.log1p(-beta)
-            - gammaln(alpha + 3.0)
-            - gammaln(alpha + 4.0)
-            - gammaln(alpha + 5.0)
-            - math.log(beta)
-            - (3.0 * alpha + 8.0) * math.log(3.0 - beta)
-        )
-        x0 = 1.0 / (3.0 - beta)
-        y = (1.0 - beta * (1.0 - z)) / (3.0 - beta)
-        fa = _f2_iterated_vec(3 * alpha + 8.0, 3.0, 3.0, alpha + 4.0, alpha + 5.0, x0, y)
-        fb = _f2_iterated_vec(3 * alpha + 8.0, 3.0, 3.0, alpha + 5.0, alpha + 4.0, x0, y)
-        return math.exp(logc) * (fa - fb)
-    return _pdf_zn_closed_n4(alpha, beta, z)
+def _pdf_zn_closed_n3(alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
+    """Closed n = 3 largest-overlap density: a difference of two F2 values."""
+    logc = (
+        math.log(4.0)
+        + gammaln(3.0 * alpha + 8.0)
+        + (alpha + 3.0) * math.log1p(-beta)
+        - gammaln(alpha + 3.0)
+        - gammaln(alpha + 4.0)
+        - gammaln(alpha + 5.0)
+        - math.log(beta)
+        - (3.0 * alpha + 8.0) * math.log(3.0 - beta)
+    )
+    x0 = 1.0 / (3.0 - beta)
+    y = (1.0 - beta * (1.0 - z)) / (3.0 - beta)
+    fa = _f2_iterated_vec(3 * alpha + 8.0, 3.0, 3.0, alpha + 4.0, alpha + 5.0, x0, y)
+    fb = _f2_iterated_vec(3 * alpha + 8.0, 3.0, 3.0, alpha + 5.0, alpha + 4.0, x0, y)
+    return math.exp(logc) * (fa - fb)
 
 
-def _gauss_2f1_series_vec(a, b, c, y, dtype=np.float64):
+def _f21_series_vec(a, b, c, y, dtype=np.float64):
     """2F1 by direct series for 0 <= y < 1, vectorized, chosen dtype."""
     y = np.asarray(y, dtype=dtype)
     term = np.ones_like(y)
     acc = term.copy()
     one = dtype(1.0)
-    for j in range(specfun.SERIES_MAX_TERMS):
+    for j in range(SERIES_MAX_TERMS):
         term = term * ((a + j) * (b + j) / ((c + j) * (j + one))) * y
         acc = acc + term
         if np.max(np.abs(term)) <= 1e-14 * np.max(np.abs(acc)):
             return acc
-    raise specfun.NoConvergence("vectorized 2F1 series did not converge")
+    raise NoConvergence("vectorized 2F1 series did not converge")
 
 
-def _f2_iterated_vec(a, b1, b2, c1, c2, x, y, dtype=np.float64, max_terms=60_000):
+def _f2_iterated_vec(a, b1, b2, c1, c2, x, y, dtype=np.float64):
     """F2(a; b1, b2; c1, c2; x, y) with vector y (and scalar or vector x).
 
     Iterated form: sum over m of (a)_m (b1)_m x^m / ((c1)_m m!) 2F1(a+m, b2;
@@ -504,8 +473,8 @@ def _f2_iterated_vec(a, b1, b2, c1, c2, x, y, dtype=np.float64, max_terms=60_000
     x = np.asarray(x, dtype=dtype)
     y = np.asarray(y, dtype=dtype)
     one = dtype(1.0)
-    f_prev = _gauss_2f1_series_vec(a, b2, c2, y, dtype)  # m = 0
-    f_curr = _gauss_2f1_series_vec(a + 1.0, b2, c2, y, dtype)  # m = 1
+    f_prev = _f21_series_vec(a, b2, c2, y, dtype)  # m = 0
+    f_curr = _f21_series_vec(a + 1.0, b2, c2, y, dtype)  # m = 1
     r_prev = (a * b1 / c1) * x  # C_1 x / C_0
     t_prev = f_prev * np.ones_like(y)
     t_curr = r_prev * f_curr
@@ -513,7 +482,7 @@ def _f2_iterated_vec(a, b1, b2, c1, c2, x, y, dtype=np.float64, max_terms=60_000
     quiet = 0
     am, b1m, c1m = a + 1.0, b1 + 1.0, c1 + 1.0
     m = 1
-    while m < max_terms:
+    while m < F2_MAX_TERMS:
         r_curr = (am * b1m / (c1m * (m + one))) * x  # C_{m+1} x / C_m
         aa = a + m
         coef_prev = (c2 - aa) * r_curr * r_prev
@@ -534,85 +503,7 @@ def _f2_iterated_vec(a, b1, b2, c1, c2, x, y, dtype=np.float64, max_terms=60_000
         b1m += 1.0
         c1m += 1.0
         m += 1
-    raise specfun.NoConvergence("iterated F2 did not converge")
-
-
-_N4_TUPLES = {"a": (5, 5, 4), "b": (7, 6, 6), "c": (6, 4, 5), "d": (6, 7, 5)}
-
-
-def _pdf_zn_closed_n4(alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
-    """Closed n = 4 largest-overlap density, evaluated in extended precision.
-
-    The bracketed combinations cancel many leading digits, so the whole
-    assembly runs in long double before the final cast.
-    """
-    ld = np.longdouble
-    zl = z.astype(ld)
-    beta_l = ld(beta)
-    one = ld(1.0)
-    omz = one - zl
-    dz = one - beta_l * omz  # 1 - beta (1 - z)
-
-    f2_scalar_cache: dict = {}
-
-    def f2t(a_int: int, b: int, c: int, xval):
-        # F2(a, 3, 3, alpha+b, alpha+c; x, x)
-        if np.ndim(xval) == 0:
-            key = (a_int, b, c, float(xval))
-            if key not in f2_scalar_cache:
-                val = _f2_iterated_vec(
-                    ld(a_int), ld(3), ld(3), ld(alpha + b), ld(alpha + c),
-                    np.asarray(xval, dtype=ld), np.asarray(xval, dtype=ld), dtype=ld,
-                )
-                f2_scalar_cache[key] = val
-            return f2_scalar_cache[key]
-        return _f2_iterated_vec(
-            ld(a_int), ld(3), ld(3), ld(alpha + b), ld(alpha + c), xval, xval, dtype=ld
-        )
-
-    def beta3(q: int) -> np.longdouble:
-        return ld(2.0) / (ld(q) * ld(q + 1) * ld(q + 2))
-
-    x_zdep = one / (ld(3.0) - beta_l * zl)
-    x_fixed = one / (ld(4.0) - beta_l)
-
-    def g_term(n_idx: int, b: int, c: int):
-        bb = beta3(alpha + b - 3) * beta3(alpha + c - 3)
-        lead = ld(math.factorial(alpha + n_idx)) * dz ** ld(-(alpha + n_idx + 1))
-        a1 = 3 * alpha + 13 - n_idx
-        t1 = ld(math.factorial(a1 - 1)) * x_zdep ** ld(a1) * f2t(a1, b, c, x_zdep)
-        t2 = np.zeros_like(zl)
-        for k in range(alpha + n_idx + 1):
-            coef = ld(math.factorial(a1 - 1 + k)) / ld(math.factorial(k))
-            t2 = t2 + coef * x_fixed ** ld(a1 + k) * dz ** ld(k) * f2t(a1 + k, b, c, x_fixed)
-        return bb * lead * (t1 - t2)
-
-    total = np.zeros_like(zl)
-    ta, tb = _N4_TUPLES["a"], _N4_TUPLES["b"]
-    tc, td = _N4_TUPLES["c"], _N4_TUPLES["d"]
-    for k in range(3):
-        total = total + (
-            g_term(k, ta[k], tb[k])
-            - g_term(k, tc[k], td[k])
-            - 2.0 * g_term(k + 1, ta[k], tb[k])
-            + 2.0 * g_term(k + 1, tc[k], td[k])
-            + g_term(k + 2, ta[k], tb[k])
-            - g_term(k + 2, tc[k], td[k])
-        )
-    # The last denominator factorial is (alpha+3)!, not the printed
-    # (alpha+4)!: the (alpha+4)! variant integrates to 1/(alpha+4), while
-    # this constant normalizes the density to 1 and matches the generic
-    # double-integral route pointwise.
-    logc = (
-        (alpha + 4.0) * math.log1p(-beta)
-        - math.log(2.0)
-        - gammaln(alpha + 1.0)
-        - gammaln(alpha + 2.0)
-        - gammaln(alpha + 3.0)
-        - gammaln(alpha + 4.0)
-        - 2.0 * math.log(beta)
-    )
-    return (np.exp(ld(logc)) * total).astype(np.float64)
+    raise NoConvergence("iterated F2 did not converge")
 
 
 # ---------------------------------------------------------------------------

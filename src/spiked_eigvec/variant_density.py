@@ -1,10 +1,11 @@
 """Closed-form overlap densities for the real (n = 2) and singular variants.
 
-The real spiked case has a closed two-term Gauss-hypergeometric density for
-n = 2; its largest-overlap twin is the reflection z -> 1 - z.  The singular
-case (m < n) has closed forms for m = 1 and for n - m = 1; the singular
-largest-overlap density is a single half-line integral on the same grids,
-orthogonal polynomials and moment series (`numkit`) as the complex zn engine.
+The real spiked case has a closed density for n = 2, a difference of two
+incomplete beta functions; its largest-overlap twin is the reflection
+z -> 1 - z.  The singular case (m < n) has closed forms for m = 1 and for
+n - m = 1; the singular largest-overlap density is a single half-line
+integral on the same grids, orthogonal polynomials and moment series
+(`numkit`) as the complex zn engine.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, betaln, gammaln
 
-from . import numkit, specfun
+from . import numkit
 from .spike_density import (
     ENGINE_CACHE_SIZE,
     DomainError,
@@ -33,22 +34,35 @@ def pdf_w1_real(model: SpikedModel, z) -> float | np.ndarray:
     """Smallest-overlap density for the real spiked case with n = 2.
 
     Carries the arcsine-type z^(-1/2) (1-z)^(-1/2) endpoint singularities;
-    at theta = 0 it reduces to the arcsine law 1/(pi sqrt(z(1-z))).
+    at theta = 0 it reduces to the arcsine law 1/(pi sqrt(z(1-z))).  The
+    closed form is a difference of 2F1(m, b; b+1; -u) at b = (m - 1)/2 and
+    (m + 1)/2; each equals b u^-b B(b, m-b) I_y(b, m-b), with y = u/(1+u) and
+    I the regularized incomplete beta function (DLMF 8.17.7 after the Pfaff
+    transformation).  The product is formed in logs, with u and
+    1 - beta (1 - z) written in theta so that neither rounds near the ends of
+    the support.
     """
     if np.any(z <= 0) or np.any(z >= 1):
         raise DomainError("real overlap density needs z strictly inside (0, 1)")
-    m, beta = model.m, model.beta
-    u = (1.0 - beta * z) / (1.0 - beta * (1.0 - z))
-    h1 = specfun.gauss_2f1(m, (m - 1.0) / 2.0, (m + 1.0) / 2.0, -u)
-    h2 = specfun.gauss_2f1(m, (m + 1.0) / 2.0, (m + 3.0) / 2.0, -u)
-    pref = 2.0 ** (m - 1.0) * (m - 1.0) / (math.pi * (1.0 + model.theta) ** (m / 2.0))
-    return (
-        pref
-        * z ** (-0.5)
-        * (1.0 - z) ** (-0.5)
-        * (1.0 - beta * (1.0 - z)) ** (-float(m))
-        * (h1 / (m - 1.0) - h2 / (m + 1.0))
+    m, theta = model.m, model.theta
+    b1, b2 = (m - 1.0) / 2.0, (m + 1.0) / 2.0
+    log_near = np.log1p(theta * z)  # log((1+theta) (1 - beta (1 - z)))
+    log_far = np.log1p(theta * (1.0 - z))  # log((1+theta) (1 - beta z))
+    log_u = log_far - log_near
+    y = np.exp(log_far - math.log(2.0 + theta))
+    i1, i2 = betainc(b1, b2, y), betainc(b2, b1, y)
+    log_common = (
+        (m - 2.0) * math.log(2.0) + math.log(m - 1.0) - math.log(math.pi) + betaln(b1, b2)
+        + 0.5 * m * math.log1p(theta) - m * log_near - 0.5 * np.log(z) - 0.5 * np.log1p(-z)
     )
+    # I underflows to 0 only where the density is below the double range.
+    with np.errstate(divide="ignore"):
+        log_h1 = log_common - b1 * log_u + np.log(i1)
+        log_ratio = np.log(i2 / np.maximum(i1, np.finfo(float).tiny)) - log_u
+    # h1/(m-1) - h2/(m+1) = e^log_h1 (1 - e^log_ratio), as B(b2, b1) = B(b1, b2).
+    # The ratio leaves out log_common, so its rounding stays out of the
+    # cancelling difference.
+    return np.exp(log_h1) * -np.expm1(log_ratio)
 
 
 def pdf_w2_real(model: SpikedModel, z) -> float | np.ndarray:

@@ -2,9 +2,10 @@
 
 None of this runs in the library or the CLI.  It holds the adaptive
 Gauss-Legendre integrators and a log-scaled determinant, scalar special
-functions (Laguerre, 1F1, U, Appell F2, Bessel I), the Hankel moment stacks
-of the largest-overlap integrand, the nested adaptive quadrature of that
-double integral, the per-z loops of the zn and yn_sing grid engines, the
+functions (Gauss 2F1, Laguerre, 1F1, U, Appell F2, Bessel I), the closed
+alpha in {0, 1} smallest-overlap forms, the closed n = 2, 3, 4 largest-overlap
+forms, the Hankel moment stacks of the largest-overlap integrand, the nested
+adaptive quadrature of that double integral, the per-z loops of the zn and yn_sing grid engines, the
 quadrature c.d.f., and the Mehta determinant identity and Bessel-determinant
 normalization checks.
 """
@@ -19,23 +20,18 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammainc, gammaln, roots_genlaguerre
 
 from spiked_eigvec.numkit import gauss_legendre_panel
-from spiked_eigvec.specfun import (
-    SERIES_MAX_TERMS,
-    SERIES_RTOL,
-    NoConvergence,
-    _nonpositive_int,
-    gauss_2f1,
-)
 from spiked_eigvec.spike_density import (
+    SERIES_MAX_TERMS,
     DomainError,
+    NoConvergence,
     SpikedModel,
     UnsupportedModel,
     _as_z_array,
+    _f2_iterated_vec,
     _max_overlap_log_prefactor,
     _pdf_boundary,
-    _pdf_z1_fast,
     _pdf_z1_series,
-    _pdf_zn_closed_values,
+    _pdf_zn_closed_n3,
     _statistic,
     _zn_basis,
     _zn_support,
@@ -44,6 +40,8 @@ from spiked_eigvec.spike_density import (
     pdf_zn,
 )
 from spiked_eigvec.variant_density import _yn_basis
+
+SERIES_RTOL = 1e-12
 
 
 class QuadratureFailure(RuntimeError):
@@ -192,6 +190,66 @@ def integrate_halfline(f, decay_rate: float, spec: QuadratureSpec = DEFAULT_SPEC
         lo = hi
         width *= spec.panel_growth
     raise QuadratureFailure("half-line truncation did not converge within max_panels")
+
+
+def _nonpositive_int(x: float) -> bool:
+    return x <= 0 and x == round(x)
+
+
+def gauss_2f1(a: float, b: float, c: float, x):
+    """Gauss hypergeometric function 2F1(a, b; c; x).
+
+    Terminating cases (a or b a nonpositive integer) are summed exactly.
+    Otherwise the series converges for |x| < 1; negative arguments are mapped
+    through the Pfaff transformation x -> x/(x-1).  Accepts a scalar or an
+    ndarray whose entries all lie on the same branch.
+    """
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+
+    terms = []
+    if _nonpositive_int(a):
+        terms.append(int(-a))
+    if _nonpositive_int(b):
+        terms.append(int(-b))
+    if terms:
+        M = min(terms)
+        if _nonpositive_int(c) and -c < M:
+            raise ValueError("2F1 parameter c hits a pole before termination")
+        term = np.ones_like(x)
+        acc = term.copy()
+        for j in range(M):
+            term = term * ((a + j) * (b + j) / ((c + j) * (j + 1.0))) * x
+            acc = acc + term
+        return float(acc) if scalar else acc
+
+    if _nonpositive_int(c):
+        raise ValueError("2F1 undefined for nonpositive integer c")
+
+    if np.all(x == 0):
+        out = np.ones_like(x)
+        return float(out) if scalar else out
+    if np.any(x < 0):
+        if not np.all(x <= 0):
+            raise ValueError("mixed-sign 2F1 arguments are not supported")
+        # Pfaff: 2F1(a,b;c;x) = (1-x)^(-a) 2F1(a, c-b; c; x/(x-1))
+        y = x / (x - 1.0)
+        out = (1.0 - x) ** (-a) * gauss_2f1(a, c - b, c, y)
+        return float(out) if scalar else out
+    if np.any(x >= 1):
+        raise NoConvergence("2F1 series argument outside |x| < 1")
+
+    # Tail of the ratio-|x| geometric envelope folded into the stop test.
+    tail_factor = 1.0 / max(1.0 - float(np.max(x)), 1e-3)
+    term = np.ones_like(x)
+    acc = term.copy()
+    for j in range(SERIES_MAX_TERMS):
+        term = term * ((a + j) * (b + j) / ((c + j) * (j + 1.0))) * x
+        acc = acc + term
+        bound = np.max(np.abs(term)) * tail_factor
+        if bound <= SERIES_RTOL * max(np.max(np.abs(acc)), 1e-300):
+            return float(acc) if scalar else acc
+    raise NoConvergence("2F1 series did not converge within the term budget")
 
 
 def pochhammer(a: float, j: int) -> float:
@@ -464,6 +522,33 @@ def hankel_entry_stacks(shift: int, d: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pdf_z1_fast(n: int, alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
+    """Closed smallest-overlap forms for alpha = 0 and alpha = 1, n >= 3."""
+    omz = 1.0 - z
+    denom = 1.0 - beta * omz
+    if alpha == 0:
+        return (
+            n
+            * (n - 1.0)
+            * (1.0 - beta) ** n
+            * omz ** (n - 2)
+            / ((n - beta) * denom ** (n + 1.0))
+        )
+    if alpha == 1:
+        arg = -1.0 / (n - beta)
+        h1 = gauss_2f1(-n + 1.0, 2.0, 3.0, arg)
+        h2 = gauss_2f1(-n + 2.0, 2.0, 3.0, arg)
+        lead = (
+            n
+            * (n * n - 1.0)
+            * (1.0 - beta) ** (n + 1.0)
+            * omz ** (n - 2)
+            / (2.0 * (n - beta) ** 2 * denom ** (n + 1.0))
+        )
+        return lead * (h1 + beta * omz / denom * h2)
+    raise ValueError("fast path supports alpha in {0, 1} only")
+
+
 def pdf_z1_general_vs_fastpath(model: SpikedModel, z) -> tuple:
     """Both routes to the smallest-overlap density, for cross-validation.
 
@@ -577,8 +662,101 @@ def _zn_closed_support(model: SpikedModel) -> None:
 
 @_pdf_boundary(_zn_closed_support)
 def pdf_zn_closed(model: SpikedModel, z) -> float | np.ndarray:
-    """Closed-form largest-overlap density for n in {2, 3, 4}."""
-    return _pdf_zn_closed_values(model, z)
+    """Closed-form largest-overlap density for n in {2, 3, 4}: the n = 2
+    Gauss 2F1 form, the library's n = 3 F2 form and the n = 4 F2 assembly."""
+    n, alpha, beta = model.n, model.alpha, model.beta
+    if n == 3:
+        return _pdf_zn_closed_n3(alpha, beta, z)
+    if n == 4:
+        return _pdf_zn_closed_n4(alpha, beta, z)
+    logc = (
+        math.log(2.0)
+        + gammaln(2.0 * alpha + 4.0)
+        + (alpha + 2.0) * math.log1p(-beta)
+        - gammaln(alpha + 2.0)
+        - gammaln(alpha + 4.0)
+        - (2.0 * alpha + 4.0) * math.log(2.0 - beta)
+    )
+    arg = (1.0 - beta * (1.0 - z)) / (2.0 - beta)
+    return math.exp(logc) * gauss_2f1(3.0, 2.0 * alpha + 4.0, alpha + 4.0, arg)
+
+
+_N4_TUPLES = {"a": (5, 5, 4), "b": (7, 6, 6), "c": (6, 4, 5), "d": (6, 7, 5)}
+
+
+def _pdf_zn_closed_n4(alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
+    """Closed n = 4 largest-overlap density, evaluated in extended precision.
+
+    The bracketed combinations cancel many leading digits, so the whole
+    assembly runs in long double before the final cast.
+    """
+    ld = np.longdouble
+    zl = z.astype(ld)
+    beta_l = ld(beta)
+    one = ld(1.0)
+    omz = one - zl
+    dz = one - beta_l * omz  # 1 - beta (1 - z)
+
+    f2_scalar_cache: dict = {}
+
+    def f2t(a_int: int, b: int, c: int, xval):
+        # F2(a, 3, 3, alpha+b, alpha+c; x, x)
+        if np.ndim(xval) == 0:
+            key = (a_int, b, c, float(xval))
+            if key not in f2_scalar_cache:
+                val = _f2_iterated_vec(
+                    ld(a_int), ld(3), ld(3), ld(alpha + b), ld(alpha + c),
+                    np.asarray(xval, dtype=ld), np.asarray(xval, dtype=ld), dtype=ld,
+                )
+                f2_scalar_cache[key] = val
+            return f2_scalar_cache[key]
+        return _f2_iterated_vec(
+            ld(a_int), ld(3), ld(3), ld(alpha + b), ld(alpha + c), xval, xval, dtype=ld
+        )
+
+    def beta3(q: int) -> np.longdouble:
+        return ld(2.0) / (ld(q) * ld(q + 1) * ld(q + 2))
+
+    x_zdep = one / (ld(3.0) - beta_l * zl)
+    x_fixed = one / (ld(4.0) - beta_l)
+
+    def g_term(n_idx: int, b: int, c: int):
+        bb = beta3(alpha + b - 3) * beta3(alpha + c - 3)
+        lead = ld(math.factorial(alpha + n_idx)) * dz ** ld(-(alpha + n_idx + 1))
+        a1 = 3 * alpha + 13 - n_idx
+        t1 = ld(math.factorial(a1 - 1)) * x_zdep ** ld(a1) * f2t(a1, b, c, x_zdep)
+        t2 = np.zeros_like(zl)
+        for k in range(alpha + n_idx + 1):
+            coef = ld(math.factorial(a1 - 1 + k)) / ld(math.factorial(k))
+            t2 = t2 + coef * x_fixed ** ld(a1 + k) * dz ** ld(k) * f2t(a1 + k, b, c, x_fixed)
+        return bb * lead * (t1 - t2)
+
+    total = np.zeros_like(zl)
+    ta, tb = _N4_TUPLES["a"], _N4_TUPLES["b"]
+    tc, td = _N4_TUPLES["c"], _N4_TUPLES["d"]
+    for k in range(3):
+        total = total + (
+            g_term(k, ta[k], tb[k])
+            - g_term(k, tc[k], td[k])
+            - 2.0 * g_term(k + 1, ta[k], tb[k])
+            + 2.0 * g_term(k + 1, tc[k], td[k])
+            + g_term(k + 2, ta[k], tb[k])
+            - g_term(k + 2, tc[k], td[k])
+        )
+    # The last denominator factorial is (alpha+3)!, not the printed
+    # (alpha+4)!: the (alpha+4)! variant integrates to 1/(alpha+4), while
+    # this constant normalizes the density to 1 and matches the generic
+    # double-integral route pointwise.
+    logc = (
+        (alpha + 4.0) * math.log1p(-beta)
+        - math.log(2.0)
+        - gammaln(alpha + 1.0)
+        - gammaln(alpha + 2.0)
+        - gammaln(alpha + 3.0)
+        - gammaln(alpha + 4.0)
+        - 2.0 * math.log(beta)
+    )
+    return (np.exp(ld(logc)) * total).astype(np.float64)
 
 
 def check_zn_convexity_n2(model: SpikedModel) -> bool:

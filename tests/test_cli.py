@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from spiked_eigvec import cli
+from spiked_eigvec import cli, numkit
 from spiked_eigvec import spike_density as sd
 from spiked_eigvec.cli import main
 
@@ -202,13 +202,42 @@ def test_unknown_figure():
 
 
 def test_exit_code_numerical_failure(monkeypatch):
-    from spiked_eigvec import specfun
-
     def boom(*args, **kwargs):
-        raise specfun.NoConvergence("synthetic non-convergence")
+        raise sd.NoConvergence("synthetic non-convergence")
 
     monkeypatch.setattr(sd, "density_values", boom)
     assert main("pdf --stat zn --n 5 --m 7 --theta 3".split()) == 3
+
+
+def test_exit_code_basis_breakdown(capsys):
+    # At theta = 1e15 the zn orthogonal basis breaks down: exit 3 with one
+    # "numerical error" line and no RuntimeWarning.
+    assert main("pdf --stat zn --n 5 --m 6 --theta 1e15".split()) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("numerical error:")
+
+
+@pytest.mark.parametrize(
+    "stat,n,m,theta,variant",
+    [("zn", 2, 5, 300.0, "complex"), ("zn", 2, 5, 1e4, "complex"),
+     ("w1_real", 2, 3, 1000.0, "real"), ("w2_real", 2, 3, 1000.0, "real")],
+)
+def test_pdf_n2_large_theta_tables(stat, n, m, theta, variant, tmp_path):
+    # Large theta puts the n = 2 mass within O(1/theta) of an end.  The table
+    # is the library density, which integrates to 1 on a graded grid (in s
+    # with z = sin^2 s for the arcsine-type real statistics).
+    out = tmp_path / "p.csv"
+    argv = ["pdf", "--stat", stat, "--n", str(n), "--m", str(m), "--theta", repr(theta),
+            "--out", str(out)]
+    assert main(argv) == 0
+    _, data = _read_csv(out)
+    model = sd.SpikedModel(n, m, theta, variant)
+    assert np.array_equal(data[:, 1], sd.density_values(stat, model, data[:, 0]))
+    tq, wq = numkit.unit_grid(12, grade_left=16, grade_right=16)
+    zq = tq
+    if sd.STATISTICS[stat].arcsine:  # s = (pi/2) t, dz = sin(2s) ds
+        zq, wq = np.sin(0.5 * np.pi * tq) ** 2, 0.5 * np.pi * wq * np.sin(np.pi * tq)
+    assert float(np.dot(wq, sd.density_values(stat, model, zq))) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_figure_fig1(tmp_path):

@@ -96,7 +96,8 @@ def test_pdf_zn_n2_reflection(alpha, theta):
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
-@pytest.mark.parametrize("n,alpha,theta", [(3, 2, 3.0), (4, 1, 3.0), (2, 2, 1.0)])
+@pytest.mark.parametrize("n,alpha,theta", [(3, 2, 3.0), (4, 1, 3.0), (2, 2, 1.0), (4, 0, 0.1),
+                                           (4, 2, 10.0)])
 def test_pdf_zn_closed_vs_generic(n, alpha, theta):
     model = sd.SpikedModel(n, n + alpha, theta)
     closed = oracles.pdf_zn_closed(model, ZGRID)
@@ -145,6 +146,16 @@ def test_pdf_zn_normalization_large_theta():
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [0, 2, 4])
+def test_pdf_zn_n4_normalization_small_theta(alpha):
+    # theta = 1e-6 is close to the theta = 0 pole of the n >= 3 formula; the
+    # n = 4 moment series must still carry the full mass.
+    model = sd.SpikedModel(4, 4 + alpha, 1e-6)
+    zq, wq = numkit.unit_grid(12, grade_left=16, grade_right=16)
+    total = float(np.dot(wq, sd.pdf_zn(model, zq)))
+    assert total == pytest.approx(1.0, abs=1e-6)
+
+
 SHAPE_MODELS = {
     "z1": sd.SpikedModel(4, 6, 1.0),
     "z2": sd.SpikedModel(3, 4, 3.0),
@@ -183,10 +194,10 @@ def test_zn_series_matches_loop(n, m, theta, tol, preset):
 
 
 def test_zn_unbounded_series_raises():
-    # At theta = 1e15 the orthogonal basis breaks down (non-finite norms), so
-    # the kernel cannot bound the moment series: an error, not a zero density.
+    # At theta = 1e15 the orthogonal basis breaks down (a norm is zero or not
+    # finite): an error, not a zero density, and no RuntimeWarning on the way.
     sd._zn_prepare.cache_clear()
-    with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError):
         sd.pdf_zn(sd.SpikedModel(5, 6, 1e15), np.linspace(0.05, 0.95, 7), preset="fast")
 
 

@@ -33,6 +33,32 @@ def test_w1_normalization(m, theta):
     assert _norm_real(model) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("m", [3, 60, 200])
+@pytest.mark.parametrize("theta", [1.0, 1e6])
+def test_w1_matches_mpmath(m, theta):
+    # The incomplete-beta form against the printed 2F1 form in 50 digits, up
+    # to 1e-12 from each end; below 1e-300 the exact density underflows.
+    import mpmath
+
+    zs = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3], np.linspace(0.05, 0.95, 7),
+                         [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]])
+
+    def exact(z):
+        mm, th, z = mpmath.mpf(m), mpmath.mpf(theta), mpmath.mpf(z)
+        beta = th / (1 + th)
+        u = (1 - beta * z) / (1 - beta * (1 - z))
+        h1 = mpmath.hyp2f1(mm, (mm - 1) / 2, (mm + 1) / 2, -u)
+        h2 = mpmath.hyp2f1(mm, (mm + 1) / 2, (mm + 3) / 2, -u)
+        pref = 2 ** (mm - 1) * (mm - 1) / (mpmath.pi * (1 + th) ** (mm / 2))
+        return float(pref / mpmath.sqrt(z * (1 - z)) * (1 - beta * (1 - z)) ** (-mm)
+                     * (h1 / (mm - 1) - h2 / (mm + 1)))
+
+    with mpmath.workdps(50):
+        ref = np.array([exact(z) for z in zs])
+    got = vd.pdf_w1_real(sd.SpikedModel(2, m, theta, "real"), zs)
+    assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-300)
+
+
 def test_w2_is_reflection():
     model = sd.SpikedModel(2, 4, 1.0, "real")
     assert np.array_equal(vd.pdf_w2_real(model, Z), vd.pdf_w1_real(model, 1.0 - Z))

@@ -14,7 +14,9 @@ the one series here with a term budget (NoConvergence).  For n >= 4 the inner
 integral is a power series in 1 - z built once per model
 (`numkit.halfline_series`), so a z grid costs one matrix product.  Its length
 follows the t weight, not theta (20 terms at theta = 0.1, 134 at 1e4), and a
-model whose series cannot be bounded raises ArithmeticError.
+model whose series cannot be bounded raises ArithmeticError.  The
+second-smallest density applies the Cauchy kernel of its z-dependent column
+once per model, which leaves one exponential sum in z.
 Laguerre values and log-gamma come from scipy.special, determinants from
 numpy.linalg.
 
@@ -300,8 +302,10 @@ def _pdf_z1_series(n: int, alpha: int, beta: float, z: np.ndarray) -> np.ndarray
     for i in range(alpha, -1, -1):
         gr = math.exp(gammaln(n + alpha + 1.0) - gammaln(n + i - 1.0))
         acc = acc * ratio + gr * t_coef[i]
-    log_base = shift + (n + alpha) * math.log1p(-beta)
-    return math.exp(log_base) * omz ** (n - 2) * denom ** (-(n + 1.0)) * acc
+    # (1-beta)^(n+alpha) denom^-(n+1) as (1-beta)^(alpha-1) ((1-beta)/denom)^(n+1):
+    # denom >= 1 - beta, so the power stays <= 1 where 1 - beta is tiny.
+    log_base = shift + (alpha - 1.0) * math.log1p(-beta)
+    return math.exp(log_base) * omz ** (n - 2) * ((1.0 - beta) / denom) ** (n + 1.0) * acc
 
 
 def _pdf_n2_sum(alpha: int, beta: float, denom: np.ndarray) -> np.ndarray:
@@ -511,8 +515,8 @@ def _f2_iterated_vec(a, b1, b2, c1, c2, x, y, dtype=np.float64):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _z2_prepare(model: SpikedModel, preset: str):
+def _z2_basis(model: SpikedModel, preset: str) -> dict:
+    """The (x, y) and w grid arrays of the z2 engine."""
     p = _PRESETS[preset]
     n, alpha, beta = model.n, model.alpha, model.beta
     lam_x = n - 1.0 - beta
@@ -561,33 +565,32 @@ def _z2_prepare(model: SpikedModel, preset: str):
     sv = base * xu ** (3.0 + alpha) * yu**2 * r_ratio * vdet * np.exp(-beta * u)
     su = base * xu**3 * yu**2 * (1.0 - yu) ** (-float(alpha))
     logpref = (2.0 - n) * math.log(beta) + (n + alpha) * math.log1p(-beta)
-    sign = 1.0 if n % 2 == 0 else -1.0
-    pref = sign * math.exp(logpref)
-
+    pref = (1.0 if n % 2 == 0 else -1.0) * math.exp(logpref)
     return dict(u=u, w=w, gvec=gvec, cof=cof, sv=sv, su=su, pref=pref, beta=beta)
 
 
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
+def _z2_prepare(model: SpikedModel, preset: str):
+    """(lam, c, pref) of the density pref * sum_k c_k e^{lam_k z}: e^{-beta w z}
+    is the phi column's only z dependence, so its Cauchy kernel is summed once,
+    h[w] = sum_i gvec[w, i] sum_u su[u] cof[u, i] / (w + u); lam = beta u with
+    c = sv, and lam = -beta w with c = -h."""
+    b = _z2_basis(model, preset)
+    u, w, beta = b["u"], b["w"], b["beta"]
+    scof, kern = b["su"][:, None] * b["cof"], np.zeros(b["gvec"].shape)
+    for lo in range(0, u.size, 4096):  # one (Nw, 4096) kernel slab at a time
+        recip = np.add.outer(w, u[lo : lo + 4096])
+        kern += np.reciprocal(recip, out=recip) @ scof[lo : lo + 4096]
+    h = np.sum(b["gvec"] * kern, axis=1)
+    return np.concatenate([beta * u, -beta * w]), np.concatenate([b["sv"], -h]), b["pref"]
+
+
 def _pdf_z2_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
-    prep = _z2_prepare(model, preset)
-    u, w, gvec = prep["u"], prep["w"], prep["gvec"]
-    cof, sv, su = prep["cof"], prep["sv"], prep["su"]
-    pref, beta = prep["pref"], prep["beta"]
-    du = gvec.shape[1]
+    lam, c, pref = _z2_prepare(model, preset)
     out = np.empty(zs.size)
-    z_chunk = 128
-    u_block = 8192
-    for lo in range(0, zs.size, z_chunk):
-        zc = zs[lo : lo + z_chunk]
-        emat = np.exp(-beta * np.outer(w, zc))  # (Nw, nz)
-        gz = (gvec[:, :, None] * emat[:, None, :]).reshape(w.size, -1)
-        acc = pref * (sv @ np.exp(beta * np.outer(u, zc)))
-        for ulo in range(0, u.size, u_block):
-            usl = slice(ulo, min(ulo + u_block, u.size))
-            bmat = 1.0 / (w[None, :] + u[usl, None])
-            phi = (bmat @ gz).reshape(usl.stop - usl.start, du, zc.size)
-            u_part = np.einsum("uiz,ui->uz", phi, cof[usl])
-            acc -= pref * (su[usl] @ u_part)
-        out[lo : lo + z_chunk] = acc
+    for lo in range(0, zs.size, 64):  # one (Nu + Nw, 64) exponential slab at a time
+        expo = np.outer(lam, zs[lo : lo + 64])
+        out[lo : lo + 64] = pref * (c @ np.exp(expo, out=expo))
     return out
 
 
@@ -596,9 +599,9 @@ def pdf_z2(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
     """Density of the second-smallest-eigenvalue overlap |v^H u_2|^2.
 
     Defined for the complex variant with n >= 3 and theta > 0 (the formula
-    carries a beta^(2-n) pole).  Evaluated as a double integral whose
-    determinant integrand is expanded along its z-dependent column, with the
-    Cauchy-kernel column integrals shared across the z grid.
+    carries a beta^(2-n) pole).  A double integral whose determinant is expanded
+    along its z-dependent column; that column's Cauchy kernel is summed once
+    per model, which leaves one exponential sum in z (`_z2_prepare`).
     """
     return _pdf_z2_grid(model, z, preset)
 

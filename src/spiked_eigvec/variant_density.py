@@ -29,6 +29,32 @@ from .spike_density import (
 )
 
 
+def _pdf_w_real(model: SpikedModel, z: np.ndarray, omz: np.ndarray) -> np.ndarray:
+    """pdf_w1_real at z, given 1 - z as omz: whichever of the pair lies near 0
+    keeps its relative precision."""
+    if np.any(z <= 0) or np.any(omz <= 0):
+        raise DomainError("real overlap density needs z strictly inside (0, 1)")
+    m, theta = model.m, model.theta
+    b1, b2 = (m - 1.0) / 2.0, (m + 1.0) / 2.0
+    log_near = np.log1p(theta * z)  # log((1+theta) (1 - beta (1 - z)))
+    log_far = np.log1p(theta * omz)  # log((1+theta) (1 - beta z))
+    log_u = log_far - log_near
+    y = np.exp(log_far - math.log(2.0 + theta))
+    i1, i2 = betainc(b1, b2, y), betainc(b2, b1, y)
+    log_common = (
+        (m - 2.0) * math.log(2.0) + math.log(m - 1.0) - math.log(math.pi) + betaln(b1, b2)
+        + 0.5 * m * math.log1p(theta) - m * log_near - 0.5 * np.log(z) - 0.5 * np.log(omz)
+    )
+    # I underflows to 0 only where the density is below the double range.
+    with np.errstate(divide="ignore"):
+        log_h1 = log_common - b1 * log_u + np.log(i1)
+        log_ratio = np.log(i2 / np.maximum(i1, np.finfo(float).tiny)) - log_u
+    # h1/(m-1) - h2/(m+1) = e^log_h1 (1 - e^log_ratio), as B(b2, b1) = B(b1, b2).
+    # The ratio leaves out log_common, so its rounding stays out of the
+    # cancelling difference.
+    return np.exp(log_h1) * -np.expm1(log_ratio)
+
+
 @_pdf_boundary(_real_support)
 def pdf_w1_real(model: SpikedModel, z) -> float | np.ndarray:
     """Smallest-overlap density for the real spiked case with n = 2.
@@ -42,33 +68,20 @@ def pdf_w1_real(model: SpikedModel, z) -> float | np.ndarray:
     1 - beta (1 - z) written in theta so that neither rounds near the ends of
     the support.
     """
-    if np.any(z <= 0) or np.any(z >= 1):
-        raise DomainError("real overlap density needs z strictly inside (0, 1)")
-    m, theta = model.m, model.theta
-    b1, b2 = (m - 1.0) / 2.0, (m + 1.0) / 2.0
-    log_near = np.log1p(theta * z)  # log((1+theta) (1 - beta (1 - z)))
-    log_far = np.log1p(theta * (1.0 - z))  # log((1+theta) (1 - beta z))
-    log_u = log_far - log_near
-    y = np.exp(log_far - math.log(2.0 + theta))
-    i1, i2 = betainc(b1, b2, y), betainc(b2, b1, y)
-    log_common = (
-        (m - 2.0) * math.log(2.0) + math.log(m - 1.0) - math.log(math.pi) + betaln(b1, b2)
-        + 0.5 * m * math.log1p(theta) - m * log_near - 0.5 * np.log(z) - 0.5 * np.log1p(-z)
-    )
-    # I underflows to 0 only where the density is below the double range.
-    with np.errstate(divide="ignore"):
-        log_h1 = log_common - b1 * log_u + np.log(i1)
-        log_ratio = np.log(i2 / np.maximum(i1, np.finfo(float).tiny)) - log_u
-    # h1/(m-1) - h2/(m+1) = e^log_h1 (1 - e^log_ratio), as B(b2, b1) = B(b1, b2).
-    # The ratio leaves out log_common, so its rounding stays out of the
-    # cancelling difference.
-    return np.exp(log_h1) * -np.expm1(log_ratio)
+    return _pdf_w_real(model, z, 1.0 - z)
 
 
+@_pdf_boundary(_real_support)
 def pdf_w2_real(model: SpikedModel, z) -> float | np.ndarray:
-    """Largest-overlap density for the real n = 2 case: the z -> 1-z mirror."""
-    z = np.asarray(z, dtype=float)
-    return pdf_w1_real(model, 1.0 - z)
+    """Largest-overlap density for the real n = 2 case: the z -> 1-z mirror.
+
+    For z >= 1/32 this is pdf_w1_real at the rounded mirror point 1 - z, bit
+    for bit: its complement 1 - (1 - z) is exact and within 2^-49 of z,
+    relatively.  Below, that rounding grows relative to z (1 - z rounds to 1
+    for z < 2^-54), so the body gets z itself as the complement.
+    """
+    mirror = 1.0 - z
+    return _pdf_w_real(model, mirror, np.where(z < 0.03125, z, 1.0 - mirror))
 
 
 @_pdf_boundary(_y1_support)

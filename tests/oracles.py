@@ -5,9 +5,9 @@ Gauss-Legendre integrators and a log-scaled determinant, scalar special
 functions (Gauss 2F1, Laguerre, 1F1, U, Appell F2, Bessel I), the closed
 alpha in {0, 1} smallest-overlap forms, the closed n = 2, 3, 4 largest-overlap
 forms, the Hankel moment stacks of the largest-overlap integrand, the nested
-adaptive quadrature of that double integral, the per-z loops of the zn and yn_sing grid engines, the
-quadrature c.d.f., and the Mehta determinant identity and Bessel-determinant
-normalization checks.
+adaptive quadrature of that double integral, the per-z loops of the zn,
+yn_sing and z2 grid engines, the quadrature c.d.f., and the Mehta determinant
+identity and Bessel-determinant normalization checks.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from spiked_eigvec.spike_density import (
     _pdf_z1_series,
     _pdf_zn_closed_n3,
     _statistic,
+    _z2_basis,
     _zn_basis,
     _zn_support,
     cdf_nz1_asymptotic,
@@ -651,6 +652,36 @@ def pdf_yn_loop(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
         logterm = base + beta * x * z + mshift
         top = np.max(logterm)
         out[i] = float(np.dot(bracket, np.exp(logterm - top))) * math.exp(top)
+    return out
+
+
+def pdf_z2_loop(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
+    """The z2 engine's double integral summed chunk by chunk on its own grids.
+
+    The engine applies the Cauchy kernel once per model and evaluates one
+    exponential sum; this loop rebuilds the phi column integrals for every
+    z chunk and contracts them with the cofactors there.
+    """
+    prep = _z2_basis(model, preset)
+    u, w, gvec = prep["u"], prep["w"], prep["gvec"]
+    cof, sv, su = prep["cof"], prep["sv"], prep["su"]
+    pref, beta = prep["pref"], prep["beta"]
+    du = gvec.shape[1]
+    out = np.empty(zs.size)
+    z_chunk = 128
+    u_block = 8192
+    for lo in range(0, zs.size, z_chunk):
+        zc = zs[lo : lo + z_chunk]
+        emat = np.exp(-beta * np.outer(w, zc))  # (Nw, nz)
+        gz = (gvec[:, :, None] * emat[:, None, :]).reshape(w.size, -1)
+        acc = pref * (sv @ np.exp(beta * np.outer(u, zc)))
+        for ulo in range(0, u.size, u_block):
+            usl = slice(ulo, min(ulo + u_block, u.size))
+            bmat = 1.0 / (w[None, :] + u[usl, None])
+            phi = (bmat @ gz).reshape(usl.stop - usl.start, du, zc.size)
+            u_part = np.einsum("uiz,ui->uz", phi, cof[usl])
+            acc -= pref * (su[usl] @ u_part)
+        out[lo : lo + z_chunk] = acc
     return out
 
 

@@ -217,6 +217,25 @@ def test_exit_code_basis_breakdown(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("numerical error:")
 
 
+def test_pdf_w2_real_tiny_z(tmp_path):
+    # 1 - 1e-17 rounds to 1; the mirror must still see a z inside (0, 1).
+    out = tmp_path / "p.csv"
+    argv = "pdf --stat w2_real --n 2 --m 5 --theta 1 --z-min 1e-17 --z-max 0.5 --grid-points 3"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    _, data = _read_csv(out)
+    assert data[0, 0] == 1e-17 and np.all(np.isfinite(data[:, 1])) and np.all(data[:, 1] > 0)
+
+
+def test_pdf_z1_huge_theta_at_zero(tmp_path):
+    # At theta = 1e12, 1 - beta ~ 1e-12: its -(n+1)-th power alone overflows
+    # for n >= 25, so the density forms the bounded ratio (1-beta)/denom.
+    out = tmp_path / "p.csv"
+    argv = "pdf --stat z1 --n 25 --m 25 --theta 1e12 --z-min 0 --grid-points 11"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    _, data = _read_csv(out)
+    assert data[0, 0] == 0.0 and np.all(np.isfinite(data[:, 1])) and data[0, 1] > 0
+
+
 @pytest.mark.parametrize(
     "stat,n,m,theta,variant",
     [("zn", 2, 5, 300.0, "complex"), ("zn", 2, 5, 1e4, "complex"),

@@ -1,0 +1,35 @@
+"""Property tests over drawn inputs (hypothesis, deterministic profile)."""
+
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from spiked_eigvec import spike_density as sd, variant_density as vd
+
+Z2_MODEL = sd.SpikedModel(3, 4, 3.0)
+unit_z = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@lru_cache(maxsize=1)
+def _z2_peak() -> float:
+    return float(np.max(sd.pdf_z2(Z2_MODEL, np.linspace(0.0, 1.0, 1001), preset="fast")))
+
+
+@settings(max_examples=50)
+@given(arrays(float, st.integers(1, 40), elements=unit_z))
+def test_z2_array_equals_pointwise(zs):
+    # The exponential sum runs z chunk by z chunk; no point may depend on
+    # which others share its call.
+    whole = sd.pdf_z2(Z2_MODEL, zs, preset="fast")
+    alone = np.array([sd.pdf_z2(Z2_MODEL, z, preset="fast") for z in zs])
+    assert np.max(np.abs(whole - alone)) <= 1e-14 * _z2_peak()
+
+
+@given(st.floats(0.5, 1.0, exclude_max=True), st.sampled_from([3, 5, 30]),
+       st.sampled_from([0.0, 1.0, 1e3]))
+def test_w2_real_mirrors_w1(z, m, theta):
+    # For z in [0.5, 1), 1 - z is exact, so the mirror is bit for bit.
+    model = sd.SpikedModel(2, m, theta, "real")
+    assert vd.pdf_w2_real(model, z) == vd.pdf_w1_real(model, 1.0 - z)

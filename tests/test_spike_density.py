@@ -209,6 +209,29 @@ def test_zn_series_chunks_do_not_interact():
     assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(whole)
 
 
+@pytest.mark.parametrize("preset", ["fast", "fine"])
+@pytest.mark.parametrize(
+    "n,m,theta,tol",
+    [(3, 4, 3.0, 1e-13), (5, 8, 10.0, 1e-13), (4, 5, 1e4, 1e-13),
+     # Small theta: the beta^(2-n) prefactor amplifies the rounding of the
+     # cancelling sv and h terms (the two routes sum them in different orders).
+     (7, 9, 0.1, 1e-9), (8, 12, 0.1, 1e-9)],
+)
+def test_z2_sum_matches_loop(n, m, theta, tol, preset):
+    model = sd.SpikedModel(n, m, theta)
+    zs = np.concatenate([np.linspace(0.0, 0.95, 20), 1.0 - np.geomspace(1e-6, 0.04, 12)])
+    loop = oracles.pdf_z2_loop(model, zs, preset)
+    assert np.max(np.abs(sd._pdf_z2_grid(model, zs, preset) - loop)) <= tol * np.max(loop)
+
+
+def test_z2_chunks_do_not_interact():
+    model = sd.SpikedModel(5, 6, 3.0)
+    zs = np.linspace(0.0, 1.0, 1001)
+    whole = sd._pdf_z2_grid(model, zs, "fast")
+    pieces = np.concatenate([sd._pdf_z2_grid(model, zs[i : i + 7], "fast") for i in range(0, zs.size, 7)])
+    assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(whole)
+
+
 def test_clip_density_rejects_non_finite():
     with pytest.raises(ArithmeticError):
         sd._clip_density(np.array([1.0, math.nan, 0.5]))
@@ -253,10 +276,11 @@ def test_cdf_monotone_grid():
 
 
 @pytest.mark.parametrize("stat,n,m,theta", [("z1", 10, 15, 3.0), ("z1", 40, 42, 1.0),
-                                            ("zn", 3, 5, 3.0)])
+                                            ("zn", 3, 5, 3.0), ("w2_real", 2, 5, 1.0)])
 def test_model_cdf_matches_quadrature_oracle(stat, n, m, theta):
     # Z1 sits within O(1/n) of 0: the graded mesh must resolve both ends.
-    model = sd.SpikedModel(n, m, theta)
+    # The oracle's arcsine substitution reaches z below the rounding of 1 - z.
+    model = sd.SpikedModel(n, m, theta, sd.STATISTICS[stat].variant)
     zs = np.array([0.002, 0.01, 0.04, 0.1, 0.3, 0.7, 0.95, 0.999])
     ref = [oracles.cdf(stat, model, z) for z in zs]
     assert np.max(np.abs(sd.model_cdf_fn(stat, model)(zs) - ref)) < 1e-4

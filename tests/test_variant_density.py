@@ -33,6 +33,20 @@ def test_w1_normalization(m, theta):
     assert _norm_real(model) == pytest.approx(1.0, abs=1e-6)
 
 
+def _w1_exact(m, theta, z):
+    """The printed 2F1 form of w1_real at an mpmath z, as a float."""
+    import mpmath
+
+    mm, th = mpmath.mpf(m), mpmath.mpf(theta)
+    beta = th / (1 + th)
+    u = (1 - beta * z) / (1 - beta * (1 - z))
+    h1 = mpmath.hyp2f1(mm, (mm - 1) / 2, (mm + 1) / 2, -u)
+    h2 = mpmath.hyp2f1(mm, (mm + 1) / 2, (mm + 3) / 2, -u)
+    pref = 2 ** (mm - 1) * (mm - 1) / (mpmath.pi * (1 + th) ** (mm / 2))
+    return float(pref / mpmath.sqrt(z * (1 - z)) * (1 - beta * (1 - z)) ** (-mm)
+                 * (h1 / (mm - 1) - h2 / (mm + 1)))
+
+
 @pytest.mark.parametrize("m", [3, 60, 200])
 @pytest.mark.parametrize("theta", [1.0, 1e6])
 def test_w1_matches_mpmath(m, theta):
@@ -42,21 +56,22 @@ def test_w1_matches_mpmath(m, theta):
 
     zs = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3], np.linspace(0.05, 0.95, 7),
                          [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]])
-
-    def exact(z):
-        mm, th, z = mpmath.mpf(m), mpmath.mpf(theta), mpmath.mpf(z)
-        beta = th / (1 + th)
-        u = (1 - beta * z) / (1 - beta * (1 - z))
-        h1 = mpmath.hyp2f1(mm, (mm - 1) / 2, (mm + 1) / 2, -u)
-        h2 = mpmath.hyp2f1(mm, (mm + 1) / 2, (mm + 3) / 2, -u)
-        pref = 2 ** (mm - 1) * (mm - 1) / (mpmath.pi * (1 + th) ** (mm / 2))
-        return float(pref / mpmath.sqrt(z * (1 - z)) * (1 - beta * (1 - z)) ** (-mm)
-                     * (h1 / (mm - 1) - h2 / (mm + 1)))
-
     with mpmath.workdps(50):
-        ref = np.array([exact(z) for z in zs])
+        ref = np.array([_w1_exact(m, theta, mpmath.mpf(z)) for z in zs])
     got = vd.pdf_w1_real(sd.SpikedModel(2, m, theta, "real"), zs)
     assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-300)
+
+
+@pytest.mark.parametrize("theta", [1.0, 1e3])
+def test_w2_matches_mpmath_near_zero(theta):
+    # w2 at z is w1 at 1 - z taken exactly; 1 - z rounds to 1 below 1.1e-16.
+    import mpmath
+
+    zs = np.array([1e-17, 1e-12, 1e-9, 1e-6, 1e-3, 0.02, 0.04])
+    with mpmath.workdps(50):
+        ref = np.array([_w1_exact(5, theta, 1 - mpmath.mpf(z)) for z in zs])
+    got = vd.pdf_w2_real(sd.SpikedModel(2, 5, theta, "real"), zs)
+    assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
 
 def test_w2_is_reflection():

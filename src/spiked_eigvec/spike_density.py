@@ -4,19 +4,20 @@ The statistics are the squared projections of the unit spike direction onto
 ordered sample eigenvectors: the smallest-eigenvalue overlap (z1), the
 second-smallest (z2), and the largest (zn), plus the scaled limit of n*z1.
 
-The smallest-overlap density has a closed finite-sum form whose nested sums
-are collapsed, once per (n, m, theta), into cofactor coefficients of the
-z-dependent first determinant column.  The largest and second-smallest
-densities are double integrals with determinant integrands on fixed geometric
-panel grids.  At n = 2 the largest-overlap density is the smallest-overlap
-finite sum reflected (z -> 1 - z); at n = 3 it is the closed Appell-F2 form,
-the one series here with a term budget (NoConvergence).  For n >= 4 the inner
-integral is a power series in 1 - z built once per model
-(`numkit.halfline_series`), so a z grid costs one matrix product.  Its length
-follows the t weight, not theta (20 terms at theta = 0.1, 134 at 1e4), and a
-model whose series cannot be bounded raises ArithmeticError.  The
-second-smallest density applies the Cauchy kernel of its z-dependent column
-once per model, which leaves one exponential sum in z.
+The smallest-overlap density has a closed finite-sum form whose nested sum
+is integrated by Andreief/Gauss-Laguerre, once per (n, m, theta), into
+cofactor coefficients of the z-dependent first determinant column; that route
+is validated for n <= 60, m - n <= 10 and raises ArithmeticError beyond.
+The largest and second-smallest densities are double integrals with
+determinant integrands on fixed geometric panel grids.  At n = 2 the largest
+overlap is the smallest-overlap finite sum reflected (z -> 1 - z); at n = 3
+it is the closed Appell-F2 form, the one series here with a term budget
+(NoConvergence).  For n >= 4 the inner integral is a power series in 1 - z
+built once per model (`numkit.halfline_series`), so a z grid costs one matrix
+product.  Its length follows the t weight, not theta (20 terms at
+theta = 0.1, 134 at 1e4), and a model whose series cannot be bounded raises
+ArithmeticError.  The second-smallest density applies the Cauchy kernel of
+its z-dependent column once per model, which leaves one exponential sum in z.
 Laguerre values and log-gamma come from scipy.special, determinants from
 numpy.linalg.
 
@@ -35,7 +36,7 @@ from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import comb, eval_genlaguerre, gammaln, roots_genlaguerre
 
 from . import numkit
 
@@ -256,44 +257,46 @@ STATISTICS = {
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _min_overlap_coeffs(n: int, alpha: int, beta: float):
-    """Collapse the nested finite sums of the smallest-overlap density.
+# Per-model engine precomputations kept by each prepare function.
+ENGINE_CACHE_SIZE = 12
+# The (n, m - n) range on which the smallest-overlap determinant route is
+# validated against an mpmath oracle; pdf_z1 raises ArithmeticError beyond it.
+Z1_MAX_N, Z1_MAX_ALPHA = 60, 10
 
-    Expanding each determinant along its z-dependent first column turns the
-    alpha-fold sum over (k_1..k_alpha) into alpha+1 coefficients T_i; the
-    density is then a short polynomial-in-ratio combination per z.  Returns
-    (T, log_shift) with the common log scale factored out.
+
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
+def _min_overlap_coeffs(n: int, alpha: int, beta: float):
+    """The smallest-overlap coefficients T_i by Andreief/Gauss-Laguerre.
+
+    With Gamma(p) c^-p = int x^(p-1) e^{-cx} dx, c = n - beta, the alpha-fold
+    sum over (k_1..k_alpha) moves inside the determinant (Andreief's
+    identity): T_i = int x^alpha e^{-cx} det M_{-i}(x) dx.  Differenced in i,
+    the rows of M form the Toeplitz matrix G[k, a] = [t^(n+k-a)] (1+t)^n e^{xt},
+    a = 2..alpha+1, and det M_{-i} is a scaled sum_{k>=i} C(k, i) det G_{-k}:
+    positive polynomials of degree <= D = sum_j (n+alpha-j-1), which D//2 + 2
+    Gauss-Laguerre nodes integrate exactly.  Returns (T, log_shift).
     """
     if alpha == 0:
         return np.array([1.0 / (n - beta)]), 0.0
-    bounds = [n + alpha - j - 1 for j in range(1, alpha + 1)]
-    grids = np.meshgrid(*[np.arange(b + 1) for b in bounds], indexing="ij")
-    ks = np.stack([g.ravel() for g in grids], axis=1)  # (K, alpha)
-    ksum = ks.sum(axis=1)
-
-    logw = gammaln(alpha + ksum + 1.0) - (alpha + ksum + 1.0) * math.log(n - beta)
-    for j in range(1, alpha + 1):
-        kj = ks[:, j - 1]
-        logw += gammaln(n + alpha - j) - gammaln(j + kj + 2.0) - gammaln(kj + 1.0)
-    shift = float(np.max(logw))
-    w = np.exp(logw - shift)
-
-    # a_{i,j}(k_j) = 1/Gamma(n+i-j-k_j), exactly zero at nonpositive arguments.
-    i_idx = np.arange(alpha + 1)[None, :, None]
-    j_idx = np.arange(1, alpha + 1)[None, None, :]
-    arg = n + i_idx - j_idx - ks[:, None, :]
-    a = np.where(arg > 0, np.exp(-gammaln(np.maximum(arg, 1))), 0.0)
-
-    t_coef = np.empty(alpha + 1)
-    for i in range(alpha + 1):
-        minors = np.linalg.det(np.delete(a, i, axis=1))
-        t_coef[i] = float(np.dot(w, minors))
-    return t_coef, shift
+    if n > Z1_MAX_N or alpha > Z1_MAX_ALPHA:
+        raise ArithmeticError(f"z1 with m > n is validated for n <= {Z1_MAX_N} and "
+                              f"m - n <= {Z1_MAX_ALPHA} only")
+    c, idx = n - beta, np.arange(alpha + 1)
+    y, wy = roots_genlaguerre((alpha * (n + alpha - 1) - alpha * (alpha + 1) // 2) // 2 + 2, alpha)
+    # g_s(y/c) = sum_e C(n, n+s-e) (y/c)^e / e!, s = -alpha-1..alpha-2, by Horner on
+    # correctly rounded coefficients: the minors amplify any rounding of their entries.
+    g = np.zeros((y.size, 2 * alpha))
+    for e in range(n + alpha - 2, -1, -1):
+        g = g * (y / c)[:, None] + [math.comb(n, n + s - e) / math.factorial(e) if e <= n + s
+                                    else 0.0 for s in range(-alpha - 1, alpha - 1)]
+    keep = [[r for r in idx if r != i] for i in idx]
+    u = wy @ np.linalg.det(g[:, idx[:, None] - idx[:alpha] + alpha - 1][:, keep, :])
+    t = np.exp(gammaln(n + idx + 1.0) - gammaln(n + alpha + 1.0)) * (comb(idx, idx[:, None]) @ u)
+    return t, math.lgamma(n) - math.lgamma(n + alpha) - (alpha + 1) * math.log(c)
 
 
 def _pdf_z1_series(n: int, alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
-    """Nested-finite-sum route for the smallest-overlap density, n >= 3."""
+    """Andreief-coefficient route for the smallest-overlap density, n >= 3."""
     t_coef, shift = _min_overlap_coeffs(n, alpha, beta)
     omz = 1.0 - z
     denom = 1.0 - beta * omz
@@ -329,7 +332,7 @@ def _pdf_n2_sum(alpha: int, beta: float, denom: np.ndarray) -> np.ndarray:
 def pdf_z1(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the smallest-eigenvalue overlap |v^H u_1|^2.
 
-    Dispatches to the n = 2 finite sum or the general nested-sum route;
+    Dispatches to the n = 2 finite sum or the general Andreief route;
     theta = 0 reduces to the Haar density (n-1)(1-z)^(n-2).
     """
     n, alpha, beta = model.n, model.alpha, model.beta
@@ -370,9 +373,6 @@ _PRESETS = {
     "fast": dict(x_nodes=32, t_nodes=24, w_nodes=16, y_nodes=12, z2_x_nodes=48),
     "fine": dict(x_nodes=64, t_nodes=40, w_nodes=24, y_nodes=24, z2_x_nodes=48),
 }
-
-# Per-model engine precomputations kept by each prepare function.
-ENGINE_CACHE_SIZE = 12
 
 
 def _max_overlap_log_prefactor(n: int, alpha: int, beta: float) -> float:

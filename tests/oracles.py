@@ -2,16 +2,19 @@
 
 None of this runs in the library or the CLI.  It holds the adaptive
 Gauss-Legendre integrators and a log-scaled determinant, scalar special
-functions (Gauss 2F1, Laguerre, 1F1, U, Appell F2, Bessel I), the closed
-alpha in {0, 1} smallest-overlap forms, the closed n = 2, 3, 4 largest-overlap
-forms, the Hankel moment stacks of the largest-overlap integrand, the nested
-adaptive quadrature of that double integral, the per-z loops of the zn,
-yn_sing and z2 grid engines, the quadrature c.d.f., and the Mehta determinant
-identity and Bessel-determinant normalization checks.
+functions (Gauss 2F1, Laguerre, 1F1, U, Appell F2, Bessel I), the
+smallest-overlap coefficients by k-tuple enumeration and by mpmath
+determinants, the closed alpha in {0, 1} smallest-overlap forms, the closed
+n = 2, 3, 4 largest-overlap forms, the Hankel moment stacks of the
+largest-overlap integrand, the nested adaptive quadrature of that double
+integral, the per-z loops of the zn, yn_sing and z2 grid engines, the
+quadrature c.d.f., and the Mehta determinant identity and Bessel-determinant
+normalization checks.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -75,6 +78,7 @@ class QuadratureSpec:
     tail_epsilon: float = 1e-12
     max_panels: int = 64
     panel_growth: float = 1.5
+    panel_budget: int = 1024
 
     def __post_init__(self):
         if self.unit_nodes < 8:
@@ -85,6 +89,8 @@ class QuadratureSpec:
             raise ValueError("max_panels must be positive")
         if self.panel_growth <= 1.0:
             raise ValueError("panel_growth must exceed 1")
+        if self.panel_budget < 1:
+            raise ValueError("panel_budget must be positive")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -119,36 +125,43 @@ def _panel_value(f, a, b, n):
 
 
 def _adaptive_interval(f, a: float, b: float, spec: QuadratureSpec) -> float:
-    """Adaptive bisection on [a, b] with a refinement-depth budget."""
-    coarse = _panel_value(f, a, b, spec.unit_nodes)
-    fine = _panel_value(f, a, b, 2 * spec.unit_nodes)
-    # (value, error, left, right, depth)
-    panels = [(fine, abs(fine - coarse), a, b, 0)]
-    total = fine
-    for _ in range(200_000):
+    """Adaptive bisection on [a, b] with a depth and a panel budget.
+
+    The panel with the largest error estimate splits first (a heap keyed on
+    error), and the value and error totals are kept running, so a step costs
+    two panel rules plus O(log panels) bookkeeping.
+    """
+
+    def panel(lo, hi, depth):
+        coarse = _panel_value(f, lo, hi, spec.unit_nodes)
+        fine = _panel_value(f, lo, hi, 2 * spec.unit_nodes)
+        return (-abs(fine - coarse), lo, hi, depth, fine)
+
+    heap = [panel(a, b, 0)]
+    total, err = heap[0][4], -heap[0][0]
+    while True:
         scale = max(abs(total), 1e-300)
-        err = sum(p[1] for p in panels)
         if err <= spec.tail_epsilon * scale:
-            return total
-        worst = max(range(len(panels)), key=lambda i: panels[i][1])
-        val, perr, lo, hi, depth = panels.pop(worst)
+            return math.fsum(p[4] for p in heap)
+        if len(heap) >= spec.panel_budget:
+            raise QuadratureFailure(f"no convergence within {spec.panel_budget} panels")
+        neg_err, lo, hi, depth, val = heapq.heappop(heap)
         if depth >= spec.max_panels:
-            if perr <= 10 * spec.tail_epsilon * scale:
+            if -neg_err <= 10 * spec.tail_epsilon * scale:
                 # Deepest panel stalled within an order of the target;
                 # remaining panels may still converge.
-                panels.append((val, 0.0, lo, hi, depth))
-                total = sum(p[0] for p in panels)
+                heapq.heappush(heap, (0.0, lo, hi, depth, val))
+                err = max(err + neg_err, 0.0)
                 continue
             raise QuadratureFailure(
                 f"panel [{lo:g},{hi:g}] did not converge at depth {depth}"
             )
         mid = 0.5 * (lo + hi)
-        for aa, bb in ((lo, mid), (mid, hi)):
-            c = _panel_value(f, aa, bb, spec.unit_nodes)
-            fn = _panel_value(f, aa, bb, 2 * spec.unit_nodes)
-            panels.append((fn, abs(fn - c), aa, bb, depth + 1))
-        total = sum(p[0] for p in panels)
-    raise QuadratureFailure("adaptive refinement did not terminate")
+        halves = (panel(lo, mid, depth + 1), panel(mid, hi, depth + 1))
+        for h in halves:
+            heapq.heappush(heap, h)
+        total += halves[0][4] + halves[1][4] - val
+        err = max(err + neg_err - halves[0][0] - halves[1][0], 0.0)
 
 
 def integrate_unit(f, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -521,6 +534,73 @@ def hankel_entry_stacks(shift: int, d: int, x: np.ndarray) -> np.ndarray:
         for j in range(1, d + 1):
             out[:, i - 1, j - 1] = moments[i + j]
     return out
+
+
+def min_overlap_coeffs_enumerated(n: int, alpha: int, beta: float):
+    """The smallest-overlap coefficients (T, log_shift) by enumeration.
+
+    Every one of the prod_j (n+alpha-j) k-tuples of the alpha-fold finite sum
+    takes an alpha x alpha determinant; the library integrates the same sum
+    by Andreief's identity (`spike_density._min_overlap_coeffs`).
+    """
+    if alpha == 0:
+        return np.array([1.0 / (n - beta)]), 0.0
+    bounds = [n + alpha - j - 1 for j in range(1, alpha + 1)]
+    grids = np.meshgrid(*[np.arange(b + 1) for b in bounds], indexing="ij")
+    ks = np.stack([g.ravel() for g in grids], axis=1)  # (K, alpha)
+    ksum = ks.sum(axis=1)
+
+    logw = gammaln(alpha + ksum + 1.0) - (alpha + ksum + 1.0) * math.log(n - beta)
+    for j in range(1, alpha + 1):
+        kj = ks[:, j - 1]
+        logw += gammaln(n + alpha - j) - gammaln(j + kj + 2.0) - gammaln(kj + 1.0)
+    shift = float(np.max(logw))
+    w = np.exp(logw - shift)
+
+    # a_{i,j}(k_j) = 1/Gamma(n+i-j-k_j), exactly zero at nonpositive arguments.
+    i_idx = np.arange(alpha + 1)[None, :, None]
+    j_idx = np.arange(1, alpha + 1)[None, None, :]
+    arg = n + i_idx - j_idx - ks[:, None, :]
+    a = np.where(arg > 0, np.exp(-gammaln(np.maximum(arg, 1))), 0.0)
+
+    t_coef = np.empty(alpha + 1)
+    for i in range(alpha + 1):
+        minors = np.linalg.det(np.delete(a, i, axis=1))
+        t_coef[i] = float(np.dot(w, minors))
+    return t_coef, shift
+
+
+def min_overlap_coeffs_mpmath(n: int, alpha: int, beta: float, log_shift: float, dps: int = 50):
+    """The smallest-overlap coefficients times e^-log_shift, with mpmath
+    entries and determinants at the float64 Gauss-Laguerre nodes.
+
+    T_i = c^-(alpha+1) sum_q w_q det M_{-i}(y_q / c), c = n - beta, where
+    M[i, j](x) = Gamma(n+alpha-j) sum_k x^k / (Gamma(j+k+2) k! Gamma(n+i-j-k))
+    is the undifferenced k-sum matrix.  Its minors have condition numbers
+    up to ~1e28 in the tested range, hence the working precision.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        c = mpmath.mpf(n) - mpmath.mpf(beta)
+        deg = alpha * (n + alpha - 1) - alpha * (alpha + 1) // 2
+        y, wy = roots_genlaguerre(deg // 2 + 2, alpha)
+        fac = mpmath.factorial
+        coef = [
+            [
+                [fac(n + alpha - j - 1) / (fac(j + k + 1) * fac(k) * fac(n + i - j - k - 1))
+                 for k in range(n + i - j)][::-1]
+                for j in range(1, alpha + 1)
+            ]
+            for i in range(alpha + 1)
+        ]
+        t = [mpmath.mpf(0)] * (alpha + 1)
+        for yq, wq in zip(y, wy):
+            m = [[mpmath.polyval(col, mpmath.mpf(yq) / c) for col in row] for row in coef]
+            for i in range(alpha + 1):
+                t[i] += mpmath.mpf(wq) * mpmath.det(mpmath.matrix(m[:i] + m[i + 1:]))
+        scale = mpmath.exp(-mpmath.mpf(log_shift)) / c ** (alpha + 1)
+        return np.array([float(ti * scale) for ti in t])
 
 
 def _pdf_z1_fast(n: int, alpha: int, beta: float, z: np.ndarray) -> np.ndarray:

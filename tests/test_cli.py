@@ -236,6 +236,25 @@ def test_pdf_z1_huge_theta_at_zero(tmp_path):
     assert data[0, 0] == 0.0 and np.all(np.isfinite(data[:, 1])) and data[0, 1] > 0
 
 
+def test_pdf_z1_alpha8_table(tmp_path):
+    # The k-tuple enumeration would take about 3e9 tuples here; the
+    # Andreief route takes one Gauss-Laguerre rule.
+    out = tmp_path / "p.csv"
+    assert main("pdf --stat z1 --n 12 --m 20 --theta 3 --out".split() + [str(out)]) == 0
+    _, data = _read_csv(out)
+    expected = sd.pdf_z1(sd.SpikedModel(12, 20, 3.0), data[:, 0])
+    assert data[:, 1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_pdf_z1_outside_validated_range_exits_3(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    argv = f"pdf --stat z1 --n 5 --m {6 + sd.Z1_MAX_ALPHA} --theta 3 --out".split()
+    assert main(argv + [str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert len(captured.err.splitlines()) == 1 and "validated for" in captured.err
+
+
 @pytest.mark.parametrize(
     "stat,n,m,theta,variant",
     [("zn", 2, 5, 300.0, "complex"), ("zn", 2, 5, 1e4, "complex"),

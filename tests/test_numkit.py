@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ def test_quadrature_spec_validation():
         oracles.QuadratureSpec(unit_nodes=4)
     with pytest.raises(ValueError):
         oracles.QuadratureSpec(tail_epsilon=0.0)
+    with pytest.raises(ValueError):
+        oracles.QuadratureSpec(panel_budget=0)
+
+
+def test_integrate_unit_fails_fast_on_rounding_noise():
+    # Noise of 1e-9 at every panel width, as in a density limited by
+    # rounding: no refinement reaches the 1e-12 target, and the panel budget
+    # stops it within seconds rather than minutes.
+    start = time.perf_counter()
+    with pytest.raises(oracles.QuadratureFailure):
+        oracles.integrate_unit(lambda t: 1.0 + 1e-9 * np.sin(1e15 * t))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_ks_single_sample():

@@ -6,10 +6,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spiked_eigvec import spike_density as sd, variant_density as vd
+from spiked_eigvec import numkit, spike_density as sd, variant_density as vd
 
 Z2_MODEL = sd.SpikedModel(3, 4, 3.0)
 unit_z = st.floats(0.0, 1.0, allow_nan=False)
+# Graded toward both ends: at large theta the z1 mass sits within O(1/theta) of 0.
+MASS_Z, MASS_W = numkit.unit_grid(12, grade_left=16, grade_right=16)
 
 
 @lru_cache(maxsize=1)
@@ -33,3 +35,11 @@ def test_w2_real_mirrors_w1(z, m, theta):
     # For z in [0.5, 1), 1 - z is exact, so the mirror is bit for bit.
     model = sd.SpikedModel(2, m, theta, "real")
     assert vd.pdf_w2_real(model, z) == vd.pdf_w1_real(model, 1.0 - z)
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 12), st.integers(0, 6), st.floats(0.01, 100.0))
+def test_z1_is_a_density(n, alpha, theta):
+    vals = sd.pdf_z1(sd.SpikedModel(n, n + alpha, theta), MASS_Z)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    assert abs(float(MASS_W @ vals) - 1.0) <= 1e-6

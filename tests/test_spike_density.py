@@ -67,6 +67,51 @@ def test_pdf_z1_series_haar_limit(n, alpha):
     assert np.max(np.abs(vals / haar - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("theta", [0.1, 3.0, 1e4])
+def test_min_overlap_coeffs_match_enumeration(theta):
+    # The Andreief/Gauss-Laguerre integral against the k-tuple sum it replaced.
+    beta = theta / (1.0 + theta)
+    for n in range(3, 11):
+        for alpha in range(5):
+            t, shift = sd._min_overlap_coeffs(n, alpha, beta)
+            ref, ref_shift = oracles.min_overlap_coeffs_enumerated(n, alpha, beta)
+            err = np.max(np.abs(t * math.exp(shift - ref_shift) - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), (n, alpha)
+
+
+# Corners and edges of the validated range n <= Z1_MAX_N = 60,
+# m - n <= Z1_MAX_ALPHA = 10.  A sweep of every alpha at 14 values of n read
+# at most 7.5e-9 of max T; the worst cell seen is (60, 10) at theta = 1, 2.2e-8.
+@pytest.mark.parametrize("n,alpha,theta", [(3, 10, 100.0), (12, 8, 0.1), (20, 10, 3.0),
+                                           (60, 3, 1e4), (60, 10, 1.0)])
+def test_min_overlap_coeffs_match_mpmath(n, alpha, theta):
+    beta = theta / (1.0 + theta)
+    t, shift = sd._min_overlap_coeffs(n, alpha, beta)
+    ref = oracles.min_overlap_coeffs_mpmath(n, alpha, beta, shift)
+    assert np.max(np.abs(t - ref)) <= 1e-7 * np.max(ref)
+
+
+def test_pdf_z1_normalizes_over_validated_range():
+    zq, wq = numkit.unit_grid(12, grade_left=16, grade_right=16)
+    for n in (3, 5, 12, 20, 40, sd.Z1_MAX_N):
+        for alpha in range(1, sd.Z1_MAX_ALPHA + 1):
+            for theta in (0.1, 3.0, 100.0):
+                mass = float(wq @ sd.pdf_z1(sd.SpikedModel(n, n + alpha, theta), zq))
+                assert abs(mass - 1.0) <= 1e-6, (n, alpha, theta, mass)
+
+
+@pytest.mark.parametrize("n,m", [(sd.Z1_MAX_N + 1, sd.Z1_MAX_N + 2), (3, 4 + sd.Z1_MAX_ALPHA)])
+def test_pdf_z1_refuses_outside_validated_range(n, m):
+    with pytest.raises(ArithmeticError, match="validated for"):
+        sd.pdf_z1(sd.SpikedModel(n, m, 1.0), 0.5)
+
+
+def test_pdf_z1_closed_cells_have_no_range_limit():
+    # m = n and n = 2 take no determinant.
+    for model in (sd.SpikedModel(80, 80, 3.0), sd.SpikedModel(2, 40, 3.0)):
+        assert np.all(np.isfinite(sd.pdf_z1(model, ZGRID)))
+
+
 def test_asymptotic_pdf_cdf():
     assert sd.pdf_nz1_asymptotic(0.0, 0.0) == pytest.approx(1.0)
     v = np.array([0.3, 1.0, 2.5])

@@ -7,7 +7,7 @@ second-smallest (z2), and the largest (zn), plus the scaled limit of n*z1.
 The smallest-overlap density has a closed finite-sum form whose nested sum
 is integrated by Andreief/Gauss-Laguerre, once per (n, m, theta), into
 cofactor coefficients of the z-dependent first determinant column; that route
-is validated for n <= 60, m - n <= 10 and raises ArithmeticError beyond.
+is validated for m - n <= 10 and <= 360 nodes, and raises ArithmeticError beyond.
 The largest and second-smallest densities are double integrals with
 determinant integrands on fixed geometric panel grids.  At n = 2 the largest
 overlap is the smallest-overlap finite sum reflected (z -> 1 - z); at n = 3
@@ -259,9 +259,9 @@ STATISTICS = {
 
 # Per-model engine precomputations kept by each prepare function.
 ENGINE_CACHE_SIZE = 12
-# The (n, m - n) range on which the smallest-overlap determinant route is
-# validated against an mpmath oracle; pdf_z1 raises ArithmeticError beyond it.
-Z1_MAX_N, Z1_MAX_ALPHA = 60, 10
+# The smallest-overlap route's range validated on an mpmath oracle: m - n and
+# the Gauss-Laguerre node count (scipy's weights overflow from 363 nodes on).
+Z1_MAX_ALPHA, Z1_MAX_NODES = 10, 360
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
@@ -278,11 +278,11 @@ def _min_overlap_coeffs(n: int, alpha: int, beta: float):
     """
     if alpha == 0:
         return np.array([1.0 / (n - beta)]), 0.0
-    if n > Z1_MAX_N or alpha > Z1_MAX_ALPHA:
-        raise ArithmeticError(f"z1 with m > n is validated for n <= {Z1_MAX_N} and "
-                              f"m - n <= {Z1_MAX_ALPHA} only")
+    nodes = alpha * (2 * n + alpha - 3) // 4 + 2
+    if alpha > Z1_MAX_ALPHA or nodes > Z1_MAX_NODES:  # (m - n)(n + m - 3) <= 1434
+        raise ArithmeticError(f"z1 is validated for m - n <= {Z1_MAX_ALPHA}, {Z1_MAX_NODES} nodes")
     c, idx = n - beta, np.arange(alpha + 1)
-    y, wy = roots_genlaguerre((alpha * (n + alpha - 1) - alpha * (alpha + 1) // 2) // 2 + 2, alpha)
+    y, wy = roots_genlaguerre(nodes, alpha)
     # g_s(y/c) = sum_e C(n, n+s-e) (y/c)^e / e!, s = -alpha-1..alpha-2, by Horner on
     # correctly rounded coefficients: the minors amplify any rounding of their entries.
     g = np.zeros((y.size, 2 * alpha))

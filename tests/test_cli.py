@@ -236,19 +236,22 @@ def test_pdf_z1_huge_theta_at_zero(tmp_path):
     assert data[0, 0] == 0.0 and np.all(np.isfinite(data[:, 1])) and data[0, 1] > 0
 
 
-def test_pdf_z1_alpha8_table(tmp_path):
-    # The k-tuple enumeration would take about 3e9 tuples here; the
-    # Andreief route takes one Gauss-Laguerre rule.
+@pytest.mark.parametrize("n,m", [(12, 20), (500, 501)])
+def test_pdf_z1_table(n, m, tmp_path):
+    # The k-tuple enumeration would take about 3e9 tuples at (12, 20); the
+    # Andreief route takes one Gauss-Laguerre rule, 251 nodes at (500, 501).
     out = tmp_path / "p.csv"
-    assert main("pdf --stat z1 --n 12 --m 20 --theta 3 --out".split() + [str(out)]) == 0
+    assert main(f"pdf --stat z1 --n {n} --m {m} --theta 3 --out".split() + [str(out)]) == 0
     _, data = _read_csv(out)
-    expected = sd.pdf_z1(sd.SpikedModel(12, 20, 3.0), data[:, 0])
+    expected = sd.pdf_z1(sd.SpikedModel(n, m, 3.0), data[:, 0])
     assert data[:, 1] == pytest.approx(expected, rel=1e-12)
 
 
-def test_pdf_z1_outside_validated_range_exits_3(tmp_path, capsys):
+# Past the alpha limit, and past the node limit at m - n = 2.
+@pytest.mark.parametrize("n,m", [(5, 6 + sd.Z1_MAX_ALPHA), (400, 402)])
+def test_pdf_z1_outside_validated_range_exits_3(n, m, tmp_path, capsys):
     out = tmp_path / "p.csv"
-    argv = f"pdf --stat z1 --n 5 --m {6 + sd.Z1_MAX_ALPHA} --theta 3 --out".split()
+    argv = f"pdf --stat z1 --n {n} --m {m} --theta 3 --out".split()
     assert main(argv + [str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()

@@ -79,11 +79,15 @@ def test_min_overlap_coeffs_match_enumeration(theta):
             assert err <= 1e-12 * np.max(np.abs(ref)), (n, alpha)
 
 
-# Corners and edges of the validated range n <= Z1_MAX_N = 60,
-# m - n <= Z1_MAX_ALPHA = 10.  A sweep of every alpha at 14 values of n read
-# at most 7.5e-9 of max T; the worst cell seen is (60, 10) at theta = 1, 2.2e-8.
-@pytest.mark.parametrize("n,alpha,theta", [(3, 10, 100.0), (12, 8, 0.1), (20, 10, 3.0),
-                                           (60, 3, 1e4), (60, 10, 1.0)])
+# Corners and edges of the validated range m - n <= Z1_MAX_ALPHA = 10 and
+# at most Z1_MAX_NODES = 360 Gauss-Laguerre nodes, which reaches n = 718 at
+# m - n = 1 and n = 68 at m - n = 10.  A sweep of every alpha <= 10 at 14
+# values of n <= 60 and at the node limit, theta in {0.01, 1, 1e4}, read at
+# most 2.5e-8 of max T, at (68, 10, 1e4), and 2e-10 for alpha <= 8.
+@pytest.mark.parametrize("n,alpha,theta", [
+    (3, 10, 100.0), (12, 8, 0.1), (20, 10, 3.0), (60, 3, 1e4), (100, 3, 0.1), (200, 1, 1e4),
+    (718, 1, 1.0), pytest.param(68, 10, 1e4, marks=pytest.mark.slow),  # ~35 s
+])
 def test_min_overlap_coeffs_match_mpmath(n, alpha, theta):
     beta = theta / (1.0 + theta)
     t, shift = sd._min_overlap_coeffs(n, alpha, beta)
@@ -91,19 +95,33 @@ def test_min_overlap_coeffs_match_mpmath(n, alpha, theta):
     assert np.max(np.abs(t - ref)) <= 1e-7 * np.max(ref)
 
 
+def _largest_validated_n(alpha):
+    # The largest n whose (n, n + alpha) model takes at most Z1_MAX_NODES
+    # Gauss-Laguerre nodes, D//2 + 2 for the minors' degree D.
+    return max(n for n in range(3, 2000)
+               if alpha * (2 * n + alpha - 3) // 4 + 2 <= sd.Z1_MAX_NODES)
+
+
 def test_pdf_z1_normalizes_over_validated_range():
     zq, wq = numkit.unit_grid(12, grade_left=16, grade_right=16)
-    for n in (3, 5, 12, 20, 40, sd.Z1_MAX_N):
-        for alpha in range(1, sd.Z1_MAX_ALPHA + 1):
+    for alpha in range(1, sd.Z1_MAX_ALPHA + 1):
+        for n in (3, 5, 12, 20, 40, 60, _largest_validated_n(alpha)):
             for theta in (0.1, 3.0, 100.0):
                 mass = float(wq @ sd.pdf_z1(sd.SpikedModel(n, n + alpha, theta), zq))
                 assert abs(mass - 1.0) <= 1e-6, (n, alpha, theta, mass)
 
 
-@pytest.mark.parametrize("n,m", [(sd.Z1_MAX_N + 1, sd.Z1_MAX_N + 2), (3, 4 + sd.Z1_MAX_ALPHA)])
-def test_pdf_z1_refuses_outside_validated_range(n, m):
+@pytest.mark.parametrize("alpha", [1, 2, 10])
+def test_pdf_z1_refuses_past_the_node_limit(alpha):
+    n = _largest_validated_n(alpha)
+    assert np.isfinite(sd.pdf_z1(sd.SpikedModel(n, n + alpha, 1.0), 0.5))
     with pytest.raises(ArithmeticError, match="validated for"):
-        sd.pdf_z1(sd.SpikedModel(n, m, 1.0), 0.5)
+        sd.pdf_z1(sd.SpikedModel(n + 1, n + 1 + alpha, 1.0), 0.5)
+
+
+def test_pdf_z1_refuses_past_the_alpha_limit():
+    with pytest.raises(ArithmeticError, match="validated for"):
+        sd.pdf_z1(sd.SpikedModel(3, 4 + sd.Z1_MAX_ALPHA, 1.0), 0.5)
 
 
 def test_pdf_z1_closed_cells_have_no_range_limit():

@@ -33,12 +33,10 @@ from .variant_density import (  # noqa: F401
     pdf_yn_singular,
 )
 from .montecarlo import (  # noqa: F401
-    EigenSystem,
     EigensolverFailure,
     InvalidCount,
     SampleBatch,
     SpikeVector,
-    eigh,
     make_spike,
     sample_wishart,
 )

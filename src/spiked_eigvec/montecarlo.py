@@ -1,5 +1,11 @@
 """Ground-truth sampler for spiked Wishart eigenvector projections.
 
+Draws come from the Dumitriu-Edelman tridiagonal model: n * m exponential
+(complex) or squared normal (real) variates per draw, two batched eigenvalue
+solves per chunk and no eigenvectors (see `_chunk_projections`).  The law of
+the projections does not depend on the spike direction, which is validated
+for shape, unit norm and realness only.
+
 Each draw owns a counter-based Philox substream keyed by (seed, draw index),
 so a batch is bitwise reproducible no matter how it is chunked or how many
 worker threads execute the chunks.  Chunks are a fixed size independent of
@@ -33,14 +39,6 @@ class SpikeVector:
     """Unit-norm spike direction."""
 
     entries: np.ndarray
-
-
-@dataclass(eq=False)
-class EigenSystem:
-    """Ascending eigenvalues with aligned orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass(eq=False)
@@ -85,64 +83,81 @@ def make_spike(n: int, seed: int = 0, style: str = "first_basis", real: bool = F
     return SpikeVector(entries=v)
 
 
-def eigh(w) -> EigenSystem:
-    """Eigen-decomposition of a Hermitian (or real symmetric) matrix.
-
-    Eigenvalues are returned ascending with matching eigenvector columns;
-    the phase of each eigenvector is arbitrary, which is fine because all the
-    projection statistics are phase invariant.
-    """
-    w = np.asarray(w)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("eigh requires a square matrix")
-    scale = np.linalg.norm(w)
-    if scale > 0 and np.linalg.norm(w - w.conj().T) > 1e-12 * scale:
-        raise ValueError("matrix is not Hermitian to the required tolerance")
-    try:
-        vals, vecs = np.linalg.eigh(w)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-    return EigenSystem(eigenvalues=vals, eigenvectors=vecs)
-
-
 def _chunk_projections(model: SpikedModel, v: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
     """Projection rows |v^H u_l|^2 for draws [start, stop).
 
     Returns an array of shape (stop - start, rank) where rank = n for the
     complex/real variants and m for the singular variant, ordered by
-    ascending (positive) eigenvalue.
+    ascending (positive) eigenvalue.  The law of these rows does not depend
+    on the unit spike v, so every draw is taken with v = e1 and v itself is
+    not read.
+
+    With v = e1, Householder reflections that fix e1 reduce the Gaussian
+    factor to a lower bidiagonal B and commute with D = diag(sqrt(1+theta),
+    1, ..., 1), so the overlaps are those of the real tridiagonal
+    T = D B B^T D.  B[i, i]^2 ~ Gamma(m - i) and B[i + 1, i]^2 ~
+    Gamma(n - 1 - i) for complex draws (chi^2 with those degrees of freedom
+    for real ones), each drawn as a sum of that many exponentials (squared
+    normals).  The first eigenvector components then follow from the
+    eigenvalues lam of T and mu of T without its first row and column:
+    u1(lam_k)^2 = prod_j (lam_k - mu_j) / prod_{j != k} (lam_k - lam_j).
+    Interlacing pairs mu_j with lam_j below lam_k and with lam_{j+1} above
+    it, so each paired ratio lies in (0, 1) and the product cannot overflow.
     """
     n, m = model.n, model.m
     count = stop - start
+    size = min(n, m + 1)
+    if size == 1:
+        return np.ones((count, 1))
     real = model.variant == "real"
-    scale = math.sqrt(1.0 + model.theta) - 1.0
+    # B is n x m lower bidiagonal with nonzero rows 0..size-1; the shapes of
+    # B[i, i]^2 and B[i + 1, i]^2 add up to n * m, one per Gaussian entry.
+    ndiag = min(n, m)
+    shapes = np.concatenate([np.arange(m, m - ndiag, -1), np.arange(n - 1, n - size, -1)])
+    offsets = np.cumsum(shapes) - shapes
     # One Philox substream per draw, keyed (seed, draw index).  Re-keying a
     # single bit generator through its state dict reproduces exactly the
     # stream of a freshly constructed Philox with that key, at half the cost.
     bit_gen = np.random.Philox(key=[seed & (2**64 - 1), 0])
     rng = np.random.Generator(bit_gen)
     state = bit_gen.state
-    g = np.empty((count, n, m), dtype=np.float64 if real else np.complex128)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    draw = rng.standard_normal if real else rng.standard_exponential
+    units = np.empty((count, n * m))
     for k in range(count):
         state["state"]["key"][1] = (start + k) & (2**64 - 1)
         state["state"]["counter"][:] = 0
         state["buffer_pos"] = 4
         bit_gen.state = state
-        gg = rng.standard_normal((1 if real else 2, n, m))
-        g[k] = gg[0] if real else (gg[0] + 1j * gg[1]) * inv_sqrt2
+        draw(out=units[k])
+    if real:
+        np.square(units, out=units)
+    squares = np.add.reduceat(units, offsets, axis=1)
+    d2, s2 = squares[:, :ndiag], squares[:, ndiag:]
 
-    # Sigma^{1/2} G = G + (sqrt(1+theta)-1) v (v^H G): exact rank-one update.
-    vh_g = np.einsum("i,kij->kj", v.conj(), g)
-    x = g + scale * v[None, :, None] * vh_g[:, None, :]
-    w = np.einsum("kij,klj->kil", x, x.conj())
+    # T = D B B^T D: diagonal d2[i] + s2[i - 1], subdiagonal sqrt(s2[i] d2[i]).
+    idx = np.arange(size)
+    t = np.zeros((count, size, size))
+    t[:, idx[:ndiag], idx[:ndiag]] = d2
+    t[:, idx[1:], idx[1:]] += s2
+    sub = np.sqrt(d2[:, :size - 1] * s2)
+    t[:, idx[1:], idx[:-1]] = sub
+    t[:, idx[:-1], idx[1:]] = sub
+    spike_scale = math.sqrt(1.0 + model.theta)
+    t[:, 0, :] *= spike_scale
+    t[:, :, 0] *= spike_scale
     try:
-        _, vecs = np.linalg.eigh(w)
+        lam = np.linalg.eigvalsh(t)
+        mu = np.linalg.eigvalsh(t[:, 1:, 1:])
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
-    proj = np.abs(np.einsum("i,kij->kj", v.conj(), vecs)) ** 2
+    j = np.arange(size - 1)
+    partner = j[None, :] + (j[None, :] >= idx[:, None])
+    ratio = np.abs(lam[:, :, None] - mu[:, None, :]) / np.abs(lam[:, :, None] - lam[:, partner])
+    # Rounding can break the interlacing of nearly equal lam_j and mu_j.
+    proj = np.minimum(np.prod(ratio, axis=2), 1.0)
     if model.variant == "singular":
-        proj = proj[:, n - m:]
+        # T has rank m; its zero eigenvalue comes first.
+        proj = proj[:, 1:]
     return proj
 
 
@@ -154,10 +169,13 @@ def sample_wishart(
     statistics: tuple[str, ...] | None = None,
     workers: int | None = None,
 ) -> dict[str, SampleBatch]:
-    """Draw spiked Wishart matrices and emit projection samples per statistic.
+    """Draw spiked Wishart overlaps and emit projection samples per statistic.
 
-    The same (model, spike, seed, count) reproduces identical values bit for
-    bit, including across different worker counts.
+    Each draw runs the tridiagonal model of `_chunk_projections` on its own
+    Philox substream keyed (seed, draw index).  The values do not depend on
+    the spike direction; `spike` is checked for shape, unit norm and
+    realness only.  The same (model, seed, count) reproduces identical values
+    bit for bit, including across different worker counts.
     """
     if count < 1:
         raise InvalidCount("count must be at least 1")

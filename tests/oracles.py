@@ -8,8 +8,9 @@ determinants, the closed alpha in {0, 1} smallest-overlap forms, the closed
 n = 2, 3, 4 largest-overlap forms, the Hankel moment stacks of the
 largest-overlap integrand, the nested adaptive quadrature of that double
 integral, the per-z loops of the zn, yn_sing and z2 grid engines, the
-quadrature c.d.f., and the Mehta determinant identity and Bessel-determinant
-normalization checks.
+quadrature c.d.f., the Mehta determinant identity and Bessel-determinant
+normalization checks, and the dense Wishart sampler with its Hermitian
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import partial
 import numpy as np
 from scipy.special import eval_genlaguerre, gammainc, gammaln, roots_genlaguerre
 
+from spiked_eigvec.montecarlo import EigensolverFailure
 from spiked_eigvec.numkit import gauss_legendre_panel
 from spiked_eigvec.spike_density import (
     SERIES_MAX_TERMS,
@@ -1007,3 +1009,72 @@ def kalpha_normalization_check(alpha: int) -> float:
         return out
 
     return integrate_halfline(f, decay_rate=0.4)
+
+
+@dataclass(eq=False)
+class EigenSystem:
+    """Ascending eigenvalues with aligned orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def eigh(w) -> EigenSystem:
+    """Eigen-decomposition of a Hermitian (or real symmetric) matrix.
+
+    Eigenvalues are returned ascending with matching eigenvector columns;
+    the phase of each eigenvector is arbitrary, which is fine because all the
+    projection statistics are phase invariant.
+    """
+    w = np.asarray(w)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError("eigh requires a square matrix")
+    scale = np.linalg.norm(w)
+    if scale > 0 and np.linalg.norm(w - w.conj().T) > 1e-12 * scale:
+        raise ValueError("matrix is not Hermitian to the required tolerance")
+    try:
+        vals, vecs = np.linalg.eigh(w)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+    return EigenSystem(eigenvalues=vals, eigenvectors=vecs)
+
+
+def chunk_projections_dense(model: SpikedModel, v: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
+    """Projection rows |v^H u_l|^2 for draws [start, stop), from dense matrices.
+
+    Each draw builds the n x m Gaussian factor G from its own Philox
+    substream keyed (seed, draw index), forms W = Sigma^{1/2} G G^H
+    Sigma^{1/2} with Sigma = I + theta v v^H, and projects v onto every
+    eigenvector of W.  Rows have the layout of `montecarlo._chunk_projections`
+    (rank = n, or m for the singular variant, ascending eigenvalue), and
+    unlike that route they depend on v draw by draw.
+    """
+    n, m = model.n, model.m
+    count = stop - start
+    real = model.variant == "real"
+    scale = math.sqrt(1.0 + model.theta) - 1.0
+    bit_gen = np.random.Philox(key=[seed & (2**64 - 1), 0])
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    g = np.empty((count, n, m), dtype=np.float64 if real else np.complex128)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for k in range(count):
+        state["state"]["key"][1] = (start + k) & (2**64 - 1)
+        state["state"]["counter"][:] = 0
+        state["buffer_pos"] = 4
+        bit_gen.state = state
+        gg = rng.standard_normal((1 if real else 2, n, m))
+        g[k] = gg[0] if real else (gg[0] + 1j * gg[1]) * inv_sqrt2
+
+    # Sigma^{1/2} G = G + (sqrt(1+theta)-1) v (v^H G): exact rank-one update.
+    vh_g = np.einsum("i,kij->kj", v.conj(), g)
+    x = g + scale * v[None, :, None] * vh_g[:, None, :]
+    w = np.einsum("kij,klj->kil", x, x.conj())
+    try:
+        _, vecs = np.linalg.eigh(w)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+    proj = np.abs(np.einsum("i,kij->kj", v.conj(), vecs)) ** 2
+    if model.variant == "singular":
+        proj = proj[:, n - m:]
+    return proj

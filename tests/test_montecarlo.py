@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from spiked_eigvec import montecarlo as mc, numkit, spike_density as sd
+
+import oracles
+
+# Two-sample KS gate of the tridiagonal sampler against the dense oracle:
+# a correct sampler misses it with chance 1e-3 per statistic.
+TWO_SAMPLE_ALPHA = 1e-3
 
 
 def test_make_spike_first_basis():
@@ -22,14 +29,14 @@ def test_make_spike_rejects_unknown_style():
 
 
 def test_eigh_diagonal():
-    es = mc.eigh(np.diag([3.0, 1.0, 2.0]))
+    es = oracles.eigh(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(es.eigenvalues, [1.0, 2.0, 3.0])
     perm = np.abs(es.eigenvectors)
     assert np.allclose(np.sort(perm, axis=0)[-1], 1.0)
 
 
 def test_eigh_identity_degenerate():
-    es = mc.eigh(np.eye(4))
+    es = oracles.eigh(np.eye(4))
     assert np.allclose(es.eigenvalues, 1.0)
     resid = np.eye(4) @ es.eigenvectors - es.eigenvectors
     assert np.linalg.norm(resid) < 1e-9
@@ -39,7 +46,7 @@ def test_eigh_reconstruction():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     w = a @ a.conj().T
-    es = mc.eigh(w)
+    es = oracles.eigh(w)
     rebuilt = es.eigenvectors @ np.diag(es.eigenvalues) @ es.eigenvectors.conj().T
     assert np.linalg.norm(rebuilt - w) < 1e-9 * np.linalg.norm(w)
     gram = es.eigenvectors.conj().T @ es.eigenvectors
@@ -49,7 +56,7 @@ def test_eigh_reconstruction():
 
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        mc.eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        oracles.eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_sample_reproducibility_and_workers():
@@ -124,6 +131,8 @@ def test_haar_z1_beta_law():
 
 def test_spike_invariance_two_sample():
     # Distributions must agree between basis and random spikes (5% two-sample KS).
+    # The tridiagonal route never reads the spike, so this compares two seeds;
+    # the dense oracle carries the invariance check (test_matches_dense_oracle).
     model = sd.SpikedModel(4, 6, 2.0)
     count = 50_000
     a = mc.sample_wishart(model, mc.make_spike(4, 0, "first_basis"), seed=5, count=count)
@@ -151,3 +160,83 @@ def test_real_variant_needs_real_spike():
         mc.sample_wishart(model, mc.make_spike(2, 0), seed=1, count=10)
     ok = mc.sample_wishart(model, mc.make_spike(2, 0, real=True), seed=1, count=10)
     assert set(ok) == {"w1_real", "w2_real"}
+
+
+def _dense_oracle(model, spike, seed, count):
+    return np.concatenate([
+        oracles.chunk_projections_dense(model, spike.entries, seed, a, min(a + mc.CHUNK_SIZE, count))
+        for a in range(0, count, mc.CHUNK_SIZE)
+    ])
+
+
+@pytest.mark.parametrize(
+    "n,m,theta,variant,stats,count,style",
+    [
+        (30, 32, 1.0, "complex", ("z1", "z2", "zn"), 8192, "first_basis"),
+        (4, 6, 3.0, "complex", ("z1", "z2", "zn"), 20_000, "first_basis"),
+        (2, 5, 1.0, "real", ("w1_real", "w2_real"), 20_000, "first_basis"),
+        (4, 3, 0.3, "singular", ("y1_sing", "yn_sing"), 20_000, "first_basis"),
+        (3, 1, 1.0, "singular", ("y1_sing",), 20_000, "first_basis"),
+        # The dense oracle projects a random spike draw by draw: the law of
+        # the overlaps must not depend on the spike direction.
+        (4, 6, 3.0, "complex", ("z1", "z2", "zn"), 20_000, "random"),
+    ],
+)
+def test_matches_dense_oracle(n, m, theta, variant, stats, count, style):
+    model = sd.SpikedModel(n, m, theta, variant)
+    real = variant == "real"
+    fast = mc.sample_wishart(model, mc.make_spike(n, 0, real=real), seed=11, count=count, statistics=stats)
+    dense = _dense_oracle(model, mc.make_spike(n, 29, style, real=real), seed=12, count=count)
+    for stat in stats:
+        p = ks_2samp(fast[stat].values, dense[:, sd.STATISTICS[stat].column]).pvalue
+        assert p >= TWO_SAMPLE_ALPHA, f"{stat} {model}: two-sample KS p = {p:.2e}"
+
+
+@pytest.mark.parametrize("variant", ["complex", "real"])
+def test_one_dimension_is_exactly_one(variant):
+    model = sd.SpikedModel(1, 3, 2.0, variant)
+    batches = mc.sample_wishart(model, mc.make_spike(1, 0, real=variant == "real"), seed=4, count=50)
+    for batch in batches.values():
+        assert np.array_equal(batch.values, np.ones(50))
+
+
+@pytest.mark.parametrize(
+    "n,m,theta,variant",
+    [
+        (30, 32, 1.0, "complex"),
+        (30, 30, 10.0, "complex"),
+        (6, 6, 1e4, "complex"),
+        (3, 5, 0.0, "complex"),
+        (2, 2, 3.0, "real"),
+        (2, 5, 1e4, "real"),
+        (4, 1, 1.0, "singular"),
+        (4, 3, 0.3, "singular"),
+        (5, 4, 1e4, "singular"),
+    ],
+)
+def test_rows_in_unit_interval_and_complete(n, m, theta, variant):
+    model = sd.SpikedModel(n, m, theta, variant)
+    proj = mc._chunk_projections(model, mc.make_spike(n, 0).entries, seed=2, start=0, stop=1000)
+    assert proj.shape == (1000, m if variant == "singular" else n)
+    assert np.all((proj >= 0.0) & (proj <= 1.0))
+    sums = proj.sum(axis=1)
+    if variant == "singular":
+        assert np.all(sums < 1.0)
+    else:
+        assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,m,variant",
+    [(4, 6, "complex"), (2, 5, "real"), (4, 3, "singular"), (3, 1, "singular")],
+)
+def test_bit_identical_across_worker_counts(n, m, variant, monkeypatch):
+    monkeypatch.setenv("SPIKED_EIGVEC_THREADS", "3")  # lift the cap of nproc threads
+    model = sd.SpikedModel(n, m, 1.5, variant)
+    spike = mc.make_spike(n, 0, real=variant == "real")
+    count = 2 * mc.CHUNK_SIZE + 77
+    runs = [mc.sample_wishart(model, spike, seed=8, count=count, workers=w) for w in (1, 2, 3)]
+    for stat, batch in runs[0].items():
+        assert batch.values.shape == (count,)
+        for other in runs[1:]:
+            assert np.array_equal(batch.values, other[stat].values)

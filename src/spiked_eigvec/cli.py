@@ -234,7 +234,7 @@ def cmd_figure(cfg: RunConfig) -> int:
         for label, n, m, theta in curves:
             model = sd.SpikedModel(n, m, theta, sd.STATISTICS[stat].variant)
             labels.append(label)
-            columns.append(sd.density_values(stat, model, zs, preset="fast"))
+            columns.append(sd.density_values(stat, model, zs))
     rows = ["z," + ",".join(labels)]
     for i, z in enumerate(zs):
         rows.append(_fmt(z) + "," + ",".join(_fmt(col[i]) for col in columns))
@@ -332,10 +332,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (sd.UnsupportedModel, sd.DomainError, sd.ThetaZeroSingularity, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and the density errors included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

@@ -213,7 +213,7 @@ class Statistic:
     """Everything the library, sampler and CLI need to know about a statistic.
 
     `column` indexes the sampler's ascending projection row (None: not
-    sampled); `pdf(model, z, preset)` looks its density up through the module
+    sampled); `pdf(model, z)` looks its density up through the module
     at call time; `support(model)` raises when the density is undefined for
     the model; `arcsine` marks inverse-square-root endpoints, which the
     c.d.f. integrates in the sin^2-substituted variable.
@@ -227,27 +227,24 @@ class Statistic:
 
 
 STATISTICS = {
-    "z1": Statistic("complex", 0, lambda mo, z, p: pdf_z1(mo, z), _z1_support),
-    "z2": Statistic("complex", 1, lambda mo, z, p: pdf_z2(mo, z, preset=p), _z2_support),
-    "zn": Statistic("complex", -1, lambda mo, z, p: pdf_zn(mo, z, preset=p), _zn_support),
+    "z1": Statistic("complex", 0, lambda mo, z: pdf_z1(mo, z), _z1_support),
+    "z2": Statistic("complex", 1, lambda mo, z: pdf_z2(mo, z), _z2_support),
+    "zn": Statistic("complex", -1, lambda mo, z: pdf_zn(mo, z), _zn_support),
     # The law of n * z1 needs a model on which z1 is defined.
     "nz1_asym": Statistic(
-        "complex", None, lambda mo, z, p: pdf_nz1_asymptotic(mo.theta, z), _z1_support
+        "complex", None, lambda mo, z: pdf_nz1_asymptotic(mo.theta, z), _z1_support
     ),
     "w1_real": Statistic(
-        "real", 0, lambda mo, z, p: _variant_density().pdf_w1_real(mo, z), _real_support, True
+        "real", 0, lambda mo, z: _variant_density().pdf_w1_real(mo, z), _real_support, True
     ),
     "w2_real": Statistic(
-        "real", -1, lambda mo, z, p: _variant_density().pdf_w2_real(mo, z), _real_support, True
+        "real", -1, lambda mo, z: _variant_density().pdf_w2_real(mo, z), _real_support, True
     ),
     "y1_sing": Statistic(
-        "singular", 0, lambda mo, z, p: _variant_density().pdf_y1_singular(mo, z), _y1_support
+        "singular", 0, lambda mo, z: _variant_density().pdf_y1_singular(mo, z), _y1_support
     ),
     "yn_sing": Statistic(
-        "singular",
-        -1,
-        lambda mo, z, p: _variant_density().pdf_yn_singular(mo, z, preset=p),
-        _yn_support,
+        "singular", -1, lambda mo, z: _variant_density().pdf_yn_singular(mo, z), _yn_support
     ),
 }
 
@@ -369,10 +366,10 @@ def cdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
 # Largest-eigenvalue overlap
 # ---------------------------------------------------------------------------
 
-_PRESETS = {
-    "fast": dict(x_nodes=32, t_nodes=24, w_nodes=16, y_nodes=12, z2_x_nodes=48),
-    "fine": dict(x_nodes=64, t_nodes=40, w_nodes=24, y_nodes=24, z2_x_nodes=48),
-}
+# Gauss-Legendre nodes per panel of the double-integral engines: x and t of the
+# zn and yn_sing grids; x, y and w of the z2 grids.
+X_NODES, T_NODES = 32, 24
+Z2_X_NODES, Z2_Y_NODES, Z2_W_NODES = 48, 12, 16
 
 
 def _max_overlap_log_prefactor(n: int, alpha: int, beta: float) -> float:
@@ -386,13 +383,12 @@ def _max_overlap_log_prefactor(n: int, alpha: int, beta: float) -> float:
     return out
 
 
-def _zn_basis(model: SpikedModel, preset: str) -> dict:
+def _zn_basis(model: SpikedModel) -> dict:
     """The (x, t) grid arrays of the zn engine."""
-    p = _PRESETS[preset]
     n, alpha, beta = model.n, model.alpha, model.beta
     d = n - 2
     power = n * n + n * alpha - n + 1
-    x, wx, t, wt = numkit.halfline_unit_grids(1.0 - beta, power, p["x_nodes"], p["t_nodes"])
+    x, wx, t, wt = numkit.halfline_unit_grids(1.0 - beta, power, X_NODES, T_NODES)
 
     # The determinant in the inner integrand factorizes over the orthogonal
     # polynomials of the weight t^alpha (1-t)^2 e^{-x t}; the factorized form
@@ -404,33 +400,29 @@ def _zn_basis(model: SpikedModel, preset: str) -> dict:
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _zn_prepare(model: SpikedModel, preset: str) -> numkit.HalfLineSeries:
+def _zn_prepare(model: SpikedModel) -> numkit.HalfLineSeries:
     """The z-grid evaluator: the inner sum e^{st} P(d, st), s = beta x (1-z), as
     a moment series in 1 - z (P the regularized lower incomplete gamma
     function; the Taylor part below degree d is annihilated by orthogonality)."""
-    prep = _zn_basis(model, preset)
+    prep = _zn_basis(model)
     a = np.exp(prep["logwq"]) * prep["p_deg"]
     return numkit.halfline_series(prep["x"], prep["t"], a, prep["base"], prep["beta"], prep["d"])
 
 
-def _pdf_zn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
-    return _zn_prepare(model, preset)(zs)
-
-
 @_pdf_boundary(_zn_support)
-def pdf_zn(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
+def pdf_zn(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the largest-eigenvalue overlap |v^H u_n|^2.
 
     n = 2 is the reflected smallest-overlap finite sum, n = 3 the closed F2
     form, and n >= 4 the moment series of the double-integral representation
-    on the `preset` grids.  For n >= 3 the formula has a pole at theta = 0 and
-    such calls raise ThetaZeroSingularity.
+    (`_zn_prepare`).  For n >= 3 the formula has a pole at theta = 0 and such
+    calls raise ThetaZeroSingularity.
     """
     if model.n == 2:
         return _pdf_n2_sum(model.alpha, model.beta, 1.0 - model.beta * z)
     if model.n == 3:
         return _pdf_zn_closed_n3(model.alpha, model.beta, z)
-    return _pdf_zn_grid(model, z, preset)
+    return _zn_prepare(model)(z)
 
 
 def _pdf_zn_closed_n3(alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
@@ -515,14 +507,13 @@ def _f2_iterated_vec(a, b1, b2, c1, c2, x, y, dtype=np.float64):
 # ---------------------------------------------------------------------------
 
 
-def _z2_basis(model: SpikedModel, preset: str) -> dict:
+def _z2_basis(model: SpikedModel) -> dict:
     """The (x, y) and w grid arrays of the z2 engine."""
-    p = _PRESETS[preset]
     n, alpha, beta = model.n, model.alpha, model.beta
     lam_x = n - 1.0 - beta
     power_x = 5.0 + alpha + (alpha + 1.0) * (n + alpha)
-    x, wx = numkit.halfline_grid(lam_x, power_hint=power_x, nodes_per_panel=p["z2_x_nodes"])
-    y, wy = numkit.unit_grid(p["y_nodes"], grade_left=2, grade_right=2)
+    x, wx = numkit.halfline_grid(lam_x, power_hint=power_x, nodes_per_panel=Z2_X_NODES)
+    y, wy = numkit.unit_grid(Z2_Y_NODES, grade_left=2, grade_right=2)
     nx, ny = x.size, y.size
 
     xu = np.repeat(x, ny)
@@ -555,7 +546,7 @@ def _z2_basis(model: SpikedModel, preset: str) -> dict:
     # Shared w grid for the phi-column integrals (Cauchy kernel against u).
     lam_w = 1.0 - beta
     w_end = numkit.envelope_end(lam_w, power_hint=n + alpha + 2.0)
-    w, ww = numkit.geometric_grid(1e-7, w_end, nodes_per_panel=p["w_nodes"])
+    w, ww = numkit.geometric_grid(1e-7, w_end, nodes_per_panel=Z2_W_NODES)
     gvec = np.empty((w.size, du))
     for i in range(1, du + 1):
         gvec[:, i - 1] = ww * w * w * eval_genlaguerre(n + i - 4, 2, w) * np.exp(-lam_w * w)
@@ -570,12 +561,12 @@ def _z2_basis(model: SpikedModel, preset: str) -> dict:
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _z2_prepare(model: SpikedModel, preset: str):
+def _z2_prepare(model: SpikedModel):
     """(lam, c, pref) of the density pref * sum_k c_k e^{lam_k z}: e^{-beta w z}
     is the phi column's only z dependence, so its Cauchy kernel is summed once,
     h[w] = sum_i gvec[w, i] sum_u su[u] cof[u, i] / (w + u); lam = beta u with
     c = sv, and lam = -beta w with c = -h."""
-    b = _z2_basis(model, preset)
+    b = _z2_basis(model)
     u, w, beta = b["u"], b["w"], b["beta"]
     scof, kern = b["su"][:, None] * b["cof"], np.zeros(b["gvec"].shape)
     for lo in range(0, u.size, 4096):  # one (Nw, 4096) kernel slab at a time
@@ -585,8 +576,8 @@ def _z2_prepare(model: SpikedModel, preset: str):
     return np.concatenate([beta * u, -beta * w]), np.concatenate([b["sv"], -h]), b["pref"]
 
 
-def _pdf_z2_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
-    lam, c, pref = _z2_prepare(model, preset)
+def _pdf_z2_grid(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
+    lam, c, pref = _z2_prepare(model)
     out = np.empty(zs.size)
     for lo in range(0, zs.size, 64):  # one (Nu + Nw, 64) exponential slab at a time
         expo = np.outer(lam, zs[lo : lo + 64])
@@ -595,7 +586,7 @@ def _pdf_z2_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
 
 
 @_pdf_boundary(_z2_support)
-def pdf_z2(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
+def pdf_z2(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the second-smallest-eigenvalue overlap |v^H u_2|^2.
 
     Defined for the complex variant with n >= 3 and theta > 0 (the formula
@@ -603,7 +594,7 @@ def pdf_z2(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
     along its z-dependent column; that column's Cauchy kernel is summed once
     per model, which leaves one exponential sum in z (`_z2_prepare`).
     """
-    return _pdf_z2_grid(model, z, preset)
+    return _pdf_z2_grid(model, z)
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +608,15 @@ def _statistic(name: str) -> Statistic:
     return STATISTICS[name]
 
 
-def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fine") -> np.ndarray:
-    """Density of `statistic` on a z grid."""
-    return np.asarray(_statistic(statistic).pdf(model, np.asarray(zs, dtype=float), preset))
+def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fast") -> np.ndarray:
+    """Density of `statistic` on a z grid.
+
+    Every engine has one grid; `preset` remains for callers that name it and
+    accepts only "fast".
+    """
+    if preset != "fast":
+        raise ValueError(f"unknown preset {preset!r}: the engines have one grid, 'fast'")
+    return np.asarray(_statistic(statistic).pdf(model, np.asarray(zs, dtype=float)))
 
 
 # The c.d.f. mesh: 32 uniform panels, the first and last split dyadically 11
@@ -645,7 +642,7 @@ def _cdf_mesh():
     return edges, 0.5 * (x + 1.0), cumint
 
 
-def _cdf_interpolant(statistic: str, model: SpikedModel, preset: str):
+def _cdf_interpolant(statistic: str, model: SpikedModel):
     """Monotone interpolant of the c.d.f. built from one vectorized pdf pass.
 
     The mesh lives in the variable s with z = sin^2(s) for the arcsine-type
@@ -662,7 +659,7 @@ def _cdf_interpolant(statistic: str, model: SpikedModel, preset: str):
     nodes = sb[:-1, None] + widths[:, None] * gl_x
     to_z = (lambda s: np.sin(s) ** 2) if arcsine else (lambda s: s)
     jac = np.sin(2.0 * nodes) if arcsine else 1.0
-    vals = density_values(statistic, model, to_z(nodes.ravel()), preset).reshape(nodes.shape)
+    vals = density_values(statistic, model, to_z(nodes.ravel())).reshape(nodes.shape)
     steps = (vals * jac * widths[:, None]) @ cumint.T
     starts = np.concatenate([[0.0], np.cumsum(steps[:, -1])])
     if abs(starts[-1] - 1.0) > 1e-4:
@@ -672,12 +669,12 @@ def _cdf_interpolant(statistic: str, model: SpikedModel, preset: str):
     return PchipInterpolator(knots, np.maximum.accumulate(cum), extrapolate=False)
 
 
-def cdf_grid(statistic: str, model: SpikedModel, zs, preset: str = "fast"):
+def cdf_grid(statistic: str, model: SpikedModel, zs):
     """Cumulative distribution at many z values; see model_cdf_fn."""
-    return model_cdf_fn(statistic, model, preset)(zs)
+    return model_cdf_fn(statistic, model)(zs)
 
 
-def model_cdf_fn(statistic: str, model: SpikedModel, preset: str = "fast"):
+def model_cdf_fn(statistic: str, model: SpikedModel):
     """Vectorized c.d.f. callable suitable for the KS test.
 
     The pdf is evaluated on the Gauss-Legendre nodes of a graded composite
@@ -688,7 +685,7 @@ def model_cdf_fn(statistic: str, model: SpikedModel, preset: str = "fast"):
     if statistic == "nz1_asym":
         theta = model.theta
         return lambda x: np.asarray(cdf_nz1_asymptotic(theta, np.maximum(np.asarray(x, float), 0.0)))
-    interp = _cdf_interpolant(statistic, model, preset)
+    interp = _cdf_interpolant(statistic, model)
 
     def model_cdf(x):
         x = np.asarray(x, dtype=float)

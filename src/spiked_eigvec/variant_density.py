@@ -19,9 +19,10 @@ from scipy.special import betainc, betaln, gammaln
 from . import numkit
 from .spike_density import (
     ENGINE_CACHE_SIZE,
+    T_NODES,
+    X_NODES,
     DomainError,
     SpikedModel,
-    _PRESETS,
     _pdf_boundary,
     _real_support,
     _y1_support,
@@ -119,14 +120,13 @@ def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
     return m * (1.0 - beta) ** m / beta ** (m - 1.0) * acc
 
 
-def _yn_basis(model: SpikedModel, preset: str) -> dict:
+def _yn_basis(model: SpikedModel) -> dict:
     """The (x, t) grid arrays of the yn engine."""
-    p = _PRESETS[preset]
     m, beta = model.m, model.beta
     d = m - 2
     power = m * m
     lam = max(1.0 - beta, 1e-3)
-    x, wx, t, wt = numkit.halfline_unit_grids(lam, power + 2.0 * m, p["x_nodes"], p["t_nodes"])
+    x, wx, t, wt = numkit.halfline_unit_grids(lam, power + 2.0 * m, X_NODES, T_NODES)
 
     # det[t A^(1) - A^(2)] factorizes over the weight t (1-t)^2 e^{-x t};
     # det[A^(0)] is the plain Hankel of (1-t)^2 e^{-x t} and reduces to the
@@ -142,27 +142,23 @@ def _yn_basis(model: SpikedModel, preset: str) -> dict:
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _yn_prepare(model: SpikedModel, preset: str) -> numkit.HalfLineSeries:
+def _yn_prepare(model: SpikedModel) -> numkit.HalfLineSeries:
     """The z-grid evaluator: the bracket as one moment series.  The kernel sum
     expands e^{beta x u t} against (1-t)^2 e^{-x t} from r = 0; the z-free
     Hankel term joins the r = 0 coefficient."""
-    prep = _yn_basis(model, preset)
+    prep = _yn_basis(model)
     a = np.exp(prep["logwq0"]) * prep["p_deg"]  # the weight (1-t)^2 e^{-x t}
     hankel = (-1.0) ** (prep["m"] - 1) * np.exp(prep["log_a0"] - prep["log_c1"] - prep["shift0"])
     log_row = prep["base"] + prep["log_c1"] + prep["shift0"]
     return numkit.halfline_series(prep["x"], prep["t"], a, log_row, prep["beta"], 0, hankel)
 
 
-def _pdf_yn_grid(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
-    return _yn_prepare(model, preset)(zs)
-
-
 @_pdf_boundary(_yn_support)
-def pdf_yn_singular(model: SpikedModel, z, preset: str = "fine") -> float | np.ndarray:
+def pdf_yn_singular(model: SpikedModel, z) -> float | np.ndarray:
     """Largest-overlap density for the singular case with n - m = 1.
 
     A single half-line integral whose integrand combines the inner kernel
     integral with a pure Hankel determinant term; the empty determinant at
     m = 2 is 1 by convention.
     """
-    return _pdf_yn_grid(model, z, preset)
+    return _yn_prepare(model)(z)

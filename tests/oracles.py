@@ -688,13 +688,13 @@ def _pdf_zn_adaptive(model: SpikedModel, z: float, spec: QuadratureSpec | None =
     return integrate_halfline(outer, decay_rate=1.0 - beta * z, spec=spec)
 
 
-def pdf_zn_loop(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
+def pdf_zn_loop(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
     """The zn grid engine's double integral summed z by z on its own (x, t) grid.
 
     The engine expands the inner sum as a moment series in 1 - z; this loop
     evaluates the same sum directly, one incomplete-gamma array per z.
     """
-    prep = _zn_basis(model, preset)
+    prep = _zn_basis(model)
     x, t, logwq, p_deg = prep["x"], prep["t"], prep["logwq"], prep["p_deg"]
     base, beta, d = prep["base"], prep["beta"], prep["d"]
     out = np.empty(zs.size)
@@ -713,9 +713,9 @@ def pdf_zn_loop(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
     return out
 
 
-def pdf_yn_loop(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
+def pdf_yn_loop(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
     """The yn_sing engine's half-line integral summed z by z on its own (x, t) grid."""
-    prep = _yn_basis(model, preset)
+    prep = _yn_basis(model)
     x, t, wt, p_deg = prep["x"], prep["t"], prep["wt"], prep["p_deg"]
     log_c1, log_a0, base = prep["log_c1"], prep["log_a0"], prep["base"]
     beta, m = prep["beta"], prep["m"]
@@ -737,14 +737,14 @@ def pdf_yn_loop(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
     return out
 
 
-def pdf_z2_loop(model: SpikedModel, zs: np.ndarray, preset: str) -> np.ndarray:
+def pdf_z2_loop(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
     """The z2 engine's double integral summed chunk by chunk on its own grids.
 
     The engine applies the Cauchy kernel once per model and evaluates one
     exponential sum; this loop rebuilds the phi column integrals for every
     z chunk and contracts them with the cofactors there.
     """
-    prep = _z2_basis(model, preset)
+    prep = _z2_basis(model)
     u, w, gvec = prep["u"], prep["w"], prep["gvec"]
     cof, sv, su = prep["cof"], prep["sv"], prep["su"]
     pref, beta = prep["pref"], prep["beta"]

@@ -32,12 +32,12 @@ def _report(criterion, ok, detail=""):
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def _normalize(stat, model, preset="fast"):
+def _normalize(stat, model):
     if stat in ("w1_real", "w2_real"):
         phi, w = numkit.gauss_legendre_panel(0.0, np.pi / 2.0, 192)
         vals = sd.density_values(stat, model, np.sin(phi) ** 2) * np.sin(2 * phi)
         return float(np.dot(w, vals))
-    vals = sd.density_values(stat, model, _NORM_Z, preset=preset)
+    vals = sd.density_values(stat, model, _NORM_Z)
     return float(np.dot(_NORM_W, vals))
 
 
@@ -62,8 +62,8 @@ def test_criterion_1_normalization_suite():
     t0 = time.time()
     worst = {}
 
-    def track(key, stat, model, tol, preset="fast"):
-        err = abs(_normalize(stat, model, preset) - 1.0)
+    def track(key, stat, model, tol):
+        err = abs(_normalize(stat, model) - 1.0)
         worst[key] = max(worst.get(key, 0.0), err)
         assert err <= tol, f"{stat} {model} normalization error {err:.2e} > {tol}"
 
@@ -88,7 +88,7 @@ def test_criterion_1_normalization_suite():
         for theta in THETAS:
             model = sd.SpikedModel(n, n - 1, theta, "singular")
             track("y1(nm1)", "y1_sing", model, 1e-6)
-            track("yn", "yn_sing", model, 1e-5, preset="fast")
+            track("yn", "yn_sing", model, 1e-5)
     elapsed = time.time() - t0
     detail = " ".join(f"{k}={v:.1e}" for k, v in worst.items()) + f" runtime={elapsed:.0f}s"
     _report("1 (normalization suite)", elapsed < 300.0, detail)
@@ -123,7 +123,7 @@ def test_criterion_3_dual_path_equality():
             for theta in (1.0, 3.0):
                 model = sd.SpikedModel(n, n + alpha, theta)
                 closed = oracles.pdf_zn_closed(model, grid)
-                generic = sd._pdf_zn_grid(model, grid, "fine")
+                generic = sd._zn_prepare(model)(grid)
                 worst_zn = max(worst_zn, float(np.max(np.abs(generic / closed - 1.0))))
     ok2 = worst_zn <= 1e-6
     _report(

@@ -8,6 +8,7 @@ import pytest
 
 from spiked_eigvec import cli, numkit
 from spiked_eigvec import spike_density as sd
+from spiked_eigvec import variant_density as vd
 from spiked_eigvec.cli import main
 
 
@@ -188,13 +189,25 @@ def test_cli_rejects_exactly_where_the_pdf_raises(stat, tmp_path):
             for theta in (0.0, 1e-9, 1.0):
                 try:
                     model = sd.SpikedModel(n, m, theta, entry.variant)
-                    sd.density_values(stat, model, [0.5], preset="fast")
+                    sd.density_values(stat, model, [0.5])
                     raises = False
                 except ValueError:
                     raises = True
                 argv = ["simulate", "--stat", stat, "--n", str(n), "--m", str(m),
                         "--theta", repr(theta), "--samples", "4", "--out", out]
                 assert (main(argv) == 2) == raises, (n, m, theta)
+
+
+@pytest.mark.parametrize("stat,n,m,theta", [("zn", 5, 6, "3"), ("z2", 3, 4, "3"),
+                                            ("yn_sing", 5, 4, "0.3")])
+def test_pdf_and_cdf_share_one_engine_build(stat, n, m, theta, capsys):
+    prepare = {"zn": sd._zn_prepare, "z2": sd._z2_prepare, "yn_sing": vd._yn_prepare}[stat]
+    prepare.cache_clear()
+    argv = ["--stat", stat, "--n", str(n), "--m", str(m), "--theta", theta]
+    assert main(["pdf"] + argv) == 0
+    assert main(["cdf"] + argv) == 0
+    capsys.readouterr()
+    assert prepare.cache_info().misses == 1
 
 
 def test_unknown_figure():

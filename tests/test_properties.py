@@ -16,7 +16,7 @@ MASS_Z, MASS_W = numkit.unit_grid(12, grade_left=16, grade_right=16)
 
 @lru_cache(maxsize=1)
 def _z2_peak() -> float:
-    return float(np.max(sd.pdf_z2(Z2_MODEL, np.linspace(0.0, 1.0, 1001), preset="fast")))
+    return float(np.max(sd.pdf_z2(Z2_MODEL, np.linspace(0.0, 1.0, 1001))))
 
 
 @settings(max_examples=50)
@@ -24,8 +24,8 @@ def _z2_peak() -> float:
 def test_z2_array_equals_pointwise(zs):
     # The exponential sum runs z chunk by z chunk; no point may depend on
     # which others share its call.
-    whole = sd.pdf_z2(Z2_MODEL, zs, preset="fast")
-    alone = np.array([sd.pdf_z2(Z2_MODEL, z, preset="fast") for z in zs])
+    whole = sd.pdf_z2(Z2_MODEL, zs)
+    alone = np.array([sd.pdf_z2(Z2_MODEL, z) for z in zs])
     assert np.max(np.abs(whole - alone)) <= 1e-14 * _z2_peak()
 
 

@@ -164,7 +164,7 @@ def test_pdf_zn_n2_reflection(alpha, theta):
 def test_pdf_zn_closed_vs_generic(n, alpha, theta):
     model = sd.SpikedModel(n, n + alpha, theta)
     closed = oracles.pdf_zn_closed(model, ZGRID)
-    generic = sd._pdf_zn_grid(model, ZGRID, "fine")
+    generic = sd._zn_prepare(model)(ZGRID)
     assert np.max(np.abs(generic / closed - 1.0)) < 1e-6
 
 
@@ -172,7 +172,7 @@ def test_pdf_zn_generic_vs_adaptive_reference():
     # The grid engine against the fully adaptive nested-quadrature route.
     model = sd.SpikedModel(3, 4, 1.0)
     z = 0.4
-    grid_val = float(sd._pdf_zn_grid(model, np.array([z]), "fine")[0])
+    grid_val = float(sd._zn_prepare(model)(np.array([z]))[0])
     adaptive = oracles._pdf_zn_adaptive(model, z)
     assert grid_val == pytest.approx(adaptive, rel=1e-8)
 
@@ -188,7 +188,7 @@ def test_zn_convexity_n2(alpha, theta):
 def test_pdf_z2_normalization():
     model = sd.SpikedModel(4, 5, 3.0)
     zq, wq = numkit.unit_grid(32, grade_left=2, grade_right=2)
-    total = float(np.dot(wq, sd.pdf_z2(model, zq, preset="fast")))
+    total = float(np.dot(wq, sd.pdf_z2(model, zq)))
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
@@ -196,7 +196,7 @@ def test_pdf_z2_normalization_large_theta():
     # theta > 999 once floored the decay rate, truncating the x and w grids.
     model = sd.SpikedModel(4, 5, 1e4)
     zq, wq = numkit.unit_grid(12, grade_left=16, grade_right=16)
-    total = float(np.dot(wq, sd.pdf_z2(model, zq, preset="fast")))
+    total = float(np.dot(wq, sd.pdf_z2(model, zq)))
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
@@ -205,7 +205,7 @@ def test_pdf_zn_normalization_large_theta():
     # fits (about 130 terms), since its length follows the t weight, not x.
     model = sd.SpikedModel(5, 6, 1e4)
     zq, wq = numkit.unit_grid(12, grade_left=16, grade_right=16)
-    total = float(np.dot(wq, sd.pdf_zn(model, zq, preset="fast")))
+    total = float(np.dot(wq, sd.pdf_zn(model, zq)))
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -234,25 +234,34 @@ SHAPE_MODELS = {
 @pytest.mark.parametrize("stat", sorted(sd.STATISTICS))
 def test_density_keeps_z_shape(stat):
     z = np.array([[0.05, 0.3, 0.5], [0.6, 0.8, 0.95]])
-    flat = sd.density_values(stat, SHAPE_MODELS[stat], z.ravel(), preset="fast")
-    grid = sd.density_values(stat, SHAPE_MODELS[stat], z, preset="fast")
+    flat = sd.density_values(stat, SHAPE_MODELS[stat], z.ravel())
+    grid = sd.density_values(stat, SHAPE_MODELS[stat], z)
     assert grid.shape == z.shape
     assert np.array_equal(grid, flat.reshape(z.shape))
 
 
-@pytest.mark.parametrize("preset", ["fast", "fine"])
+@pytest.mark.parametrize("stat", ["zn", "z2", "yn_sing"])
+def test_density_values_has_one_grid(stat):
+    z = np.linspace(0.0, 1.0, 11)
+    model = SHAPE_MODELS[stat]
+    assert np.array_equal(sd.density_values(stat, model, z, preset="fast"),
+                          sd.density_values(stat, model, z))
+    with pytest.raises(ValueError):
+        sd.density_values(stat, model, z, preset="fine")
+
+
 @pytest.mark.parametrize(
     "n,m,theta,tol",
     [(5, 6, 3.0, 1e-12), (7, 9, 3.0, 1e-12), (8, 12, 10.0, 1e-12), (5, 6, 0.1, 1e-12),
      # x reaches 1e6: exponents r log(beta x) near 1,800 carry ~4e-13 rounding.
      (5, 6, 1e4, 1e-11)],
 )
-def test_zn_series_matches_loop(n, m, theta, tol, preset):
+def test_zn_series_matches_loop(n, m, theta, tol):
     model = sd.SpikedModel(n, m, theta)
     zs = np.concatenate([np.linspace(0.0, 0.95, 20), 1.0 - np.geomspace(1e-6, 0.04, 12)])
-    assert isinstance(sd._zn_prepare(model, preset), numkit.HalfLineSeries)
-    loop = oracles.pdf_zn_loop(model, zs, preset)
-    series = sd._pdf_zn_grid(model, zs, preset)
+    assert isinstance(sd._zn_prepare(model), numkit.HalfLineSeries)
+    loop = oracles.pdf_zn_loop(model, zs)
+    series = sd._zn_prepare(model)(zs)
     assert np.max(np.abs(series - loop)) <= tol * np.max(loop)
 
 
@@ -261,18 +270,17 @@ def test_zn_unbounded_series_raises():
     # finite): an error, not a zero density, and no RuntimeWarning on the way.
     sd._zn_prepare.cache_clear()
     with pytest.raises(ArithmeticError):
-        sd.pdf_zn(sd.SpikedModel(5, 6, 1e15), np.linspace(0.05, 0.95, 7), preset="fast")
+        sd.pdf_zn(sd.SpikedModel(5, 6, 1e15), np.linspace(0.05, 0.95, 7))
 
 
 def test_zn_series_chunks_do_not_interact():
     model = sd.SpikedModel(5, 6, 3.0)
     zs = np.linspace(0.0, 1.0, 1001)
-    whole = sd._pdf_zn_grid(model, zs, "fast")
-    pieces = np.concatenate([sd._pdf_zn_grid(model, zs[i : i + 7], "fast") for i in range(0, zs.size, 7)])
+    whole = sd._zn_prepare(model)(zs)
+    pieces = np.concatenate([sd._zn_prepare(model)(zs[i : i + 7]) for i in range(0, zs.size, 7)])
     assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(whole)
 
 
-@pytest.mark.parametrize("preset", ["fast", "fine"])
 @pytest.mark.parametrize(
     "n,m,theta,tol",
     [(3, 4, 3.0, 1e-13), (5, 8, 10.0, 1e-13), (4, 5, 1e4, 1e-13),
@@ -280,18 +288,18 @@ def test_zn_series_chunks_do_not_interact():
      # cancelling sv and h terms (the two routes sum them in different orders).
      (7, 9, 0.1, 1e-9), (8, 12, 0.1, 1e-9)],
 )
-def test_z2_sum_matches_loop(n, m, theta, tol, preset):
+def test_z2_sum_matches_loop(n, m, theta, tol):
     model = sd.SpikedModel(n, m, theta)
     zs = np.concatenate([np.linspace(0.0, 0.95, 20), 1.0 - np.geomspace(1e-6, 0.04, 12)])
-    loop = oracles.pdf_z2_loop(model, zs, preset)
-    assert np.max(np.abs(sd._pdf_z2_grid(model, zs, preset) - loop)) <= tol * np.max(loop)
+    loop = oracles.pdf_z2_loop(model, zs)
+    assert np.max(np.abs(sd._pdf_z2_grid(model, zs) - loop)) <= tol * np.max(loop)
 
 
 def test_z2_chunks_do_not_interact():
     model = sd.SpikedModel(5, 6, 3.0)
     zs = np.linspace(0.0, 1.0, 1001)
-    whole = sd._pdf_z2_grid(model, zs, "fast")
-    pieces = np.concatenate([sd._pdf_z2_grid(model, zs[i : i + 7], "fast") for i in range(0, zs.size, 7)])
+    whole = sd._pdf_z2_grid(model, zs)
+    pieces = np.concatenate([sd._pdf_z2_grid(model, zs[i : i + 7]) for i in range(0, zs.size, 7)])
     assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(whole)
 
 

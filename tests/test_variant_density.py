@@ -120,7 +120,7 @@ def test_yn_normalization(n, theta):
     # n = 3 exercises the empty-determinant (m = 2) convention.
     model = sd.SpikedModel(n, n - 1, theta, "singular")
     zq, wq = numkit.unit_grid(32, grade_left=2, grade_right=2)
-    total = float(np.dot(wq, vd.pdf_yn_singular(model, zq, preset="fast")))
+    total = float(np.dot(wq, vd.pdf_yn_singular(model, zq)))
     assert total == pytest.approx(1.0, abs=1e-5)
 
 
@@ -131,25 +131,24 @@ def test_yn_preconditions():
         vd.pdf_yn_singular(sd.SpikedModel(4, 3, 0.0, "singular"), 0.5)
 
 
-@pytest.mark.parametrize("preset", ["fast", "fine"])
 @pytest.mark.parametrize(
     "n,theta,tol",
     # At theta = 300 the Hankel term cancels the kernel sum to ~1e-14 near
-    # z = 1; the loop's own fast-vs-fine spread there is 1.7e-9.
+    # z = 1; a finer (x, t) grid moves the loop itself by 1.7e-9 there.
     [(5, 0.3, 1e-9), (4, 0.1, 1e-9), (4, 300.0, 1e-8)],
 )
-def test_yn_series_matches_loop(n, theta, tol, preset):
+def test_yn_series_matches_loop(n, theta, tol):
     model = sd.SpikedModel(n, n - 1, theta, "singular")
     zs = np.concatenate([np.linspace(0.0, 0.95, 20), 1.0 - np.geomspace(1e-6, 0.04, 12)])
-    assert isinstance(vd._yn_prepare(model, preset), numkit.HalfLineSeries)
-    loop = oracles.pdf_yn_loop(model, zs, preset)
-    series = vd._pdf_yn_grid(model, zs, preset)
+    assert isinstance(vd._yn_prepare(model), numkit.HalfLineSeries)
+    loop = oracles.pdf_yn_loop(model, zs)
+    series = vd._yn_prepare(model)(zs)
     assert np.max(np.abs(series - loop)) <= tol * np.max(loop)
 
 
 def test_yn_series_chunks_do_not_interact():
     model = sd.SpikedModel(5, 4, 0.3, "singular")
     zs = np.linspace(0.0, 1.0, 1001)
-    whole = vd._pdf_yn_grid(model, zs, "fast")
-    pieces = np.concatenate([vd._pdf_yn_grid(model, zs[i : i + 7], "fast") for i in range(0, zs.size, 7)])
+    whole = vd._yn_prepare(model)(zs)
+    pieces = np.concatenate([vd._yn_prepare(model)(zs[i : i + 7]) for i in range(0, zs.size, 7)])
     assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(whole)

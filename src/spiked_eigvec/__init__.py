@@ -13,7 +13,6 @@ from .numkit import EmptySample, GofReport, ks_test  # noqa: F401
 from .spike_density import (  # noqa: F401
     DensityCurve,
     DomainError,
-    NoConvergence,
     SpikedModel,
     ThetaZeroSingularity,
     UnsupportedModel,

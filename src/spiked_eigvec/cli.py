@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, montecarlo, numkit
 from . import spike_density as sd
 
-# NoConvergence and FloatingPointError are ArithmeticErrors too.
+# FloatingPointError and the engines' basis and series breakdowns are ArithmeticErrors.
 _NUMERICAL_ERRORS = (montecarlo.EigensolverFailure, ArithmeticError)
 
 

@@ -46,38 +46,37 @@ def _panels(edges, nodes_per_panel: int):
     return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
-def envelope_end(decay_rate: float, power_hint: float = 0.0, rel_tail: float = 1e-18) -> float:
-    """Truncation point where x^k e^{-lambda x} drops rel_tail below its peak."""
-    lam = decay_rate
-    k = max(power_hint, 0.0)
+# The half-line layouts: panel widths grow by HALFLINE_GROWTH, and a layout
+# ends where its envelope has dropped ENVELOPE_REL_TAIL below its peak.
+# geometric_grid's panel edges grow by GEOMETRIC_RATIO.
+HALFLINE_GROWTH, ENVELOPE_REL_TAIL, GEOMETRIC_RATIO = 1.7, 1e-18, 2.0
+
+
+def envelope_end(decay_rate: float, power_hint: float) -> float:
+    """Truncation point where x^k e^{-lambda x}, k = power_hint > 0, drops
+    ENVELOPE_REL_TAIL below its peak."""
+    lam, k = decay_rate, power_hint
     peak = max(k / lam, 1e-6)
-    log_peak = k * math.log(peak) - lam * peak if k > 0 else 0.0
+    target = k * math.log(peak) - lam * peak + math.log(ENVELOPE_REL_TAIL)
     x_end = peak
-    target = log_peak + math.log(rel_tail)
-    while (k * math.log(x_end) if k > 0 else 0.0) - lam * x_end > target:
+    while k * math.log(x_end) - lam * x_end > target:
         x_end *= 1.25
     return x_end * 1.05
 
 
-def halfline_grid(
-    decay_rate: float,
-    power_hint: float = 0.0,
-    nodes_per_panel: int = 48,
-    growth: float = 1.7,
-    rel_tail: float = 1e-18,
-):
+def halfline_grid(decay_rate: float, power_hint: float, nodes_per_panel: int):
     """Fixed geometric-panel node layout for int_0^inf x^k e^{-lambda x} ... dx.
 
-    Returns (nodes, weights) covering [0, x_end] where the envelope
-    x^power_hint e^{-decay_rate x} has dropped rel_tail below its peak; panel
-    widths start at min(1, 1/decay_rate) and grow geometrically.
+    Returns (nodes, weights) covering [0, envelope_end(decay_rate,
+    power_hint)]; panel widths start at min(1, 1/decay_rate) and grow
+    geometrically.
     """
-    x_end = envelope_end(decay_rate, power_hint, rel_tail)
+    x_end = envelope_end(decay_rate, power_hint)
     width = min(1.0, 1.0 / decay_rate, x_end / 8.0)
     edges = [0.0]
     while edges[-1] < x_end:
         edges.append(min(edges[-1] + width, x_end))
-        width *= growth
+        width *= HALFLINE_GROWTH
     return _panels(edges, nodes_per_panel)
 
 
@@ -114,20 +113,15 @@ def halfline_unit_grids(decay_rate: float, power_hint: float, x_nodes: int, t_no
     return x, wx, t, wt
 
 
-def geometric_grid(
-    start: float,
-    end: float,
-    nodes_per_panel: int = 24,
-    ratio: float = 2.0,
-):
-    """Panels [0, start], [start, start*ratio], ... covering [0, end].
+def geometric_grid(start: float, end: float, nodes_per_panel: int):
+    """Panels [0, start], [start, start * GEOMETRIC_RATIO], ... covering [0, end].
 
     Used where the integrand carries structure across many decades (for
     example a Cauchy kernel 1/(w+u) with u spanning [1e-6, 1e2]).
     """
     edges = [0.0, start]
     while edges[-1] < end:
-        edges.append(min(edges[-1] * ratio, end))
+        edges.append(min(edges[-1] * GEOMETRIC_RATIO, end))
     return _panels(edges, nodes_per_panel)
 
 

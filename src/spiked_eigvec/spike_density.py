@@ -10,13 +10,12 @@ cofactor coefficients of the z-dependent first determinant column; that route
 is validated for m - n <= 10 and <= 360 nodes, and raises ArithmeticError beyond.
 The largest and second-smallest densities are double integrals with
 determinant integrands on fixed geometric panel grids.  At n = 2 the largest
-overlap is the smallest-overlap finite sum reflected (z -> 1 - z); at n = 3
-it is the closed Appell-F2 form, the one series here with a term budget
-(NoConvergence).  For n >= 4 the inner integral is a power series in 1 - z
-built once per model (`numkit.halfline_series`), so a z grid costs one matrix
-product.  Its length follows the t weight, not theta (20 terms at
-theta = 0.1, 134 at 1e4), and a model whose series cannot be bounded raises
-ArithmeticError.  The second-smallest density applies the Cauchy kernel of
+overlap is the smallest-overlap finite sum reflected (z -> 1 - z).  For
+n >= 3 the inner integral is a power series in 1 - z built once per model
+(`numkit.halfline_series`), so a z grid costs one matrix product.  Its length
+follows the t weight, not theta (20 terms at theta = 0.1, 134 at 1e4), and a
+model whose series cannot be bounded raises ArithmeticError; no series here
+has a term budget.  The second-smallest density applies the Cauchy kernel of
 its z-dependent column once per model, which leaves one exponential sum in z.
 Laguerre values and log-gamma come from scipy.special, determinants from
 numpy.linalg.
@@ -41,13 +40,6 @@ from scipy.special import comb, eval_genlaguerre, gammaln, roots_genlaguerre
 from . import numkit
 
 THETA_EPS = 1e-8
-# Term budgets of the n = 3 largest-overlap series: the inner 2F1 and the F2 sum.
-SERIES_MAX_TERMS = 10_000
-F2_MAX_TERMS = 60_000
-
-
-class NoConvergence(ArithmeticError):
-    """A hypergeometric series failed to converge within the term budget."""
 
 
 class UnsupportedModel(ValueError):
@@ -413,93 +405,14 @@ def _zn_prepare(model: SpikedModel) -> numkit.HalfLineSeries:
 def pdf_zn(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the largest-eigenvalue overlap |v^H u_n|^2.
 
-    n = 2 is the reflected smallest-overlap finite sum, n = 3 the closed F2
-    form, and n >= 4 the moment series of the double-integral representation
-    (`_zn_prepare`).  For n >= 3 the formula has a pole at theta = 0 and such
-    calls raise ThetaZeroSingularity.
+    n = 2 is the reflected smallest-overlap finite sum, and n >= 3 the moment
+    series of the double-integral representation (`_zn_prepare`).  For n >= 3
+    the formula has a pole at theta = 0 and such calls raise
+    ThetaZeroSingularity.
     """
     if model.n == 2:
         return _pdf_n2_sum(model.alpha, model.beta, 1.0 - model.beta * z)
-    if model.n == 3:
-        return _pdf_zn_closed_n3(model.alpha, model.beta, z)
     return _zn_prepare(model)(z)
-
-
-def _pdf_zn_closed_n3(alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
-    """Closed n = 3 largest-overlap density: a difference of two F2 values."""
-    logc = (
-        math.log(4.0)
-        + gammaln(3.0 * alpha + 8.0)
-        + (alpha + 3.0) * math.log1p(-beta)
-        - gammaln(alpha + 3.0)
-        - gammaln(alpha + 4.0)
-        - gammaln(alpha + 5.0)
-        - math.log(beta)
-        - (3.0 * alpha + 8.0) * math.log(3.0 - beta)
-    )
-    x0 = 1.0 / (3.0 - beta)
-    y = (1.0 - beta * (1.0 - z)) / (3.0 - beta)
-    fa = _f2_iterated_vec(3 * alpha + 8.0, 3.0, 3.0, alpha + 4.0, alpha + 5.0, x0, y)
-    fb = _f2_iterated_vec(3 * alpha + 8.0, 3.0, 3.0, alpha + 5.0, alpha + 4.0, x0, y)
-    return math.exp(logc) * (fa - fb)
-
-
-def _f21_series_vec(a, b, c, y, dtype=np.float64):
-    """2F1 by direct series for 0 <= y < 1, vectorized, chosen dtype."""
-    y = np.asarray(y, dtype=dtype)
-    term = np.ones_like(y)
-    acc = term.copy()
-    one = dtype(1.0)
-    for j in range(SERIES_MAX_TERMS):
-        term = term * ((a + j) * (b + j) / ((c + j) * (j + one))) * y
-        acc = acc + term
-        if np.max(np.abs(term)) <= 1e-14 * np.max(np.abs(acc)):
-            return acc
-    raise NoConvergence("vectorized 2F1 series did not converge")
-
-
-def _f2_iterated_vec(a, b1, b2, c1, c2, x, y, dtype=np.float64):
-    """F2(a; b1, b2; c1, c2; x, y) with vector y (and scalar or vector x).
-
-    Iterated form: sum over m of (a)_m (b1)_m x^m / ((c1)_m m!) 2F1(a+m, b2;
-    c2; y).  The inner Gauss functions are advanced by the three-term
-    contiguous recurrence in the first parameter, carried in term-scaled form
-    so neither factor overflows.  Valid for 0 <= x, y and x/(1-y) < 1.
-    """
-    x = np.asarray(x, dtype=dtype)
-    y = np.asarray(y, dtype=dtype)
-    one = dtype(1.0)
-    f_prev = _f21_series_vec(a, b2, c2, y, dtype)  # m = 0
-    f_curr = _f21_series_vec(a + 1.0, b2, c2, y, dtype)  # m = 1
-    r_prev = (a * b1 / c1) * x  # C_1 x / C_0
-    t_prev = f_prev * np.ones_like(y)
-    t_curr = r_prev * f_curr
-    total = t_prev + t_curr
-    quiet = 0
-    am, b1m, c1m = a + 1.0, b1 + 1.0, c1 + 1.0
-    m = 1
-    while m < F2_MAX_TERMS:
-        r_curr = (am * b1m / (c1m * (m + one))) * x  # C_{m+1} x / C_m
-        aa = a + m
-        coef_prev = (c2 - aa) * r_curr * r_prev
-        coef_curr = (2.0 * aa - c2 + (b2 - aa) * y) * r_curr
-        t_next = (coef_prev * t_prev + coef_curr * t_curr) / (aa * (one - y))
-        total = total + t_next
-        tmax = np.max(np.abs(t_next))
-        smax = np.max(np.abs(total))
-        if tmax <= 1e-14 * max(smax, 1e-300):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-        t_prev, t_curr = t_curr, t_next
-        r_prev = r_curr
-        am += 1.0
-        b1m += 1.0
-        c1m += 1.0
-        m += 1
-    raise NoConvergence("iterated F2 did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 None of this runs in the library or the CLI.  It holds the adaptive
 Gauss-Legendre integrators and a log-scaled determinant, scalar special
-functions (Gauss 2F1, Laguerre, 1F1, U, Appell F2, Bessel I), the
+functions (Gauss 2F1, Laguerre, 1F1, U, Appell F2, Bessel I) with their
+term budgets, vectorized 2F1 and iterated F2 sums in a chosen dtype, the
 smallest-overlap coefficients by k-tuple enumeration and by mpmath
 determinants, the closed alpha in {0, 1} smallest-overlap forms, the closed
 n = 2, 3, 4 largest-overlap forms, the Hankel moment stacks of the
@@ -26,17 +27,13 @@ from scipy.special import eval_genlaguerre, gammainc, gammaln, roots_genlaguerre
 from spiked_eigvec.montecarlo import EigensolverFailure
 from spiked_eigvec.numkit import gauss_legendre_panel
 from spiked_eigvec.spike_density import (
-    SERIES_MAX_TERMS,
     DomainError,
-    NoConvergence,
     SpikedModel,
     UnsupportedModel,
     _as_z_array,
-    _f2_iterated_vec,
     _max_overlap_log_prefactor,
     _pdf_boundary,
     _pdf_z1_series,
-    _pdf_zn_closed_n3,
     _statistic,
     _z2_basis,
     _zn_basis,
@@ -48,6 +45,14 @@ from spiked_eigvec.spike_density import (
 from spiked_eigvec.variant_density import _yn_basis
 
 SERIES_RTOL = 1e-12
+# Term budgets of the hypergeometric series: each 2F1/1F1/F2 sum, and the
+# iterated F2 of the closed n = 3, 4 largest-overlap forms.
+SERIES_MAX_TERMS = 10_000
+F2_MAX_TERMS = 60_000
+
+
+class NoConvergence(ArithmeticError):
+    """A hypergeometric series failed to converge within its term budget."""
 
 
 class QuadratureFailure(RuntimeError):
@@ -776,7 +781,7 @@ def _zn_closed_support(model: SpikedModel) -> None:
 @_pdf_boundary(_zn_closed_support)
 def pdf_zn_closed(model: SpikedModel, z) -> float | np.ndarray:
     """Closed-form largest-overlap density for n in {2, 3, 4}: the n = 2
-    Gauss 2F1 form, the library's n = 3 F2 form and the n = 4 F2 assembly."""
+    Gauss 2F1 form, the n = 3 F2 difference and the n = 4 F2 assembly."""
     n, alpha, beta = model.n, model.alpha, model.beta
     if n == 3:
         return _pdf_zn_closed_n3(alpha, beta, z)
@@ -792,6 +797,83 @@ def pdf_zn_closed(model: SpikedModel, z) -> float | np.ndarray:
     )
     arg = (1.0 - beta * (1.0 - z)) / (2.0 - beta)
     return math.exp(logc) * gauss_2f1(3.0, 2.0 * alpha + 4.0, alpha + 4.0, arg)
+
+
+def _pdf_zn_closed_n3(alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
+    """Closed n = 3 largest-overlap density: a difference of two F2 values."""
+    logc = (
+        math.log(4.0)
+        + gammaln(3.0 * alpha + 8.0)
+        + (alpha + 3.0) * math.log1p(-beta)
+        - gammaln(alpha + 3.0)
+        - gammaln(alpha + 4.0)
+        - gammaln(alpha + 5.0)
+        - math.log(beta)
+        - (3.0 * alpha + 8.0) * math.log(3.0 - beta)
+    )
+    x0 = 1.0 / (3.0 - beta)
+    y = (1.0 - beta * (1.0 - z)) / (3.0 - beta)
+    fa = _f2_iterated_vec(3 * alpha + 8.0, 3.0, 3.0, alpha + 4.0, alpha + 5.0, x0, y)
+    fb = _f2_iterated_vec(3 * alpha + 8.0, 3.0, 3.0, alpha + 5.0, alpha + 4.0, x0, y)
+    return math.exp(logc) * (fa - fb)
+
+
+def _f21_series_vec(a, b, c, y, dtype=np.float64):
+    """2F1 by direct series for 0 <= y < 1, vectorized, chosen dtype."""
+    y = np.asarray(y, dtype=dtype)
+    term = np.ones_like(y)
+    acc = term.copy()
+    one = dtype(1.0)
+    for j in range(SERIES_MAX_TERMS):
+        term = term * ((a + j) * (b + j) / ((c + j) * (j + one))) * y
+        acc = acc + term
+        if np.max(np.abs(term)) <= 1e-14 * np.max(np.abs(acc)):
+            return acc
+    raise NoConvergence("vectorized 2F1 series did not converge")
+
+
+def _f2_iterated_vec(a, b1, b2, c1, c2, x, y, dtype=np.float64):
+    """F2(a; b1, b2; c1, c2; x, y) with vector y (and scalar or vector x).
+
+    Iterated form: sum over m of (a)_m (b1)_m x^m / ((c1)_m m!) 2F1(a+m, b2;
+    c2; y).  The inner Gauss functions are advanced by the three-term
+    contiguous recurrence in the first parameter, carried in term-scaled form
+    so neither factor overflows.  Valid for 0 <= x, y and x/(1-y) < 1.
+    """
+    x = np.asarray(x, dtype=dtype)
+    y = np.asarray(y, dtype=dtype)
+    one = dtype(1.0)
+    f_prev = _f21_series_vec(a, b2, c2, y, dtype)  # m = 0
+    f_curr = _f21_series_vec(a + 1.0, b2, c2, y, dtype)  # m = 1
+    r_prev = (a * b1 / c1) * x  # C_1 x / C_0
+    t_prev = f_prev * np.ones_like(y)
+    t_curr = r_prev * f_curr
+    total = t_prev + t_curr
+    quiet = 0
+    am, b1m, c1m = a + 1.0, b1 + 1.0, c1 + 1.0
+    m = 1
+    while m < F2_MAX_TERMS:
+        r_curr = (am * b1m / (c1m * (m + one))) * x  # C_{m+1} x / C_m
+        aa = a + m
+        coef_prev = (c2 - aa) * r_curr * r_prev
+        coef_curr = (2.0 * aa - c2 + (b2 - aa) * y) * r_curr
+        t_next = (coef_prev * t_prev + coef_curr * t_curr) / (aa * (one - y))
+        total = total + t_next
+        tmax = np.max(np.abs(t_next))
+        smax = np.max(np.abs(total))
+        if tmax <= 1e-14 * max(smax, 1e-300):
+            quiet += 1
+            if quiet >= 3:
+                return total
+        else:
+            quiet = 0
+        t_prev, t_curr = t_curr, t_next
+        r_prev = r_curr
+        am += 1.0
+        b1m += 1.0
+        c1m += 1.0
+        m += 1
+    raise NoConvergence("iterated F2 did not converge")
 
 
 _N4_TUPLES = {"a": (5, 5, 4), "b": (7, 6, 6), "c": (6, 4, 5), "d": (6, 7, 5)}

@@ -198,8 +198,8 @@ def test_cli_rejects_exactly_where_the_pdf_raises(stat, tmp_path):
                 assert (main(argv) == 2) == raises, (n, m, theta)
 
 
-@pytest.mark.parametrize("stat,n,m,theta", [("zn", 5, 6, "3"), ("z2", 3, 4, "3"),
-                                            ("yn_sing", 5, 4, "0.3")])
+@pytest.mark.parametrize("stat,n,m,theta", [("zn", 5, 6, "3"), ("zn", 3, 5, "3"),
+                                            ("z2", 3, 4, "3"), ("yn_sing", 5, 4, "0.3")])
 def test_pdf_and_cdf_share_one_engine_build(stat, n, m, theta, capsys):
     prepare = {"zn": sd._zn_prepare, "z2": sd._z2_prepare, "yn_sing": vd._yn_prepare}[stat]
     prepare.cache_clear()
@@ -216,7 +216,7 @@ def test_unknown_figure():
 
 def test_exit_code_numerical_failure(monkeypatch):
     def boom(*args, **kwargs):
-        raise sd.NoConvergence("synthetic non-convergence")
+        raise ArithmeticError("synthetic non-convergence")
 
     monkeypatch.setattr(sd, "density_values", boom)
     assert main("pdf --stat zn --n 5 --m 7 --theta 3".split()) == 3
@@ -292,6 +292,21 @@ def test_pdf_n2_large_theta_tables(stat, n, m, theta, variant, tmp_path):
     if sd.STATISTICS[stat].arcsine:  # s = (pi/2) t, dz = sin(2s) ds
         zq, wq = np.sin(0.5 * np.pi * tq) ** 2, 0.5 * np.pi * wq * np.sin(np.pi * tq)
     assert float(np.dot(wq, sd.density_values(stat, model, zq))) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_zn_n3_large_theta_tables(tmp_path):
+    # n = 3 runs on the moment series; the closed F2 form ran out of terms here.
+    # The mass sits within O(1/theta) of z = 1: F(1 - 1e-4) is only 0.11, so
+    # the c.d.f. table runs to 1 - 1e-6, where F is 0.9985.
+    argv = "--stat zn --n 3 --m 5 --theta 1e4".split()
+    pdf_out, cdf_out = tmp_path / "p.csv", tmp_path / "c.csv"
+    assert main(["pdf"] + argv + ["--out", str(pdf_out)]) == 0
+    assert main(["cdf"] + argv + ["--z-max", "0.999999", "--out", str(cdf_out)]) == 0
+    _, data = _read_csv(cdf_out)
+    assert abs(data[-1, 1] - 1.0) <= 1e-2
+    tq, wq = numkit.unit_grid(12, grade_left=16, grade_right=16)
+    mass = float(wq @ sd.pdf_zn(sd.SpikedModel(3, 5, 1e4), tq))
+    assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_figure_fig1(tmp_path):

@@ -43,3 +43,13 @@ def test_z1_is_a_density(n, alpha, theta):
     vals = sd.pdf_z1(sd.SpikedModel(n, n + alpha, theta), MASS_Z)
     assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
     assert abs(float(MASS_W @ vals) - 1.0) <= 1e-6
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10), st.floats(0.01, 1e4))
+def test_zn_n3_is_a_density(alpha, theta):
+    # n = 3 runs on the moment series at every theta, including theta = 1e4,
+    # where the closed F2 form runs out of terms.
+    vals = sd.pdf_zn(sd.SpikedModel(3, 3 + alpha, theta), MASS_Z)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    assert abs(float(MASS_W @ vals) - 1.0) <= 1e-8

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from scipy.special import comb, gamma as scipy_gamma
 
-from spiked_eigvec import spike_density as sd
-
 import oracles
 
 
@@ -120,7 +118,7 @@ def test_gauss_2f1_negative_argument_transform():
 
 
 def test_gauss_2f1_no_convergence():
-    with pytest.raises(sd.NoConvergence):
+    with pytest.raises(oracles.NoConvergence):
         oracles.gauss_2f1(1.5, 2.5, 3.5, 1.0)
 
 
@@ -207,7 +205,7 @@ def test_appell_f2_iterated_matches_double():
 
 
 def test_appell_f2_no_convergence():
-    with pytest.raises(sd.NoConvergence):
+    with pytest.raises(oracles.NoConvergence):
         oracles.appell_f2(2.0, 1.0, 1.0, 3.0, 3.0, 0.7, 0.5)
 
 

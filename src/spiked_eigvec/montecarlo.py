@@ -1,10 +1,10 @@
 """Ground-truth sampler for spiked Wishart eigenvector projections.
 
 Draws come from the Dumitriu-Edelman tridiagonal model: n * m exponential
-(complex) or squared normal (real) variates per draw, two batched eigenvalue
-solves per chunk and no eigenvectors (see `_chunk_projections`).  The law of
-the projections does not depend on the spike direction, which is validated
-for shape, unit norm and realness only.
+(complex) or squared normal (real) variates per draw, one batched eigenvalue
+solve per chunk and an O(n) Gauss-weight sweep per requested overlap (see
+`_chunk_projections`).  The law of the projections does not depend on the
+spike direction, which is validated for shape, unit norm and realness only.
 
 Each draw owns a counter-based Philox substream keyed by (seed, draw index),
 so a batch is bitwise reproducible no matter how it is chunked or how many
@@ -83,32 +83,17 @@ def make_spike(n: int, seed: int = 0, style: str = "first_basis", real: bool = F
     return SpikeVector(entries=v)
 
 
-def _chunk_projections(model: SpikedModel, v: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
-    """Projection rows |v^H u_l|^2 for draws [start, stop).
+def _tridiagonal(model: SpikedModel, seed: int, start: int, stop: int) -> np.ndarray:
+    """T = D B B^T D of draws [start, stop), shape (count, size, size), size = min(n, m + 1).
 
-    Returns an array of shape (stop - start, rank) where rank = n for the
-    complex/real variants and m for the singular variant, ordered by
-    ascending (positive) eigenvalue.  The law of these rows does not depend
-    on the unit spike v, so every draw is taken with v = e1 and v itself is
-    not read.
-
-    With v = e1, Householder reflections that fix e1 reduce the Gaussian
-    factor to a lower bidiagonal B and commute with D = diag(sqrt(1+theta),
-    1, ..., 1), so the overlaps are those of the real tridiagonal
-    T = D B B^T D.  B[i, i]^2 ~ Gamma(m - i) and B[i + 1, i]^2 ~
-    Gamma(n - 1 - i) for complex draws (chi^2 with those degrees of freedom
-    for real ones), each drawn as a sum of that many exponentials (squared
-    normals).  The first eigenvector components then follow from the
-    eigenvalues lam of T and mu of T without its first row and column:
-    u1(lam_k)^2 = prod_j (lam_k - mu_j) / prod_{j != k} (lam_k - lam_j).
-    Interlacing pairs mu_j with lam_j below lam_k and with lam_{j+1} above
-    it, so each paired ratio lies in (0, 1) and the product cannot overflow.
+    A draw takes v = e1: reflections that fix e1 reduce the Gaussian factor to a lower
+    bidiagonal B and commute with D = diag(sqrt(1+theta), 1, ..., 1).  B[i, i]^2 ~
+    Gamma(m - i) and B[i + 1, i]^2 ~ Gamma(n - 1 - i) are sums of that many exponentials
+    (complex) or squared normals (real).  The singular variant's T has rank m.
     """
     n, m = model.n, model.m
     count = stop - start
     size = min(n, m + 1)
-    if size == 1:
-        return np.ones((count, 1))
     real = model.variant == "real"
     # B is n x m lower bidiagonal with nonzero rows 0..size-1; the shapes of
     # B[i, i]^2 and B[i + 1, i]^2 add up to n * m, one per Gaussian entry.
@@ -145,19 +130,40 @@ def _chunk_projections(model: SpikedModel, v: np.ndarray, seed: int, start: int,
     spike_scale = math.sqrt(1.0 + model.theta)
     t[:, 0, :] *= spike_scale
     t[:, :, 0] *= spike_scale
+    return t
+
+
+def _chunk_projections(model: SpikedModel, seed: int, start: int, stop: int,
+                       columns: tuple[int, ...] | None = None) -> np.ndarray:
+    """Overlaps |v^H u_l|^2 of draws [start, stop): the `columns` (None: all) of a row
+    of rank = n (m for the singular variant) overlaps in ascending eigenvalue order.
+
+    These are the Gauss weights of T = `_tridiagonal` (Golub and Welsch, Math.
+    Comp. 23, 1969), u_k(0)^2 = 1 / g_0'(lam_k), so no eigenvectors are needed.
+    With a the diagonal and b2 the squared subdiagonal of T, g_{s-1} = lam -
+    a_{s-1}, g_i = lam - a_i - b2_i / g_{i+1} and g'_i = 1 + (b2_i / g_{i+1}^2)
+    g'_{i+1}, a sum of positive terms.  A zero pivot raises EigensolverFailure.
+    """
+    rank = model.m if model.variant == "singular" else model.n
+    cols = np.arange(rank) if columns is None else np.arange(rank)[list(columns)]
+    if min(model.n, model.m + 1) == 1:
+        return np.ones((stop - start, cols.size))
+    t = _tridiagonal(model, seed, start, stop)
+    a = np.diagonal(t, axis1=1, axis2=2)[:, :, None]
+    b2 = np.square(np.diagonal(t, offset=-1, axis1=1, axis2=2))[:, :, None]
     try:
-        lam = np.linalg.eigvalsh(t)
-        mu = np.linalg.eigvalsh(t[:, 1:, 1:])
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-    j = np.arange(size - 1)
-    partner = j[None, :] + (j[None, :] >= idx[:, None])
-    ratio = np.abs(lam[:, :, None] - mu[:, None, :]) / np.abs(lam[:, :, None] - lam[:, partner])
-    # Rounding can break the interlacing of nearly equal lam_j and mu_j.
-    proj = np.minimum(np.prod(ratio, axis=2), 1.0)
-    if model.variant == "singular":
-        # T has rank m; its zero eigenvalue comes first.
-        proj = proj[:, 1:]
+        lam = np.linalg.eigvalsh(t)[:, cols + (model.variant == "singular")]  # zero first
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            g, dg = lam - a[:, -1], np.ones_like(lam)
+            for i in range(t.shape[1] - 2, 0, -1):
+                q = b2[:, i] / g
+                dg = 1.0 + q / g * dg
+                g = lam - a[:, i] - q
+            proj = 1.0 / (1.0 + b2[:, 0] / g * (dg / g))
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise EigensolverFailure(f"eigenvalue or Gauss-weight solve failed: {exc}") from exc
+    if not np.all((proj >= 0.0) & (proj <= 1.0)):
+        raise EigensolverFailure("an overlap is not a number in [0, 1]")
     return proj
 
 
@@ -200,20 +206,14 @@ def sample_wishart(
         if stat not in columns:
             raise ValueError(f"statistic {stat!r} is not sampled for variant {model.variant!r}")
 
-    starts = list(range(0, count, CHUNK_SIZE))
-    bounds = [(s, min(s + CHUNK_SIZE, count)) for s in starts]
+    bounds = [(a, min(a + CHUNK_SIZE, count)) for a in range(0, count, CHUNK_SIZE)]
+    wanted = tuple(columns[stat] for stat in statistics)
     nworkers = worker_count(workers)
     if nworkers == 1 or len(bounds) == 1:
-        chunks = [_chunk_projections(model, v, seed, a, b) for a, b in bounds]
+        chunks = [_chunk_projections(model, seed, a, b, wanted) for a, b in bounds]
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            chunks = list(
-                pool.map(lambda ab: _chunk_projections(model, v, seed, ab[0], ab[1]), bounds)
-            )
+            chunks = list(pool.map(lambda ab: _chunk_projections(model, seed, *ab, wanted), bounds))
     proj = np.concatenate(chunks, axis=0)
-
-    out = {}
-    for stat in statistics:
-        values = proj[:, columns[stat]].copy()
-        out[stat] = SampleBatch(statistic=stat, model=model, seed=seed, values=values)
-    return out
+    return {stat: SampleBatch(statistic=stat, model=model, seed=seed, values=proj[:, j].copy())
+            for j, stat in enumerate(statistics)}

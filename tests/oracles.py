@@ -10,8 +10,8 @@ n = 2, 3, 4 largest-overlap forms, the Hankel moment stacks of the
 largest-overlap integrand, the nested adaptive quadrature of that double
 integral, the per-z loops of the zn, yn_sing and z2 grid engines, the
 quadrature c.d.f., the Mehta determinant identity and Bessel-determinant
-normalization checks, and the dense Wishart sampler with its Hermitian
-eigendecomposition.
+normalization checks, the dense Wishart sampler with its Hermitian
+eigendecomposition, and the interlacing product for the sampler's overlaps.
 """
 
 from __future__ import annotations
@@ -1160,3 +1160,30 @@ def chunk_projections_dense(model: SpikedModel, v: np.ndarray, seed: int, start:
     if model.variant == "singular":
         proj = proj[:, n - m:]
     return proj
+
+
+def chunk_projections_interlacing(t: np.ndarray) -> np.ndarray:
+    """Squared first eigenvector components of a batch of tridiagonals, by interlacing.
+
+    With lam the eigenvalues of T and mu those of T without its first row and
+    column, u1(lam_k)^2 = prod_j (lam_k - mu_j) / prod_{j != k} (lam_k - lam_j).
+    Interlacing pairs mu_j with lam_j below lam_k and with lam_{j+1} above it,
+    so each paired ratio lies in (0, 1) and the product cannot overflow.  Rows
+    hold every eigenvalue in ascending order; for the singular variant's T the
+    zero eigenvalue's column comes first, where `montecarlo._chunk_projections`
+    drops it.
+    """
+    size = t.shape[1]
+    if size == 1:
+        return np.ones((t.shape[0], 1))
+    try:
+        lam = np.linalg.eigvalsh(t)
+        mu = np.linalg.eigvalsh(t[:, 1:, 1:])
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+    idx = np.arange(size)
+    j = np.arange(size - 1)
+    partner = j[None, :] + (j[None, :] >= idx[:, None])
+    ratio = np.abs(lam[:, :, None] - mu[:, None, :]) / np.abs(lam[:, :, None] - lam[:, partner])
+    # Rounding can break the interlacing of nearly equal lam_j and mu_j.
+    return np.minimum(np.prod(ratio, axis=2), 1.0)

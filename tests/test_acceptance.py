@@ -221,7 +221,7 @@ def test_criterion_7_identity_oracles():
 def test_criterion_8_structural_invariants(tmp_path):
     # per-draw completeness
     model = sd.SpikedModel(5, 7, 3.0)
-    proj = mc._chunk_projections(model, mc.make_spike(5, 0).entries, seed=8, start=0, stop=10_000)
+    proj = mc._chunk_projections(model, seed=8, start=0, stop=10_000)
     sum_ok = float(np.max(np.abs(proj.sum(axis=1) - 1.0))) <= 1e-10
 
     # n=2 reflection

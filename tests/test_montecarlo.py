@@ -96,15 +96,13 @@ def test_default_statistics(n, m, variant, keys):
 
 def test_per_draw_projection_sum():
     model = sd.SpikedModel(5, 7, 3.0)
-    v = mc.make_spike(5, 0).entries
-    proj = mc._chunk_projections(model, v, seed=9, start=0, stop=500)
+    proj = mc._chunk_projections(model, seed=9, start=0, stop=500)
     assert np.max(np.abs(proj.sum(axis=1) - 1.0)) < 1e-10
 
 
 def test_singular_rank_and_support():
     model = sd.SpikedModel(5, 3, 1.0, "singular")
-    v = mc.make_spike(5, 0).entries
-    proj = mc._chunk_projections(model, v, seed=9, start=0, stop=200)
+    proj = mc._chunk_projections(model, seed=9, start=0, stop=200)
     assert proj.shape == (200, 3)
     # rank-m system: total projection mass on the positive eigenspace < 1
     assert np.all(proj.sum(axis=1) < 1.0)
@@ -216,7 +214,7 @@ def test_one_dimension_is_exactly_one(variant):
 )
 def test_rows_in_unit_interval_and_complete(n, m, theta, variant):
     model = sd.SpikedModel(n, m, theta, variant)
-    proj = mc._chunk_projections(model, mc.make_spike(n, 0).entries, seed=2, start=0, stop=1000)
+    proj = mc._chunk_projections(model, seed=2, start=0, stop=1000)
     assert proj.shape == (1000, m if variant == "singular" else n)
     assert np.all((proj >= 0.0) & (proj <= 1.0))
     sums = proj.sum(axis=1)
@@ -240,3 +238,52 @@ def test_bit_identical_across_worker_counts(n, m, variant, monkeypatch):
         assert batch.values.shape == (count,)
         for other in runs[1:]:
             assert np.array_equal(batch.values, other[stat].values)
+
+
+@pytest.mark.parametrize("variant", ["complex", "real", "singular"])
+@pytest.mark.parametrize("n", [2, 3, 30, 100])
+@pytest.mark.parametrize("theta", [0.0, 0.01, 1e4, 1e12])
+def test_gauss_weights_match_interlacing_oracle(variant, n, theta):
+    # Same variates, same T: the weight sweep against the interlacing product.
+    model = sd.SpikedModel(n, n - 1 if variant == "singular" else n + 2, theta, variant)
+    oracle = oracles.chunk_projections_interlacing(mc._tridiagonal(model, 5, 0, 200))
+    if variant == "singular":
+        oracle = oracle[:, 1:]
+    proj = mc._chunk_projections(model, seed=5, start=0, stop=200)
+    assert np.max(np.abs(proj - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "diag,sub2",
+    [
+        ([1.0, 2.0], [0.0]),  # lam = 2 = a_1 with b2_0 = 0: a 0/0 pivot
+        ([3.0, 1.0, 2.0], [1.0, 0.0]),  # the same one level down
+    ],
+)
+def test_split_tridiagonal_is_right_or_fails(diag, sub2, monkeypatch):
+    t = np.diag(diag) + np.diag(np.sqrt(sub2), 1) + np.diag(np.sqrt(sub2), -1)
+    monkeypatch.setattr(mc, "_tridiagonal", lambda *args: t[None])
+    expected = np.linalg.eigh(t)[1][0] ** 2
+    model = sd.SpikedModel(len(diag), len(diag), 0.0)
+    for k, want in enumerate(expected):
+        try:
+            got = mc._chunk_projections(model, seed=0, start=0, stop=1, columns=(k,))
+        except mc.EigensolverFailure:
+            continue
+        assert abs(got[0, 0] - want) <= 1e-12, (k, got, want)
+
+
+@pytest.mark.parametrize(
+    "n,m,variant",
+    [(5, 7, "complex"), (4, 6, "real"), (5, 3, "singular"), (1, 3, "complex")],
+)
+def test_selected_columns_are_bit_identical(n, m, variant):
+    # Each requested column runs its own sweep; asking for fewer must not
+    # change a value.
+    model = sd.SpikedModel(n, m, 2.0, variant)
+    spike = mc.make_spike(n, 0, real=variant == "real")
+    count = mc.CHUNK_SIZE + 77
+    every = mc.sample_wishart(model, spike, seed=4, count=count)
+    for stat, batch in every.items():
+        alone = mc.sample_wishart(model, spike, seed=4, count=count, statistics=(stat,))
+        assert np.array_equal(alone[stat].values, batch.values)

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spiked_eigvec import numkit, spike_density as sd, variant_density as vd
+from spiked_eigvec import montecarlo as mc, numkit, spike_density as sd, variant_density as vd
 
 Z2_MODEL = sd.SpikedModel(3, 4, 3.0)
 unit_z = st.floats(0.0, 1.0, allow_nan=False)
@@ -53,3 +53,27 @@ def test_zn_n3_is_a_density(alpha, theta):
     vals = sd.pdf_zn(sd.SpikedModel(3, 3 + alpha, theta), MASS_Z)
     assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
     assert abs(float(MASS_W @ vals) - 1.0) <= 1e-8
+
+
+@st.composite
+def sampled_models(draw):
+    variant = draw(st.sampled_from(["complex", "real", "singular"]))
+    if variant == "singular":
+        n = draw(st.integers(2, 40))
+        m = draw(st.integers(1, n - 1))
+    else:
+        n = draw(st.integers(1, 40))
+        m = n + draw(st.integers(0, 10))
+    return sd.SpikedModel(n, m, draw(st.floats(0.0, 1e6)), variant)
+
+
+@settings(max_examples=60)
+@given(sampled_models(), st.integers(0, 2**32))
+def test_sampled_rows_are_overlaps(model, seed):
+    rows = mc._chunk_projections(model, seed=seed, start=0, stop=64)
+    assert np.all(np.isfinite(rows)) and np.all((rows >= 0.0) & (rows <= 1.0))
+    sums = rows.sum(axis=1)
+    if model.variant == "singular":
+        assert np.all(sums < 1.0)
+    else:
+        assert np.max(np.abs(sums - 1.0)) <= 1e-12

@@ -1,15 +1,16 @@
 """Ground-truth sampler for spiked Wishart eigenvector projections.
 
-Draws come from the Dumitriu-Edelman tridiagonal model: n * m exponential
-(complex) or squared normal (real) variates per draw, one batched eigenvalue
-solve per chunk and an O(n) Gauss-weight sweep per requested overlap (see
+Draws come from the Dumitriu-Edelman tridiagonal model: 2n - 1 (singular:
+2m) Gamma variates per draw (see `_tridiagonal`), one batched eigenvalue solve
+per chunk and an O(n) Gauss-weight sweep per requested overlap (see
 `_chunk_projections`).  The law of the projections does not depend on the
 spike direction, which is validated for shape, unit norm and realness only.
 
-Each draw owns a counter-based Philox substream keyed by (seed, draw index),
-so a batch is bitwise reproducible no matter how it is chunked or how many
-worker threads execute the chunks.  Chunks are a fixed size independent of
-the worker count and are reassembled in draw order.
+Each chunk of CHUNK_SIZE draws owns a counter-based Philox stream keyed by
+(seed, index of its first draw).  Chunks are a fixed size independent of the
+worker count and are reassembled in draw order, so a batch is bitwise
+reproducible across worker counts, and a smaller count is an exact prefix
+of a larger one.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 
 from .spike_density import STATISTICS, SpikedModel
 
+# Draws per chunk.  Each chunk is one random stream, so this constant fixes
+# the draws: changing it changes every seeded output.
 CHUNK_SIZE = 2048
 
 
@@ -52,10 +55,11 @@ class SampleBatch:
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Worker threads to use, capped by SPIKED_EIGVEC_THREADS."""
+    """Worker threads to use, capped by SPIKED_EIGVEC_THREADS (a positive integer)."""
     cap = os.environ.get("SPIKED_EIGVEC_THREADS")
+    if cap and not (cap.strip().isdecimal() and int(cap) >= 1):
+        raise ValueError(f"SPIKED_EIGVEC_THREADS must be a positive integer, got {cap!r}")
     limit = int(cap) if cap else (os.cpu_count() or 1)
-    limit = max(1, limit)
     if requested is None:
         requested = min(8, os.cpu_count() or 1)
     return max(1, min(requested, limit))
@@ -88,35 +92,22 @@ def _tridiagonal(model: SpikedModel, seed: int, start: int, stop: int) -> np.nda
 
     A draw takes v = e1: reflections that fix e1 reduce the Gaussian factor to a lower
     bidiagonal B and commute with D = diag(sqrt(1+theta), 1, ..., 1).  B[i, i]^2 ~
-    Gamma(m - i) and B[i + 1, i]^2 ~ Gamma(n - 1 - i) are sums of that many exponentials
-    (complex) or squared normals (real).  The singular variant's T has rank m.
+    Gamma(m - i) and B[i + 1, i]^2 ~ Gamma(n - 1 - i) (real: chi-square, 2 Gamma(k / 2)),
+    drawn as one (count, 2 n - 1) array (singular: 2 m) from the Philox stream keyed
+    (seed, start).  The singular variant's T has rank m.
     """
     n, m = model.n, model.m
     count = stop - start
     size = min(n, m + 1)
-    real = model.variant == "real"
-    # B is n x m lower bidiagonal with nonzero rows 0..size-1; the shapes of
-    # B[i, i]^2 and B[i + 1, i]^2 add up to n * m, one per Gaussian entry.
+    # B is n x m lower bidiagonal with nonzero rows 0..size-1; the squares
+    # B[i, i]^2 and B[i + 1, i]^2 are Gamma variates with these shapes.
     ndiag = min(n, m)
     shapes = np.concatenate([np.arange(m, m - ndiag, -1), np.arange(n - 1, n - size, -1)])
-    offsets = np.cumsum(shapes) - shapes
-    # One Philox substream per draw, keyed (seed, draw index).  Re-keying a
-    # single bit generator through its state dict reproduces exactly the
-    # stream of a freshly constructed Philox with that key, at half the cost.
-    bit_gen = np.random.Philox(key=[seed & (2**64 - 1), 0])
-    rng = np.random.Generator(bit_gen)
-    state = bit_gen.state
-    draw = rng.standard_normal if real else rng.standard_exponential
-    units = np.empty((count, n * m))
-    for k in range(count):
-        state["state"]["key"][1] = (start + k) & (2**64 - 1)
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        bit_gen.state = state
-        draw(out=units[k])
-    if real:
-        np.square(units, out=units)
-    squares = np.add.reduceat(units, offsets, axis=1)
+    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), start]))
+    if model.variant == "real":
+        squares = 2.0 * rng.standard_gamma(shapes / 2.0, size=(count, shapes.size))
+    else:
+        squares = rng.standard_gamma(shapes, size=(count, shapes.size))
     d2, s2 = squares[:, :ndiag], squares[:, ndiag:]
 
     # T = D B B^T D: diagonal d2[i] + s2[i - 1], subdiagonal sqrt(s2[i] d2[i]).
@@ -177,11 +168,12 @@ def sample_wishart(
 ) -> dict[str, SampleBatch]:
     """Draw spiked Wishart overlaps and emit projection samples per statistic.
 
-    Each draw runs the tridiagonal model of `_chunk_projections` on its own
-    Philox substream keyed (seed, draw index).  The values do not depend on
+    Each chunk runs the tridiagonal model of `_chunk_projections` on its own
+    Philox stream keyed (seed, first draw index).  The values do not depend on
     the spike direction; `spike` is checked for shape, unit norm and
     realness only.  The same (model, seed, count) reproduces identical values
-    bit for bit, including across different worker counts.
+    bit for bit, including across different worker counts, and a smaller
+    count gives a prefix of a larger one.
     """
     if count < 1:
         raise InvalidCount("count must be at least 1")

@@ -97,6 +97,14 @@ def test_simulate_across_worker_counts(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-2"])
+def test_simulate_rejects_bad_thread_cap(cap, monkeypatch, capsys):
+    monkeypatch.setenv("SPIKED_EIGVEC_THREADS", cap)
+    assert main("simulate --stat z1 --n 3 --m 5 --theta 1 --samples 10".split()) == 2
+    err = capsys.readouterr().err
+    assert "SPIKED_EIGVEC_THREADS" in err and repr(cap) in err
+
+
 def test_simulate_haar_mean(tmp_path):
     out = tmp_path / "h.csv"
     assert main(

@@ -287,3 +287,32 @@ def test_selected_columns_are_bit_identical(n, m, variant):
     for stat, batch in every.items():
         alone = mc.sample_wishart(model, spike, seed=4, count=count, statistics=(stat,))
         assert np.array_equal(alone[stat].values, batch.values)
+
+
+@pytest.mark.parametrize(
+    "n,m,variant",
+    [(4, 6, "complex"), (2, 5, "real"), (4, 3, "singular")],
+)
+def test_smaller_count_is_a_prefix(n, m, variant):
+    # Each chunk is keyed by its first draw index, so a shorter batch is the
+    # head of a longer one, bit for bit.
+    model = sd.SpikedModel(n, m, 1.5, variant)
+    spike = mc.make_spike(n, 0, real=variant == "real")
+    full = mc.sample_wishart(model, spike, seed=6, count=2 * mc.CHUNK_SIZE + 77)
+    for count in (100, mc.CHUNK_SIZE + 5):
+        head = mc.sample_wishart(model, spike, seed=6, count=count)
+        for stat, batch in head.items():
+            assert np.array_equal(batch.values, full[stat].values[:count])
+
+
+@pytest.mark.parametrize(
+    "n,m,theta,variant",
+    [(4, 6, 2.0, "complex"), (2, 5, 1.0, "real"), (4, 1, 0.5, "singular"), (4, 3, 3.0, "singular")],
+)
+def test_trace_mean(n, m, theta, variant):
+    # E trace T = E |D X|_F^2 = m (n + theta) in every variant: a wrong Gamma
+    # shape or a missing factor 2 on the real chi-square moves the mean.
+    model = sd.SpikedModel(n, m, theta, variant)
+    trace = np.trace(mc._tridiagonal(model, 13, 0, 20_000), axis1=1, axis2=2)
+    se = trace.std(ddof=1) / np.sqrt(trace.size)
+    assert abs(trace.mean() - m * (n + theta)) <= 6.0 * se

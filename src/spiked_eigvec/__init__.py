@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .numkit import EmptySample, GofReport, ks_test  # noqa: F401
 from .spike_density import (  # noqa: F401
-    DensityCurve,
     DomainError,
     SpikedModel,
     ThetaZeroSingularity,

@@ -1,5 +1,12 @@
 """Command-line surface: density/CDF grids, simulation, validation, figures.
 
+The parsed argparse namespace is the configuration.  Each subcommand accepts
+exactly the options its handler reads (`--help` lists them), so argparse
+rejects any other option with exit code 2.  pdf and cdf tabulate on
+[1e-4, 1 - 1e-4] by default, figure on [1e-6, 1 - 1e-6]: steep curves hold
+O(1e-3) mass inside z < 1e-4, and the wider window lets every emitted column
+integrate to 1 within 2e-3.
+
 All outputs are deterministic: CSV cells carry 17 significant digits with '.'
 decimal separators and LF line endings, simulation is reproducible bit for
 bit from (model, seed, count) regardless of worker count, and JSON sidecars
@@ -14,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,58 +35,35 @@ class ConfigError(ValueError):
     """An invalid command configuration (reported with exit code 2)."""
 
 
-class UnknownFigure(ConfigError):
-    """The requested figure id is not in the supported set."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    statistic: str | None = None
-    n: int | None = None
-    m: int | None = None
-    theta: float | None = None
-    z_min: float = 1e-4
-    z_max: float = 1.0 - 1e-4
-    grid_points: int = 501
-    samples: int = 100_000
-    seed: int = 42
-    output_path: str = "-"
-    fmt: str = "csv"
-    data_theta: float | None = None
-    figure_id: str | None = None
-
-
-def build_model(cfg: RunConfig) -> sd.SpikedModel:
+def build_model(stat: str, n: int | None, m: int | None, theta: float | None) -> sd.SpikedModel:
     """Validate the (statistic, n, m, theta) combination and build the model."""
-    entry = sd.STATISTICS.get(cfg.statistic)
+    entry = sd.STATISTICS.get(stat)
     if entry is None:
-        raise ConfigError(f"unknown statistic {cfg.statistic!r}")
-    if cfg.theta is None:
+        raise ConfigError(f"unknown statistic {stat!r}")
+    if theta is None:
         raise ConfigError("--theta is required")
-    if cfg.n is None or cfg.m is None:
+    if n is None or m is None:
         raise ConfigError("--n and --m are required for this statistic")
     try:
-        model = sd.SpikedModel(cfg.n, cfg.m, cfg.theta, entry.variant)
+        model = sd.SpikedModel(n, m, theta, entry.variant)
         entry.support(model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return model
 
 
-def _grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.grid_points < 2:
+def _grid(stat: str, z_min: float, z_max: float, points: int) -> np.ndarray:
+    if points < 2:
         raise ConfigError("grid_points must be at least 2")
-    if not (0.0 <= cfg.z_min < cfg.z_max):
+    if not (0.0 <= z_min < z_max):
         raise ConfigError("need 0 <= z-min < z-max")
-    if cfg.statistic != "nz1_asym" and cfg.z_max > 1.0:
+    if stat != "nz1_asym" and z_max > 1.0:
         raise ConfigError("z-max cannot exceed 1 for projection statistics")
-    if sd.STATISTICS[cfg.statistic].arcsine:
+    if sd.STATISTICS[stat].arcsine:
         # sin^2-spaced grid resolves the inverse-square-root endpoints.
-        lo = np.arcsin(np.sqrt(cfg.z_min))
-        hi = np.arcsin(np.sqrt(cfg.z_max))
-        return np.sin(np.linspace(lo, hi, cfg.grid_points)) ** 2
-    return np.linspace(cfg.z_min, cfg.z_max, cfg.grid_points)
+        lo, hi = np.arcsin(np.sqrt(z_min)), np.arcsin(np.sqrt(z_max))
+        return np.sin(np.linspace(lo, hi, points)) ** 2
+    return np.linspace(z_min, z_max, points)
 
 
 def _fmt(v: float) -> str:
@@ -99,100 +82,83 @@ def _model_echo(model: sd.SpikedModel) -> dict:
     return {"n": model.n, "m": model.m, "theta": model.theta, "variant": model.variant}
 
 
-def _curve_payload(cfg, curve: sd.DensityCurve, kind) -> str:
-    if cfg.fmt == "csv":
-        head = "z,density" if kind == "pdf" else "z,cdf"
-        rows = [head] + [f"{_fmt(z)},{_fmt(v)}" for z, v in zip(curve.grid, curve.values)]
-        return "\n".join(rows) + "\n"
-    payload = {
-        "kind": kind,
-        "statistic": curve.statistic,
-        "model": _model_echo(curve.model) if curve.model else {"theta": cfg.theta},
-        "grid": [float(z) for z in curve.grid],
-        "values": [float(v) for v in curve.values],
-        "version": __version__,
-    }
-    return json.dumps(payload, indent=1) + "\n"
-
-
-def _evaluate_curve(cfg: RunConfig, kind: str) -> sd.DensityCurve:
-    zs = _grid(cfg)
-    if cfg.statistic == "nz1_asym":
-        if cfg.theta is None or not 0.0 <= cfg.theta < np.inf:
-            raise ConfigError("nz1_asym requires a finite theta >= 0")
-        fn = sd.pdf_nz1_asymptotic if kind == "pdf" else sd.cdf_nz1_asymptotic
-        values = np.asarray(fn(cfg.theta, zs))
-        model = None
-    else:
-        model = build_model(cfg)
-        if kind == "pdf":
-            values = sd.density_values(cfg.statistic, model, zs)
-        else:
-            values = sd.cdf_grid(cfg.statistic, model, zs)
-    return sd.DensityCurve(grid=zs, values=values, model=model, statistic=cfg.statistic)
-
-
-def cmd_pdf(cfg: RunConfig) -> int:
-    curve = _evaluate_curve(cfg, "pdf")
-    _write_text(cfg.output_path, _curve_payload(cfg, curve, "pdf"))
-    return 0
-
-
-def cmd_cdf(cfg: RunConfig) -> int:
-    curve = _evaluate_curve(cfg, "cdf")
-    _write_text(cfg.output_path, _curve_payload(cfg, curve, "cdf"))
-    return 0
-
-
-def _simulate_values(cfg: RunConfig, theta: float | None = None) -> tuple:
-    """Draw the sample batch for cfg (optionally overriding the data theta)."""
-    if cfg.samples < 1:
-        raise ConfigError("samples must be at least 1")
-    stat = cfg.statistic
-    data_theta = cfg.theta if theta is None else theta
-    sample_stat = "z1" if stat == "nz1_asym" else stat
-    data_cfg = RunConfig(**{**asdict(cfg), "theta": data_theta})
-    model = build_model(data_cfg)
-    spike = montecarlo.make_spike(model.n, cfg.seed, "first_basis", real=model.variant == "real")
-    batches = montecarlo.sample_wishart(
-        model, spike, cfg.seed, cfg.samples, statistics=(sample_stat,)
-    )
-    values = batches[sample_stat].values
+def cmd_curve(args: argparse.Namespace) -> int:
+    """The pdf or cdf subcommand: one statistic's curve on a z grid."""
+    stat, kind = args.statistic, args.command
+    zs = _grid(stat, args.z_min, args.z_max, args.grid_points)
     if stat == "nz1_asym":
-        values = model.n * values
-    return model, values
-
-
-def cmd_simulate(cfg: RunConfig) -> int:
-    model, values = _simulate_values(cfg)
-    rows = ["index,value"] + [f"{i},{_fmt(v)}" for i, v in enumerate(values)]
-    _write_text(cfg.output_path, "\n".join(rows) + "\n")
-    meta = {
-        "statistic": cfg.statistic,
-        "model": _model_echo(model),
-        "seed": cfg.seed,
-        "count": cfg.samples,
-        "version": __version__,
-    }
-    if cfg.output_path != "-":
-        _write_text(cfg.output_path + ".meta.json", json.dumps(meta, indent=1) + "\n")
+        # The limit law takes theta alone; the library checks its value.
+        if args.theta is None:
+            raise ConfigError("--theta is required")
+        law = sd.pdf_nz1_asymptotic if kind == "pdf" else sd.cdf_nz1_asymptotic
+        values, echo = np.asarray(law(args.theta, zs)), {"theta": args.theta}
+    else:
+        model = build_model(stat, args.n, args.m, args.theta)
+        curve = sd.density_values if kind == "pdf" else sd.cdf_grid
+        values, echo = curve(stat, model, zs), _model_echo(model)
+    if args.fmt == "csv":
+        head = "z,density" if kind == "pdf" else "z,cdf"
+        rows = [head] + [f"{_fmt(z)},{_fmt(v)}" for z, v in zip(zs, values)]
+        text = "\n".join(rows) + "\n"
+    else:
+        payload = {
+            "kind": kind,
+            "statistic": stat,
+            "model": echo,
+            "grid": [float(z) for z in zs],
+            "values": [float(v) for v in values],
+            "version": __version__,
+        }
+        text = json.dumps(payload, indent=1) + "\n"
+    _write_text(args.output_path, text)
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    data_theta = cfg.data_theta if cfg.data_theta is not None else cfg.theta
-    _, values = _simulate_values(cfg, theta=data_theta)
-    model = build_model(cfg)
-    report = numkit.ks_test(values, sd.model_cdf_fn(cfg.statistic, model))
+def _draw(stat: str, model: sd.SpikedModel, seed: int, samples: int) -> np.ndarray:
+    """`samples` seeded draws of `stat` from `model` (n * z1 for nz1_asym)."""
+    if samples < 1:
+        raise ConfigError("samples must be at least 1")
+    sample_stat = "z1" if stat == "nz1_asym" else stat
+    spike = montecarlo.make_spike(model.n, seed, "first_basis", real=model.variant == "real")
+    batches = montecarlo.sample_wishart(model, spike, seed, samples, statistics=(sample_stat,))
+    values = batches[sample_stat].values
+    return model.n * values if stat == "nz1_asym" else values
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    model = build_model(args.statistic, args.n, args.m, args.theta)
+    values = _draw(args.statistic, model, args.seed, args.samples)
+    rows = ["index,value"] + [f"{i},{_fmt(v)}" for i, v in enumerate(values)]
+    _write_text(args.output_path, "\n".join(rows) + "\n")
+    meta = {
+        "statistic": args.statistic,
+        "model": _model_echo(model),
+        "seed": args.seed,
+        "count": args.samples,
+        "version": __version__,
+    }
+    if args.output_path != "-":
+        _write_text(args.output_path + ".meta.json", json.dumps(meta, indent=1) + "\n")
+    return 0
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    stat = args.statistic
+    data_theta = args.theta if args.data_theta is None else args.data_theta
+    # Both models are checked before the sampler runs.
+    data_model = build_model(stat, args.n, args.m, data_theta)
+    model = build_model(stat, args.n, args.m, args.theta)
+    values = _draw(stat, data_model, args.seed, args.samples)
+    report = numkit.ks_test(values, sd.model_cdf_fn(stat, model))
     payload = {
-        "statistic": cfg.statistic,
+        "statistic": stat,
         "model": _model_echo(model),
         "data_theta": data_theta,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "report": report.to_dict(),
         "version": __version__,
     }
-    _write_text(cfg.output_path, json.dumps(payload, indent=1) + "\n")
+    _write_text(args.output_path, json.dumps(payload, indent=1) + "\n")
     return 0 if report.passed else 1
 
 
@@ -210,27 +176,20 @@ _FIGURES = {
 }
 
 
-def cmd_figure(cfg: RunConfig) -> int:
-    fid = cfg.figure_id
+def cmd_figure(args: argparse.Namespace) -> int:
+    fid = args.figure_id
     if fid not in _FIGURES:
-        raise UnknownFigure(f"unknown figure id {fid!r}; supported: {sorted(_FIGURES)}")
+        raise ConfigError(f"unknown figure id {fid!r}; supported: {sorted(_FIGURES)}")
     stat, curves = _FIGURES[fid]
-    if stat == "nz1_asym":
-        zs = np.linspace(0.0, 6.0, cfg.grid_points)
-    else:
-        # Steep curves hold O(1e-3) mass inside z < 1e-4; widen the default
-        # window so every emitted column integrates to 1 within 2e-3.
-        zmin = cfg.z_min if cfg.z_min != 1e-4 else 1e-6
-        zmax = cfg.z_max if cfg.z_max != 1.0 - 1e-4 else 1.0 - 1e-6
-        zs = _grid(RunConfig(**{**asdict(cfg), "statistic": stat, "z_min": zmin, "z_max": zmax}))
-
     columns, labels = [], []
     if stat == "nz1_asym":
-        # Analytic limit curves depend on theta only.
+        # Analytic limit curves depend on theta only, and run over v in [0, 6].
+        zs = _grid(stat, 0.0, 6.0, args.grid_points)
         for t in sorted({c[3] for c in curves}):
             labels.append(f"theta{t}")
             columns.append(np.asarray(sd.cdf_nz1_asymptotic(t, zs)))
     else:
+        zs = _grid(stat, args.z_min, args.z_max, args.grid_points)
         for label, n, m, theta in curves:
             model = sd.SpikedModel(n, m, theta, sd.STATISTICS[stat].variant)
             labels.append(label)
@@ -238,40 +197,30 @@ def cmd_figure(cfg: RunConfig) -> int:
     rows = ["z," + ",".join(labels)]
     for i, z in enumerate(zs):
         rows.append(_fmt(z) + "," + ",".join(_fmt(col[i]) for col in columns))
-    _write_text(cfg.output_path, "\n".join(rows) + "\n")
+    _write_text(args.output_path, "\n".join(rows) + "\n")
 
     hist_rows = ["curve,bin_left,bin_right,density"]
     for idx, (label, n, m, theta) in enumerate(curves):
-        sim_cfg = RunConfig(
-            **{
-                **asdict(cfg),
-                "statistic": stat,
-                "n": n,
-                "m": m,
-                "theta": theta,
-                "seed": cfg.seed + idx,
-            }
-        )
-        _, values = _simulate_values(sim_cfg)
+        values = _draw(stat, build_model(stat, n, m, theta), args.seed + idx, args.samples)
         counts, edges = np.histogram(values, bins=40, density=True)
         for k in range(counts.size):
             hist_rows.append(
                 f"{label},{_fmt(edges[k])},{_fmt(edges[k + 1])},{_fmt(counts[k])}"
             )
-    if cfg.output_path != "-":
-        _write_text(cfg.output_path + ".hist.csv", "\n".join(hist_rows) + "\n")
+    if args.output_path != "-":
+        _write_text(args.output_path + ".hist.csv", "\n".join(hist_rows) + "\n")
         meta = {
             "figure": fid,
             "statistic": stat,
             "curves": [
                 {"label": lab, "n": n, "m": m, "theta": th} for lab, n, m, th in curves
             ],
-            "samples": cfg.samples,
-            "seed": cfg.seed,
+            "samples": args.samples,
+            "seed": args.seed,
             "note": "caption-omitted n lists default to {3,4,5,6,7}",
             "version": __version__,
         }
-        _write_text(cfg.output_path + ".meta.json", json.dumps(meta, indent=1) + "\n")
+        _write_text(args.output_path + ".meta.json", json.dumps(meta, indent=1) + "\n")
     return 0
 
 
@@ -282,56 +231,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_stat=True):
-        if need_stat:
+    def subcommand(name, run, fmt=False, draws=False, window=None):
+        """A subparser whose handler is `run`; the flags add the options it reads."""
+        p = sub.add_parser(name)
+        p.set_defaults(run=run)
+        if name == "figure":
+            p.add_argument("--id", dest="figure_id", required=True)
+        else:
             p.add_argument("--stat", dest="statistic", choices=list(sd.STATISTICS), required=True)
             p.add_argument("--n", type=int)
             p.add_argument("--m", type=int)
             p.add_argument("--theta", type=float)
         p.add_argument("--out", dest="output_path", default="-")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--samples", type=int, default=100_000)
-        p.add_argument("--z-min", dest="z_min", type=float, default=1e-4)
-        p.add_argument("--z-max", dest="z_max", type=float, default=1.0 - 1e-4)
-        p.add_argument("--grid-points", dest="grid_points", type=int, default=501)
+        if fmt:
+            p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+        if draws:
+            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--samples", type=int, default=100_000)
+        if window:
+            p.add_argument("--z-min", dest="z_min", type=float, default=window[0])
+            p.add_argument("--z-max", dest="z_max", type=float, default=window[1])
+            p.add_argument("--grid-points", dest="grid_points", type=int, default=501)
+        return p
 
-    for name in ("pdf", "cdf", "simulate", "validate"):
-        p = sub.add_parser(name)
-        common(p)
-        if name == "validate":
-            p.add_argument(
-                "--data-theta",
-                dest="data_theta",
-                type=float,
-                default=None,
-                help="draw samples from this theta while testing against --theta (negative-control harness)",
-            )
-    p = sub.add_parser("figure")
-    p.add_argument("--id", dest="figure_id", required=True)
-    common(p, need_stat=False)
+    for name in ("pdf", "cdf"):
+        subcommand(name, cmd_curve, fmt=True, window=(1e-4, 1.0 - 1e-4))
+    subcommand("simulate", cmd_simulate, draws=True)
+    subcommand("validate", cmd_validate, draws=True).add_argument(
+        "--data-theta",
+        dest="data_theta",
+        type=float,
+        default=None,
+        help="draw samples from this theta while testing against --theta (negative-control harness)",
+    )
+    subcommand("figure", cmd_figure, draws=True, window=(1e-6, 1.0 - 1e-6))
     return parser
 
 
-def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    kw = {k: v for k, v in vars(args).items() if k in known and v is not None}
-    return RunConfig(**kw)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _cfg_from_args(args)
-    handlers = {
-        "pdf": cmd_pdf,
-        "cdf": cmd_cdf,
-        "simulate": cmd_simulate,
-        "validate": cmd_validate,
-        "figure": cmd_figure,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[cfg.command](cfg)
+        return args.run(args)
     except ValueError as exc:  # ConfigError and the density errors included
         print(f"config error: {exc}", file=sys.stderr)
         return 2

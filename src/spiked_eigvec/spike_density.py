@@ -91,16 +91,6 @@ class SpikedModel:
         return self.theta / (1.0 + self.theta)
 
 
-@dataclass
-class DensityCurve:
-    """A density (or c.d.f.) evaluated on a strictly increasing grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    model: SpikedModel
-    statistic: str
-
-
 def _as_z_array(z):
     z = np.asarray(z, dtype=float)
     if not np.all((z >= 0) & (z <= 1)):
@@ -332,25 +322,25 @@ def pdf_z1(model: SpikedModel, z) -> float | np.ndarray:
     return _pdf_z1_series(n, alpha, beta, z)
 
 
-def pdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
-    """Limit density of n * z1 as the dimension grows with m - n fixed."""
+def _nz1_v(theta: float, v) -> np.ndarray:
+    """The one input check of the n * z1 limit law; returns v as an array."""
     if not 0.0 <= theta < math.inf:
         raise DomainError("theta must be finite and nonnegative")
     v = np.asarray(v, dtype=float)
     if not np.all(v >= 0):
         raise DomainError("v must be nonnegative")
-    out = (1.0 + theta) * np.exp(-(1.0 + theta) * v)
+    return v
+
+
+def pdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
+    """Limit density of n * z1 as the dimension grows with m - n fixed."""
+    out = (1.0 + theta) * np.exp(-(1.0 + theta) * _nz1_v(theta, v))
     return float(out) if out.ndim == 0 else out
 
 
 def cdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
     """Limit c.d.f. 1 - exp(-(1+theta) v) of n * z1."""
-    if not 0.0 <= theta < math.inf:
-        raise DomainError("theta must be finite and nonnegative")
-    v = np.asarray(v, dtype=float)
-    if not np.all(v >= 0):
-        raise DomainError("v must be nonnegative")
-    out = -np.expm1(-(1.0 + theta) * v)
+    out = -np.expm1(-(1.0 + theta) * _nz1_v(theta, v))
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from spiked_eigvec import cli, numkit
+from spiked_eigvec import cli, montecarlo, numkit
 from spiked_eigvec import spike_density as sd
 from spiked_eigvec import variant_density as vd
 from spiked_eigvec.cli import main
@@ -340,3 +340,62 @@ def test_figure_fig14_structure(tmp_path):
     assert len(header) == 6
     for col in range(1, 6):
         assert np.trapezoid(data[:, col], data[:, 0]) == pytest.approx(1.0, abs=2e-3)
+
+
+_UNREAD_OPTIONS = [
+    ("pdf", "--seed", "1"), ("pdf", "--samples", "10"),
+    ("cdf", "--seed", "1"), ("cdf", "--samples", "10"),
+    ("simulate", "--format", "json"), ("simulate", "--z-min", "0.1"),
+    ("simulate", "--z-max", "0.9"), ("simulate", "--grid-points", "5"),
+    ("validate", "--format", "csv"), ("validate", "--z-min", "0.1"),
+    ("validate", "--z-max", "0.9"), ("validate", "--grid-points", "5"),
+    ("figure", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", _UNREAD_OPTIONS,
+                         ids=[f"{c}{o}" for c, o, _ in _UNREAD_OPTIONS])
+def test_subcommand_rejects_options_it_does_not_read(command, option, value, capsys):
+    # Each subcommand accepts only the options its handler reads; argparse
+    # exits 2 on any other before anything runs.
+    base = ["--id", "fig1"] if command == "figure" else "--stat z1 --n 3 --m 5 --theta 1".split()
+    with pytest.raises(SystemExit) as exc:
+        main([command] + base + [option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("window,first,last", [
+    ([], 1e-6, 1.0 - 1e-6),
+    (["--z-min", "1e-4"], 1e-4, 1.0 - 1e-6),
+    (["--z-max", repr(1.0 - 1e-4)], 1e-6, 1.0 - 1e-4),
+], ids=["default", "z-min", "z-max"])
+def test_figure_window(window, first, last, tmp_path):
+    # figure's own default window is [1e-6, 1 - 1e-6]; an explicit bound is
+    # honoured even when it equals the pdf/cdf default.
+    out = tmp_path / "fig3.csv"
+    argv = "figure --id fig3 --grid-points 3 --samples 50".split() + window
+    assert main(argv + ["--out", str(out)]) == 0
+    _, data = _read_csv(out)
+    assert data[0, 0] == first and data[-1, 0] == last
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_figure_fig5_rejects_short_grid(points, tmp_path, capsys):
+    out = tmp_path / "fig5.csv"
+    assert main(["figure", "--id", "fig5", "--grid-points", points, "--out", str(out)]) == 2
+    assert not out.exists() and "grid_points must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta,data_theta", [("0", "3"), ("3", "0")], ids=["tested", "data"])
+def test_validate_checks_both_models_before_sampling(theta, data_theta, monkeypatch, capsys):
+    # z2 has a pole at theta = 0; neither model may reach the sampler.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the sampler ran before the models were checked")
+
+    monkeypatch.setattr(montecarlo, "sample_wishart", no_draws)
+    argv = ["validate", "--stat", "z2", "--n", "4", "--m", "6", "--theta", theta,
+            "--data-theta", data_theta, "--samples", "400000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")

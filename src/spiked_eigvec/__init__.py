@@ -33,8 +33,6 @@ from .variant_density import (  # noqa: F401
 from .montecarlo import (  # noqa: F401
     EigensolverFailure,
     InvalidCount,
-    SampleBatch,
-    SpikeVector,
     make_spike,
     sample_wishart,
 )

@@ -3,9 +3,9 @@
 The parsed argparse namespace is the configuration.  Each subcommand accepts
 exactly the options its handler reads (`--help` lists them), so argparse
 rejects any other option with exit code 2.  pdf and cdf tabulate on
-[1e-4, 1 - 1e-4] by default, figure on [1e-6, 1 - 1e-6]: steep curves hold
-O(1e-3) mass inside z < 1e-4, and the wider window lets every emitted column
-integrate to 1 within 2e-3.
+[1e-4, 1 - 1e-4] by default, figure on [1e-6, 1 - 1e-6] (fig5, the limit law
+of n z1, on [0, 6]): steep curves hold O(1e-3) mass inside z < 1e-4, and the
+wider window lets every emitted column integrate to 1 within 2e-3.
 
 All outputs are deterministic: CSV cells carry 17 significant digits with '.'
 decimal separators and LF line endings, simulation is reproducible bit for
@@ -19,6 +19,7 @@ configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -120,8 +121,8 @@ def _draw(stat: str, model: sd.SpikedModel, seed: int, samples: int) -> np.ndarr
         raise ConfigError("samples must be at least 1")
     sample_stat = "z1" if stat == "nz1_asym" else stat
     spike = montecarlo.make_spike(model.n, seed, "first_basis", real=model.variant == "real")
-    batches = montecarlo.sample_wishart(model, spike, seed, samples, statistics=(sample_stat,))
-    values = batches[sample_stat].values
+    draws = montecarlo.sample_wishart(model, spike, seed, samples, statistics=(sample_stat,))
+    values = draws[sample_stat]
     return model.n * values if stat == "nz1_asym" else values
 
 
@@ -145,17 +146,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     stat = args.statistic
     data_theta = args.theta if args.data_theta is None else args.data_theta
-    # Both models are checked before the sampler runs.
+    # Both models and the tested c.d.f. are checked before the sampler runs.
     data_model = build_model(stat, args.n, args.m, data_theta)
     model = build_model(stat, args.n, args.m, args.theta)
+    cdf = sd.model_cdf_fn(stat, model)
     values = _draw(stat, data_model, args.seed, args.samples)
-    report = numkit.ks_test(values, sd.model_cdf_fn(stat, model))
+    report = numkit.ks_test(values, cdf)
     payload = {
         "statistic": stat,
         "model": _model_echo(model),
         "data_theta": data_theta,
         "seed": args.seed,
-        "report": report.to_dict(),
+        "report": dataclasses.asdict(report),
         "version": __version__,
     }
     _write_text(args.output_path, json.dumps(payload, indent=1) + "\n")
@@ -181,24 +183,23 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if fid not in _FIGURES:
         raise ConfigError(f"unknown figure id {fid!r}; supported: {sorted(_FIGURES)}")
     stat, curves = _FIGURES[fid]
+    # The window's default depends on the figure: v in [0, 6] for the limit law.
+    lo, hi = (0.0, 6.0) if stat == "nz1_asym" else (1e-6, 1.0 - 1e-6)
+    zs = _grid(stat, lo if args.z_min is None else args.z_min,
+               hi if args.z_max is None else args.z_max, args.grid_points)
     columns, labels = [], []
     if stat == "nz1_asym":
-        # Analytic limit curves depend on theta only, and run over v in [0, 6].
-        zs = _grid(stat, 0.0, 6.0, args.grid_points)
+        # Analytic limit curves depend on theta only.
         for t in sorted({c[3] for c in curves}):
             labels.append(f"theta{t}")
             columns.append(np.asarray(sd.cdf_nz1_asymptotic(t, zs)))
     else:
-        zs = _grid(stat, args.z_min, args.z_max, args.grid_points)
         for label, n, m, theta in curves:
             model = sd.SpikedModel(n, m, theta, sd.STATISTICS[stat].variant)
             labels.append(label)
             columns.append(sd.density_values(stat, model, zs))
-    rows = ["z," + ",".join(labels)]
-    for i, z in enumerate(zs):
-        rows.append(_fmt(z) + "," + ",".join(_fmt(col[i]) for col in columns))
-    _write_text(args.output_path, "\n".join(rows) + "\n")
-
+    # Every draw is made before anything is written, so a rejected sample
+    # count or a failed draw leaves no partial table behind.
     hist_rows = ["curve,bin_left,bin_right,density"]
     for idx, (label, n, m, theta) in enumerate(curves):
         values = _draw(stat, build_model(stat, n, m, theta), args.seed + idx, args.samples)
@@ -207,6 +208,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
             hist_rows.append(
                 f"{label},{_fmt(edges[k])},{_fmt(edges[k + 1])},{_fmt(counts[k])}"
             )
+    rows = ["z," + ",".join(labels)]
+    for i, z in enumerate(zs):
+        rows.append(_fmt(z) + "," + ",".join(_fmt(col[i]) for col in columns))
+    _write_text(args.output_path, "\n".join(rows) + "\n")
     if args.output_path != "-":
         _write_text(args.output_path + ".hist.csv", "\n".join(hist_rows) + "\n")
         meta = {
@@ -264,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="draw samples from this theta while testing against --theta (negative-control harness)",
     )
-    subcommand("figure", cmd_figure, draws=True, window=(1e-6, 1.0 - 1e-6))
+    # figure's window defaults depend on the figure id; cmd_figure fills them in.
+    subcommand("figure", cmd_figure, draws=True, window=(None, None))
     return parser
 
 

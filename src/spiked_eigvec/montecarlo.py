@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,23 +36,6 @@ class InvalidCount(ValueError):
     """A nonpositive sample count was requested."""
 
 
-@dataclass(frozen=True, eq=False)
-class SpikeVector:
-    """Unit-norm spike direction."""
-
-    entries: np.ndarray
-
-
-@dataclass(eq=False)
-class SampleBatch:
-    """Seeded Monte-Carlo draws of one projection statistic."""
-
-    statistic: str
-    model: SpikedModel
-    seed: int
-    values: np.ndarray
-
-
 def worker_count(requested: int | None = None) -> int:
     """Worker threads to use, capped by SPIKED_EIGVEC_THREADS (a positive integer)."""
     cap = os.environ.get("SPIKED_EIGVEC_THREADS")
@@ -65,7 +47,7 @@ def worker_count(requested: int | None = None) -> int:
     return max(1, min(requested, limit))
 
 
-def make_spike(n: int, seed: int = 0, style: str = "first_basis", real: bool = False) -> SpikeVector:
+def make_spike(n: int, seed: int = 0, style: str = "first_basis", real: bool = False) -> np.ndarray:
     """Unit spike direction: either e1 or a normalized Gaussian draw."""
     if n < 1:
         raise ValueError("spike dimension must be positive")
@@ -84,7 +66,7 @@ def make_spike(n: int, seed: int = 0, style: str = "first_basis", real: bool = F
         v = v / np.linalg.norm(v)
     else:
         raise ValueError(f"unknown spike style {style!r}")
-    return SpikeVector(entries=v)
+    return v
 
 
 def _tridiagonal(model: SpikedModel, seed: int, start: int, stop: int) -> np.ndarray:
@@ -160,13 +142,13 @@ def _chunk_projections(model: SpikedModel, seed: int, start: int, stop: int,
 
 def sample_wishart(
     model: SpikedModel,
-    spike: SpikeVector,
+    spike: np.ndarray,
     seed: int,
     count: int,
     statistics: tuple[str, ...] | None = None,
     workers: int | None = None,
-) -> dict[str, SampleBatch]:
-    """Draw spiked Wishart overlaps and emit projection samples per statistic.
+) -> dict[str, np.ndarray]:
+    """Draw spiked Wishart overlaps: {statistic: its `count` seeded values}.
 
     Each chunk runs the tridiagonal model of `_chunk_projections` on its own
     Philox stream keyed (seed, first draw index).  The values do not depend on
@@ -177,7 +159,7 @@ def sample_wishart(
     """
     if count < 1:
         raise InvalidCount("count must be at least 1")
-    v = np.asarray(spike.entries)
+    v = np.asarray(spike)
     if model.variant == "real" and np.iscomplexobj(v):
         raise ValueError("real variant requires a real spike vector")
     if v.shape != (model.n,):
@@ -207,5 +189,4 @@ def sample_wishart(
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             chunks = list(pool.map(lambda ab: _chunk_projections(model, seed, *ab, wanted), bounds))
     proj = np.concatenate(chunks, axis=0)
-    return {stat: SampleBatch(statistic=stat, model=model, seed=seed, values=proj[:, j].copy())
-            for j, stat in enumerate(statistics)}
+    return {stat: proj[:, j].copy() for j, stat in enumerate(statistics)}

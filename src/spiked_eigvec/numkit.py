@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -242,18 +242,8 @@ class GofReport:
     sample_count: int
     critical_value_1pct: float
     passed: bool
-    histogram: list = field(default_factory=list)
-    qq: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "ks_statistic": self.ks_statistic,
-            "sample_count": self.sample_count,
-            "critical_value_1pct": self.critical_value_1pct,
-            "passed": self.passed,
-            "histogram": [list(row) for row in self.histogram],
-            "qq": [list(row) for row in self.qq],
-        }
+    histogram: list
+    qq: list
 
 
 def ks_test(samples, model_cdf) -> GofReport:

@@ -45,7 +45,7 @@ def _ks_for(stat, model, count=KS_N, seed=42, scale_by_n=False):
     spike = mc.make_spike(model.n, 0, "first_basis", real=model.variant == "real")
     sample_stat = stat
     batches = mc.sample_wishart(model, spike, seed, count, statistics=(sample_stat,))
-    values = batches[sample_stat].values
+    values = batches[sample_stat]
     if scale_by_n:
         values = model.n * values
         cdf = sd.model_cdf_fn("nz1_asym", model)
@@ -181,7 +181,7 @@ def test_criterion_6_variant_suites():
     # real theta = 0 reproduces the arcsine law
     model0 = sd.SpikedModel(2, 5, 0.0, "real")
     spike = mc.make_spike(2, 0, real=True)
-    vals = mc.sample_wishart(model0, spike, 42, KS_N, statistics=("w1_real",))["w1_real"].values
+    vals = mc.sample_wishart(model0, spike, 42, KS_N, statistics=("w1_real",))["w1_real"]
     arcsine_cdf = lambda z: 2.0 / np.pi * np.arcsin(np.sqrt(np.clip(np.asarray(z, float), 0, 1)))
     rep = numkit.ks_test(vals, arcsine_cdf)
     ok = ok and rep.passed

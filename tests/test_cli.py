@@ -399,3 +399,34 @@ def test_validate_checks_both_models_before_sampling(theta, data_theta, monkeypa
             "--data-theta", data_theta, "--samples", "400000"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_figure_rejects_draws_before_writing(tmp_path, capsys):
+    out = tmp_path / "fig1.csv"
+    assert main("figure --id fig1 --samples 0 --grid-points 11 --out".split() + [str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window,first,last", [
+    ([], 0.0, 6.0),
+    (["--z-min", "0.5", "--z-max", "0.9"], 0.5, 0.9),
+], ids=["default", "explicit"])
+def test_figure_fig5_window(window, first, last, tmp_path):
+    # fig5 tabulates the limit law of n z1 on [0, 6] unless told otherwise.
+    out = tmp_path / "fig5.csv"
+    argv = "figure --id fig5 --grid-points 5 --samples 50".split() + window
+    assert main(argv + ["--out", str(out)]) == 0
+    _, data = _read_csv(out)
+    assert data[0, 0] == first and data[-1, 0] == last
+
+
+def test_validate_checks_tested_cdf_before_sampling(monkeypatch, capsys):
+    # At theta = 1e17, beta rounds to 1 and the z1 c.d.f. cannot be built.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the sampler ran before the tested c.d.f. was built")
+
+    monkeypatch.setattr(montecarlo, "sample_wishart", no_draws)
+    argv = "validate --stat z1 --n 3 --m 5 --theta 1e17 --samples 200000".split()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical error:")

@@ -13,14 +13,14 @@ TWO_SAMPLE_ALPHA = 1e-3
 
 def test_make_spike_first_basis():
     v = mc.make_spike(3, 0, "first_basis")
-    assert np.array_equal(v.entries, np.array([1.0, 0.0, 0.0], dtype=complex))
+    assert np.array_equal(v, np.array([1.0, 0.0, 0.0], dtype=complex))
 
 
 def test_make_spike_random_unit_norm():
     v = mc.make_spike(5, 7, "random")
-    assert abs(np.linalg.norm(v.entries) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     again = mc.make_spike(5, 7, "random")
-    assert np.array_equal(v.entries, again.entries)
+    assert np.array_equal(v, again)
 
 
 def test_make_spike_rejects_unknown_style():
@@ -65,16 +65,16 @@ def test_sample_reproducibility_and_workers():
     a = mc.sample_wishart(model, spike, seed=42, count=4000, workers=1)
     b = mc.sample_wishart(model, spike, seed=42, count=4000, workers=4)
     for stat in a:
-        assert np.array_equal(a[stat].values, b[stat].values)
+        assert np.array_equal(a[stat], b[stat])
     c = mc.sample_wishart(model, spike, seed=43, count=4000)
-    assert not np.array_equal(a["z1"].values, c["z1"].values)
+    assert not np.array_equal(a["z1"], c["z1"])
 
 
 def test_sample_values_in_unit_interval():
     model = sd.SpikedModel(3, 5, 3.0)
     batches = mc.sample_wishart(model, mc.make_spike(3, 0), seed=1, count=2000)
-    for batch in batches.values():
-        assert np.all(batch.values >= 0.0) and np.all(batch.values <= 1.0)
+    for values in batches.values():
+        assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +112,7 @@ def test_haar_mean():
     model = sd.SpikedModel(4, 6, 0.0)
     batches = mc.sample_wishart(model, mc.make_spike(4, 0), seed=21, count=20_000)
     for stat in ("z1", "z2", "zn"):
-        mean = batches[stat].values.mean()
+        mean = batches[stat].mean()
         # E = 1/4, sd of the mean ~ sqrt(var)/sqrt(N) with var < 0.05
         assert abs(mean - 0.25) < 3.0 * 0.2 / np.sqrt(20_000)
 
@@ -123,7 +123,7 @@ def test_haar_z1_beta_law():
     batches = mc.sample_wishart(model, mc.make_spike(n, 0), seed=3, count=20_000,
                                 statistics=("z1",))
     cdf = lambda z: 1.0 - (1.0 - np.asarray(z, dtype=float)) ** (n - 1)
-    rep = numkit.ks_test(batches["z1"].values, cdf)
+    rep = numkit.ks_test(batches["z1"], cdf)
     assert rep.passed
 
 
@@ -136,8 +136,8 @@ def test_spike_invariance_two_sample():
     a = mc.sample_wishart(model, mc.make_spike(4, 0, "first_basis"), seed=5, count=count)
     b = mc.sample_wishart(model, mc.make_spike(4, 17, "random"), seed=6, count=count)
     for stat in ("z1", "zn"):
-        x = np.sort(a[stat].values)
-        y = np.sort(b[stat].values)
+        x = np.sort(a[stat])
+        y = np.sort(b[stat])
         grid = np.concatenate([x, y])
         fx = np.searchsorted(x, grid, side="right") / count
         fy = np.searchsorted(y, grid, side="right") / count
@@ -162,7 +162,7 @@ def test_real_variant_needs_real_spike():
 
 def _dense_oracle(model, spike, seed, count):
     return np.concatenate([
-        oracles.chunk_projections_dense(model, spike.entries, seed, a, min(a + mc.CHUNK_SIZE, count))
+        oracles.chunk_projections_dense(model, spike, seed, a, min(a + mc.CHUNK_SIZE, count))
         for a in range(0, count, mc.CHUNK_SIZE)
     ])
 
@@ -186,7 +186,7 @@ def test_matches_dense_oracle(n, m, theta, variant, stats, count, style):
     fast = mc.sample_wishart(model, mc.make_spike(n, 0, real=real), seed=11, count=count, statistics=stats)
     dense = _dense_oracle(model, mc.make_spike(n, 29, style, real=real), seed=12, count=count)
     for stat in stats:
-        p = ks_2samp(fast[stat].values, dense[:, sd.STATISTICS[stat].column]).pvalue
+        p = ks_2samp(fast[stat], dense[:, sd.STATISTICS[stat].column]).pvalue
         assert p >= TWO_SAMPLE_ALPHA, f"{stat} {model}: two-sample KS p = {p:.2e}"
 
 
@@ -194,8 +194,8 @@ def test_matches_dense_oracle(n, m, theta, variant, stats, count, style):
 def test_one_dimension_is_exactly_one(variant):
     model = sd.SpikedModel(1, 3, 2.0, variant)
     batches = mc.sample_wishart(model, mc.make_spike(1, 0, real=variant == "real"), seed=4, count=50)
-    for batch in batches.values():
-        assert np.array_equal(batch.values, np.ones(50))
+    for values in batches.values():
+        assert np.array_equal(values, np.ones(50))
 
 
 @pytest.mark.parametrize(
@@ -234,10 +234,10 @@ def test_bit_identical_across_worker_counts(n, m, variant, monkeypatch):
     spike = mc.make_spike(n, 0, real=variant == "real")
     count = 2 * mc.CHUNK_SIZE + 77
     runs = [mc.sample_wishart(model, spike, seed=8, count=count, workers=w) for w in (1, 2, 3)]
-    for stat, batch in runs[0].items():
-        assert batch.values.shape == (count,)
+    for stat, values in runs[0].items():
+        assert values.shape == (count,)
         for other in runs[1:]:
-            assert np.array_equal(batch.values, other[stat].values)
+            assert np.array_equal(values, other[stat])
 
 
 @pytest.mark.parametrize("variant", ["complex", "real", "singular"])
@@ -284,9 +284,9 @@ def test_selected_columns_are_bit_identical(n, m, variant):
     spike = mc.make_spike(n, 0, real=variant == "real")
     count = mc.CHUNK_SIZE + 77
     every = mc.sample_wishart(model, spike, seed=4, count=count)
-    for stat, batch in every.items():
+    for stat, values in every.items():
         alone = mc.sample_wishart(model, spike, seed=4, count=count, statistics=(stat,))
-        assert np.array_equal(alone[stat].values, batch.values)
+        assert np.array_equal(alone[stat], values)
 
 
 @pytest.mark.parametrize(
@@ -301,8 +301,8 @@ def test_smaller_count_is_a_prefix(n, m, variant):
     full = mc.sample_wishart(model, spike, seed=6, count=2 * mc.CHUNK_SIZE + 77)
     for count in (100, mc.CHUNK_SIZE + 5):
         head = mc.sample_wishart(model, spike, seed=6, count=count)
-        for stat, batch in head.items():
-            assert np.array_equal(batch.values, full[stat].values[:count])
+        for stat, values in head.items():
+            assert np.array_equal(values, full[stat][:count])
 
 
 @pytest.mark.parametrize(

@@ -1,108 +1,9 @@
 import math
-import time
 
 import numpy as np
 import pytest
-from scipy.special import eval_legendre
 
 from spiked_eigvec import numkit
-
-import oracles
-
-
-def test_scaled_det_identity():
-    d = oracles.scaled_det(np.eye(3))
-    assert d.sign == 1 and d.log_magnitude == pytest.approx(0.0, abs=1e-14)
-
-
-def test_scaled_det_two_by_two():
-    d = oracles.scaled_det([[1.0, 2.0], [3.0, 4.0]])
-    assert d.sign == -1
-    assert d.log_magnitude == pytest.approx(math.log(2.0), rel=1e-12)
-    assert d.value == pytest.approx(-2.0, rel=1e-12)
-
-
-def test_scaled_det_empty_is_unity():
-    d = oracles.scaled_det(np.zeros((0, 0)), d=0)
-    assert d.sign == 1 and d.log_magnitude == 0.0
-    assert d.value == 1.0
-
-
-def test_scaled_det_singular():
-    d = oracles.scaled_det([[1.0, 2.0], [2.0, 4.0]])
-    assert d.sign == 0 and d.value == 0.0
-
-
-def test_scaled_det_row_scaling_property():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 4))
-    base = oracles.scaled_det(a)
-    scales = np.array([2.0, -3.0, 0.5, -7.0])
-    scaled = oracles.scaled_det(scales[:, None] * a)
-    shift = np.sum(np.log(np.abs(scales)))
-    parity = -1 if (scales < 0).sum() % 2 else 1
-    assert scaled.log_magnitude - base.log_magnitude == pytest.approx(shift, abs=1e-10)
-    assert scaled.sign == parity * base.sign
-
-
-def test_integrate_unit_constant():
-    assert oracles.integrate_unit(lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_integrate_unit_endpoint_singularity():
-    # 0.5 / sqrt(t) integrates to 1; exercises dyadic subdivision toward 0.
-    val = oracles.integrate_unit(lambda t: 0.5 / np.sqrt(t))
-    assert val == pytest.approx(1.0, abs=1e-9)
-
-
-def test_integrate_unit_beta_density():
-    assert oracles.integrate_unit(lambda t: 6.0 * t * (1.0 - t)) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_integrate_halfline_exponentials():
-    assert oracles.integrate_halfline(lambda x: np.exp(-x), 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert oracles.integrate_halfline(lambda x: 0.5 * x**2 * np.exp(-x), 1.0) == pytest.approx(
-        1.0, rel=1e-12
-    )
-    # Gamma(6)/2^6 = 15/8 by hand.
-    assert oracles.integrate_halfline(lambda x: x**5 * np.exp(-2 * x), 2.0) == pytest.approx(
-        15.0 / 8.0, rel=1e-12
-    )
-
-
-def test_quadrature_linearity():
-    f = lambda t: np.sin(3 * t)
-    g = lambda t: t**2
-    lhs = oracles.integrate_unit(lambda t: 2.0 * f(t) + 5.0 * g(t))
-    rhs = 2.0 * oracles.integrate_unit(f) + 5.0 * oracles.integrate_unit(g)
-    assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        oracles.QuadratureSpec(unit_nodes=4)
-    with pytest.raises(ValueError):
-        oracles.QuadratureSpec(tail_epsilon=0.0)
-
-
-def test_integrate_unit_fails_fast_on_rounding_noise():
-    # Noise of 1e-9 at every panel width, as in a density limited by
-    # rounding: no refinement reaches the 1e-12 target, and the panel budget
-    # stops it within seconds rather than minutes.
-    start = time.perf_counter()
-    with pytest.raises(oracles.QuadratureFailure):
-        oracles.integrate_unit(lambda t: 1.0 + 1e-9 * np.sin(1e15 * t))
-    assert time.perf_counter() - start < 5.0
-
-
-def test_integrate_unit_terminates_once_every_panel_stalls():
-    # P_24(2t - 1) integrates to 0 on (0, 1), so the 8-node root panel's
-    # error is ~1e5 times the 1e-6 total and a running error sum keeps a
-    # rounding residue above the target.  Once every depth-8 panel has
-    # stalled within an order of the target, the integral must return.
-    spec = oracles.QuadratureSpec(unit_nodes=8, tail_epsilon=1e-12, max_panels=8)
-    value = oracles.integrate_unit(lambda t: eval_legendre(24, 2.0 * t - 1.0) + 1e-6, spec)
-    assert value == pytest.approx(1e-6, rel=1e-9)
 
 
 def test_ks_single_sample():

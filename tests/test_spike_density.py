@@ -402,6 +402,12 @@ def test_mehta_identity_singular_point():
         oracles.mehta_identity_check(2, 1, 1.0, 1.0)
 
 
+def test_mehta_identity_rejects_negative_laguerre_degree():
+    # alpha = n + 2 would put a Laguerre polynomial of degree -1 in the last column.
+    with pytest.raises(ValueError, match="degree"):
+        oracles.mehta_identity_check(1, 3, 0.7, 1.9)
+
+
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_kalpha_normalization(alpha):
     assert oracles.kalpha_normalization_check(alpha) == pytest.approx(1.0, abs=1e-8)

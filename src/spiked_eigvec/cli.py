@@ -79,10 +79,6 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _model_echo(model: sd.SpikedModel) -> dict:
-    return {"n": model.n, "m": model.m, "theta": model.theta, "variant": model.variant}
-
-
 def cmd_curve(args: argparse.Namespace) -> int:
     """The pdf or cdf subcommand: one statistic's curve on a z grid."""
     stat, kind = args.statistic, args.command
@@ -96,7 +92,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     else:
         model = build_model(stat, args.n, args.m, args.theta)
         curve = sd.density_values if kind == "pdf" else sd.cdf_grid
-        values, echo = curve(stat, model, zs), _model_echo(model)
+        values, echo = curve(stat, model, zs), dataclasses.asdict(model)
     if args.fmt == "csv":
         head = "z,density" if kind == "pdf" else "z,cdf"
         rows = [head] + [f"{_fmt(z)},{_fmt(v)}" for z, v in zip(zs, values)]
@@ -117,8 +113,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def _draw(stat: str, model: sd.SpikedModel, seed: int, samples: int) -> np.ndarray:
     """`samples` seeded draws of `stat` from `model` (n * z1 for nz1_asym)."""
-    if samples < 1:
-        raise ConfigError("samples must be at least 1")
     sample_stat = "z1" if stat == "nz1_asym" else stat
     spike = montecarlo.make_spike(model.n, seed, "first_basis", real=model.variant == "real")
     draws = montecarlo.sample_wishart(model, spike, seed, samples, statistics=(sample_stat,))
@@ -133,7 +127,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_text(args.output_path, "\n".join(rows) + "\n")
     meta = {
         "statistic": args.statistic,
-        "model": _model_echo(model),
+        "model": dataclasses.asdict(model),
         "seed": args.seed,
         "count": args.samples,
         "version": __version__,
@@ -154,7 +148,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report = numkit.ks_test(values, cdf)
     payload = {
         "statistic": stat,
-        "model": _model_echo(model),
+        "model": dataclasses.asdict(model),
         "data_theta": data_theta,
         "seed": args.seed,
         "report": dataclasses.asdict(report),
@@ -198,8 +192,15 @@ def cmd_figure(args: argparse.Namespace) -> int:
             model = sd.SpikedModel(n, m, theta, sd.STATISTICS[stat].variant)
             labels.append(label)
             columns.append(sd.density_values(stat, model, zs))
-    # Every draw is made before anything is written, so a rejected sample
-    # count or a failed draw leaves no partial table behind.
+    rows = ["z," + ",".join(labels)]
+    for i, z in enumerate(zs):
+        rows.append(_fmt(z) + "," + ",".join(_fmt(col[i]) for col in columns))
+    table = "\n".join(rows) + "\n"
+    if args.output_path == "-":  # the histograms go only to a file's sidecar
+        _write_text("-", table)
+        return 0
+    # Every draw is made before anything is written, so a failed draw leaves
+    # no partial table behind.
     hist_rows = ["curve,bin_left,bin_right,density"]
     for idx, (label, n, m, theta) in enumerate(curves):
         values = _draw(stat, build_model(stat, n, m, theta), args.seed + idx, args.samples)
@@ -208,24 +209,20 @@ def cmd_figure(args: argparse.Namespace) -> int:
             hist_rows.append(
                 f"{label},{_fmt(edges[k])},{_fmt(edges[k + 1])},{_fmt(counts[k])}"
             )
-    rows = ["z," + ",".join(labels)]
-    for i, z in enumerate(zs):
-        rows.append(_fmt(z) + "," + ",".join(_fmt(col[i]) for col in columns))
-    _write_text(args.output_path, "\n".join(rows) + "\n")
-    if args.output_path != "-":
-        _write_text(args.output_path + ".hist.csv", "\n".join(hist_rows) + "\n")
-        meta = {
-            "figure": fid,
-            "statistic": stat,
-            "curves": [
-                {"label": lab, "n": n, "m": m, "theta": th} for lab, n, m, th in curves
-            ],
-            "samples": args.samples,
-            "seed": args.seed,
-            "note": "caption-omitted n lists default to {3,4,5,6,7}",
-            "version": __version__,
-        }
-        _write_text(args.output_path + ".meta.json", json.dumps(meta, indent=1) + "\n")
+    _write_text(args.output_path, table)
+    _write_text(args.output_path + ".hist.csv", "\n".join(hist_rows) + "\n")
+    meta = {
+        "figure": fid,
+        "statistic": stat,
+        "curves": [
+            {"label": lab, "n": n, "m": m, "theta": th} for lab, n, m, th in curves
+        ],
+        "samples": args.samples,
+        "seed": args.seed,
+        "note": "caption-omitted n lists default to {3,4,5,6,7}",
+        "version": __version__,
+    }
+    _write_text(args.output_path + ".meta.json", json.dumps(meta, indent=1) + "\n")
     return 0
 
 
@@ -277,6 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # The one sample-count check, made before any subcommand computes or writes.
+        if getattr(args, "samples", 1) < 1:
+            raise ConfigError("samples must be at least 1")
         return args.run(args)
     except ValueError as exc:  # ConfigError and the density errors included
         print(f"config error: {exc}", file=sys.stderr)

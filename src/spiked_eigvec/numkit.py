@@ -84,20 +84,14 @@ def unit_grid(nodes_per_panel: int = 32, grade_left: int = 0, grade_right: int =
     """Composite Gauss-Legendre layout on [0, 1] with dyadic endpoint grading.
 
     grade_left/grade_right give the number of dyadic refinement levels toward
-    the respective endpoint (0 keeps a single panel on that side).
+    the respective endpoint (0 keeps a single panel on that side).  The panel
+    edges are 0, 1, 2^-k for k = 1..grade_left and, with right grading, 1/2
+    and 1 - 2^-(k+1) for k = 1..grade_right.
     """
-    edges = [0.0]
-    for lev in range(grade_left, 0, -1):
-        edges.append(2.0 ** (-lev))
-    if not grade_right:
-        edges.append(1.0)
-    else:
-        if edges[-1] < 0.5:
-            edges.append(0.5)
-        for lev in range(1, grade_right + 1):
-            edges.append(1.0 - 2.0 ** (-lev - 1))
-        edges.append(1.0)
-    return _panels(sorted(set(edges)), nodes_per_panel)
+    edges = {0.0, 1.0, *(2.0**-lev for lev in range(1, grade_left + 1))}
+    if grade_right:
+        edges |= {0.5, *(1.0 - 2.0 ** (-lev - 1) for lev in range(1, grade_right + 1))}
+    return _panels(sorted(edges), nodes_per_panel)
 
 
 def halfline_unit_grids(decay_rate: float, power_hint: float, x_nodes: int, t_nodes: int):

@@ -424,35 +424,29 @@ def _z2_basis(model: SpikedModel) -> dict:
     wxy = np.outer(wx, wy).ravel()
     u = xu * yu
 
-    # Determinant with columns L^(2)(-u) then L^(j)(-x): z independent.
-    dv = alpha + 1
-    vmat = np.empty((u.size, dv, dv))
-    for i in range(1, dv + 1):
-        vmat[:, i - 1, 0] = eval_genlaguerre(n + i - 3, 2, -u)
-        for j in range(2, dv + 1):
-            vmat[:, i - 1, j - 1] = eval_genlaguerre(n + i - j - 1, j, -xu)
-    vdet = np.linalg.det(vmat)
-
-    # Cofactors of the phi column in the (alpha+3) determinant.
+    # The (alpha+3) determinant without its phi column: row i = 1..alpha+3
+    # holds L_{n+i-4}^(2)(-u), L_{n+i-5}^(3)(-u), then L_{n+i-k}^(k-2)(-x)
+    # for k = 4..alpha+3, which depend on x alone and repeat over the y nodes.
     du = alpha + 3
+    deg, k = n - 3 + np.arange(du), np.arange(4, du + 1)
     rest = np.empty((u.size, du, du - 1))
-    for i in range(1, du + 1):
-        rest[:, i - 1, 0] = eval_genlaguerre(n + i - 4, 2, -u)
-        rest[:, i - 1, 1] = eval_genlaguerre(n + i - 5, 3, -u)
-        for k in range(4, du + 1):
-            rest[:, i - 1, k - 2] = eval_genlaguerre(n + i - k, k - 2, -xu)
+    rest[:, :, 0] = eval_genlaguerre(deg, 2, -u[:, None])
+    rest[:, :, 1] = eval_genlaguerre(deg - 1, 3, -u[:, None])
+    x_cols = eval_genlaguerre(deg[:, None] + 4 - k, k - 2, -x[:, None, None])
+    rest[:, :, 2:] = np.repeat(x_cols, ny, axis=0)
+    # The z-free determinant is the minor on rows 2..alpha+2 without L^(3)(-u).
+    vdet = np.linalg.det(rest[:, 1 : du - 1][:, :, [0, *range(2, du - 1)]])
+    # Cofactors of the phi column, one row deleted at a time.
     cof = np.empty((u.size, du))
     for i in range(du):
         sign_i = 1.0 if i % 2 == 0 else -1.0
-        cof[:, i] = sign_i * np.linalg.det(np.delete(rest, i, axis=1))
+        cof[:, i] = sign_i * np.linalg.det(rest[:, [r for r in range(du) if r != i]])
 
     # Shared w grid for the phi-column integrals (Cauchy kernel against u).
     lam_w = 1.0 - beta
     w_end = numkit.envelope_end(lam_w, power_hint=n + alpha + 2.0)
     w, ww = numkit.geometric_grid(1e-7, w_end, nodes_per_panel=Z2_W_NODES)
-    gvec = np.empty((w.size, du))
-    for i in range(1, du + 1):
-        gvec[:, i - 1] = ww * w * w * eval_genlaguerre(n + i - 4, 2, w) * np.exp(-lam_w * w)
+    gvec = (ww * w * w)[:, None] * eval_genlaguerre(deg, 2, w[:, None]) * np.exp(-lam_w * w)[:, None]
 
     r_ratio = math.exp(gammaln(n) - gammaln(n + alpha))
     base = wxy * np.exp(-xu * (n - beta) + u)

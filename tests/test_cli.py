@@ -408,6 +408,25 @@ def test_figure_rejects_draws_before_writing(tmp_path, capsys):
     assert "samples must be at least 1" in capsys.readouterr().err
 
 
+def _no_draws(*args, **kwargs):
+    raise AssertionError("figure drew samples that no file receives")
+
+
+def test_figure_to_stdout_makes_no_draws(monkeypatch, capsys):
+    # Only a file's .hist.csv sidecar holds the histograms, so stdout needs no draws.
+    monkeypatch.setattr(montecarlo, "sample_wishart", _no_draws)
+    assert main("figure --id fig1 --grid-points 3".split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "z,n3,n4,n5,n6,n7" and len(lines) == 4
+
+
+def test_figure_to_stdout_rejects_samples(monkeypatch, capsys):
+    monkeypatch.setattr(montecarlo, "sample_wishart", _no_draws)
+    assert main("figure --id fig1 --samples 0 --grid-points 3".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "samples must be at least 1" in captured.err
+
+
 @pytest.mark.parametrize("window,first,last", [
     ([], 0.0, 6.0),
     (["--z-min", "0.5", "--z-max", "0.9"], 0.5, 0.9),

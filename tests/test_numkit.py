@@ -98,3 +98,20 @@ def test_halfline_series_refuses_what_it_cannot_bound():
         numkit.halfline_series(np.array([1e4]), np.array([0.5]), one, np.zeros(1), 0.9, 0)
     with pytest.raises(ArithmeticError):
         numkit.halfline_series(np.array([1.0]), np.array([0.5]), one, np.array([math.nan]), 0.9, 0)
+
+
+@pytest.mark.parametrize("grades,edges", [
+    ((0, 0), [0.0, 1.0]),
+    ((3, 0), [0.0, 0.125, 0.25, 0.5, 1.0]),
+    ((0, 2), [0.0, 0.5, 0.75, 0.875, 1.0]),
+    ((2, 2), [0.0, 0.25, 0.5, 0.75, 0.875, 1.0]),
+    ((16, 16), [0.0, *(2.0**-k for k in range(16, 0, -1)),
+                *(1.0 - 2.0**-k for k in range(2, 18)), 1.0]),
+], ids=["0-0", "3-0", "0-2", "2-2", "16-16"])
+def test_unit_grid_panel_edges(grades, edges):
+    # One node per panel is its midpoint, weighted by the panel width.
+    mid, width = numkit.unit_grid(1, *grades)
+    np.testing.assert_array_equal(np.append(mid - width / 2, 1.0), edges)
+    np.testing.assert_array_equal(np.insert(mid + width / 2, 0, 0.0), edges)
+    _, w = numkit.unit_grid(12, *grades)
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)

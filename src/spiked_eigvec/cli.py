@@ -37,19 +37,15 @@ class ConfigError(ValueError):
 
 
 def build_model(stat: str, n: int | None, m: int | None, theta: float | None) -> sd.SpikedModel:
-    """Validate the (statistic, n, m, theta) combination and build the model."""
-    entry = sd.STATISTICS.get(stat)
-    if entry is None:
-        raise ConfigError(f"unknown statistic {stat!r}")
+    """Validate the (statistic, n, m, theta) combination and build the model;
+    the model and support checks raise ValueErrors, which `main` reports."""
+    entry = sd.STATISTICS[stat]
     if theta is None:
         raise ConfigError("--theta is required")
     if n is None or m is None:
         raise ConfigError("--n and --m are required for this statistic")
-    try:
-        model = sd.SpikedModel(n, m, theta, entry.variant)
-        entry.support(model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = sd.SpikedModel(n, m, theta, entry.variant)
+    entry.support(model)
     return model
 
 

@@ -4,13 +4,15 @@ The statistics are the squared projections of the unit spike direction onto
 ordered sample eigenvectors: the smallest-eigenvalue overlap (z1), the
 second-smallest (z2), and the largest (zn), plus the scaled limit of n*z1.
 
-The smallest-overlap density has a closed finite-sum form whose nested sum
-is integrated by Andreief/Gauss-Laguerre, once per (n, m, theta), into
-cofactor coefficients of the z-dependent first determinant column; that route
-is validated for m - n <= 10 and <= 360 nodes, and raises ArithmeticError beyond.
+The smallest-overlap density is one degree-(m - n) polynomial in
+r = beta (1 - z) / (1 - beta (1 - z)), with coefficients built once per
+(n, m, theta).  At n = 2 they are closed sums of binomials; for n >= 3 the
+closed form's nested sum is integrated by Andreief/Gauss-Laguerre into
+cofactor coefficients of the z-dependent first determinant column, a route
+validated for m - n <= 10 and <= 360 nodes that raises ArithmeticError beyond.
 The largest and second-smallest densities are double integrals with
 determinant integrands on fixed geometric panel grids.  At n = 2 the largest
-overlap is the smallest-overlap finite sum reflected (z -> 1 - z).  For
+overlap is the smallest-overlap polynomial reflected (z -> 1 - z).  For
 n >= 3 the inner integral is a power series in 1 - z built once per model
 (`numkit.halfline_series`), so a z grid costs one matrix product.  Its length
 follows the t weight, not theta (20 terms at theta = 0.1, 134 at 1e4), and a
@@ -245,7 +247,8 @@ Z1_MAX_ALPHA, Z1_MAX_NODES = 10, 360
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _min_overlap_coeffs(n: int, alpha: int, beta: float):
-    """The smallest-overlap coefficients T_i by Andreief/Gauss-Laguerre.
+    """The smallest-overlap coefficients T_i: closed sums at n = 2, and for
+    n >= 3 an Andreief/Gauss-Laguerre integral.
 
     With Gamma(p) c^-p = int x^(p-1) e^{-cx} dx, c = n - beta, the alpha-fold
     sum over (k_1..k_alpha) moves inside the determinant (Andreief's
@@ -253,14 +256,25 @@ def _min_overlap_coeffs(n: int, alpha: int, beta: float):
     the rows of M form the Toeplitz matrix G[k, a] = [t^(n+k-a)] (1+t)^n e^{xt},
     a = 2..alpha+1, and det M_{-i} is a scaled sum_{k>=i} C(k, i) det G_{-k}:
     positive polynomials of degree <= D = sum_j (n+alpha-j-1), which D//2 + 2
-    Gauss-Laguerre nodes integrate exactly.  Returns (T, log_shift).
+    Gauss-Laguerre nodes integrate exactly.  At n = 2 the density is
+    (1-beta)^(alpha+2) / (alpha+1)! sum_k c_k denom^-(k+3), c_k =
+    (k+2)(k+1) (2 alpha-k)! / (alpha-k)! (2-beta)^-(2 alpha-k+1), and
+    1/denom = 1 + r gives the coefficients b_j = sum_{k>=j} C(k, j) c_k in r,
+    T_j = b_j j! / (alpha+2)!: sums of positive terms, with no alpha limit.
+    Returns (T, log_shift).
     """
+    idx = np.arange(alpha + 1)
+    if n == 2:
+        ck = np.exp(gammaln(idx + 3.0) + gammaln(2.0 * alpha - idx + 1.0) - gammaln(idx + 1.0)
+                   - gammaln(alpha - idx + 1.0) - (2.0 * alpha - idx + 1.0) * math.log(2.0 - beta))
+        t = (comb(idx, idx[:, None]) @ ck) * np.exp(gammaln(idx + 1.0) - gammaln(alpha + 3.0))
+        return t, -math.lgamma(alpha + 2.0)
     if alpha == 0:
         return np.array([1.0 / (n - beta)]), 0.0
     nodes = alpha * (2 * n + alpha - 3) // 4 + 2
     if alpha > Z1_MAX_ALPHA or nodes > Z1_MAX_NODES:  # (m - n)(n + m - 3) <= 1434
         raise ArithmeticError(f"z1 is validated for m - n <= {Z1_MAX_ALPHA}, {Z1_MAX_NODES} nodes")
-    c, idx = n - beta, np.arange(alpha + 1)
+    c = n - beta
     y, wy = roots_genlaguerre(nodes, alpha)
     # g_s(y/c) = sum_e C(n, n+s-e) (y/c)^e / e!, s = -alpha-1..alpha-2, by Horner on
     # correctly rounded coefficients: the minors amplify any rounding of their entries.
@@ -274,13 +288,13 @@ def _min_overlap_coeffs(n: int, alpha: int, beta: float):
     return t, math.lgamma(n) - math.lgamma(n + alpha) - (alpha + 1) * math.log(c)
 
 
-def _pdf_z1_series(n: int, alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
-    """Andreief-coefficient route for the smallest-overlap density, n >= 3."""
+def _pdf_z1_series(n: int, alpha: int, beta: float, omz: np.ndarray) -> np.ndarray:
+    """The smallest-overlap density at z = 1 - omz, a degree-alpha polynomial in
+    r = beta omz / (1 - beta omz) with the `_min_overlap_coeffs` coefficients."""
     t_coef, shift = _min_overlap_coeffs(n, alpha, beta)
-    omz = 1.0 - z
     denom = 1.0 - beta * omz
     ratio = beta * omz / denom
-    acc = np.zeros_like(z)
+    acc = np.zeros_like(omz)
     for i in range(alpha, -1, -1):
         gr = math.exp(gammaln(n + alpha + 1.0) - gammaln(n + i - 1.0))
         acc = acc * ratio + gr * t_coef[i]
@@ -290,36 +304,17 @@ def _pdf_z1_series(n: int, alpha: int, beta: float, z: np.ndarray) -> np.ndarray
     return math.exp(log_base) * omz ** (n - 2) * ((1.0 - beta) / denom) ** (n + 1.0) * acc
 
 
-def _pdf_n2_sum(alpha: int, beta: float, denom: np.ndarray) -> np.ndarray:
-    """Closed finite-k sum of the n = 2 smallest-overlap density, given its
-    denominator 1 - beta (1 - z); with 1 - beta z it is the largest-overlap
-    density, by the n = 2 reflection z -> 1 - z."""
-    acc = np.zeros_like(denom)
-    for k in range(alpha + 1):
-        logc = (
-            gammaln(k + 3.0)
-            + gammaln(2.0 * alpha - k + 1.0)
-            - gammaln(k + 1.0)
-            - gammaln(alpha - k + 1.0)
-            - (2.0 * alpha - k + 1.0) * math.log(2.0 - beta)
-        )
-        acc += math.exp(logc) * denom ** (-(k + 3.0))
-    return math.exp((2.0 + alpha) * math.log1p(-beta) - gammaln(alpha + 2.0)) * acc
-
-
 @_pdf_boundary(_z1_support)
 def pdf_z1(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the smallest-eigenvalue overlap |v^H u_1|^2.
 
-    Dispatches to the n = 2 finite sum or the general Andreief route;
-    theta = 0 reduces to the Haar density (n-1)(1-z)^(n-2).
+    One polynomial in r for every n (`_pdf_z1_series`); theta = 0 reduces to
+    the Haar density (n-1)(1-z)^(n-2).
     """
-    n, alpha, beta = model.n, model.alpha, model.beta
+    n = model.n
     if model.theta == 0.0:
         return (n - 1.0) * (1.0 - z) ** (n - 2)
-    if n == 2:
-        return _pdf_n2_sum(alpha, beta, 1.0 - beta * (1.0 - z))
-    return _pdf_z1_series(n, alpha, beta, z)
+    return _pdf_z1_series(n, model.alpha, model.beta, 1.0 - z)
 
 
 def _nz1_v(theta: float, v) -> np.ndarray:
@@ -395,13 +390,13 @@ def _zn_prepare(model: SpikedModel) -> numkit.HalfLineSeries:
 def pdf_zn(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the largest-eigenvalue overlap |v^H u_n|^2.
 
-    n = 2 is the reflected smallest-overlap finite sum, and n >= 3 the moment
-    series of the double-integral representation (`_zn_prepare`).  For n >= 3
-    the formula has a pole at theta = 0 and such calls raise
-    ThetaZeroSingularity.
+    n = 2 is the smallest-overlap density reflected (z -> 1 - z), evaluated at
+    1 - z = z itself, and n >= 3 the moment series of the double-integral
+    representation (`_zn_prepare`).  For n >= 3 the formula has a pole at
+    theta = 0 and such calls raise ThetaZeroSingularity.
     """
     if model.n == 2:
-        return _pdf_n2_sum(model.alpha, model.beta, 1.0 - model.beta * z)
+        return _pdf_z1_series(2, model.alpha, model.beta, z)
     return _zn_prepare(model)(z)
 
 

@@ -2,6 +2,9 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,7 +149,23 @@ def test_exit_code_invalid_config(capsys):
     assert main("pdf --stat z1 --n 4 --m 6 --theta nan".split()) == 2
     assert main("pdf --stat z1 --n 4 --m 6 --theta inf".split()) == 2
     assert main("pdf --stat nz1_asym --theta nan".split()) == 2
+    assert main("pdf --stat z1 --n 4 --m 6".split()) == 2
+    assert main("pdf --stat z1 --n 4 --theta 1".split()) == 2
+    assert main("pdf --stat z1 --m 6 --theta 1".split()) == 2
+    assert main("pdf --stat z1 --n 4 --m 6 --theta 1 --z-min 0.5 --z-max 0.5".split()) == 2
+    assert main("pdf --stat z1 --n 4 --m 6 --theta 1 --z-max 1.5".split()) == 2
+    assert main("pdf --stat nz1_asym".split()) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = [sys.executable, "-m", "spiked_eigvec.cli", "pdf", "--stat", "zn", "--n", "2", "--m", "4",
+           "--theta", "1", "--grid-points", "3"]
+    ok = subprocess.run(run, env=env, capture_output=True, text=True)
+    assert ok.returncode == 0 and len(ok.stdout.splitlines()) == 4
+    bad = subprocess.run(run + ["--bogus"], env=env, capture_output=True, text=True)
+    assert bad.returncode == 2 and bad.stdout == ""
 
 
 def test_exit_code_beta_rounds_to_one(capsys):

@@ -21,6 +21,23 @@ def test_make_spike_random_unit_norm():
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     again = mc.make_spike(5, 7, "random")
     assert np.array_equal(v, again)
+    w = mc.make_spike(5, 7, "random", real=True)
+    assert w.dtype == np.float64 and abs(np.linalg.norm(w) - 1.0) < 1e-12
+    assert np.array_equal(w, mc.make_spike(5, 7, "random", real=True))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: mc.sample_wishart(sd.SpikedModel(3, 5, 1.0), mc.make_spike(4), seed=1, count=10),
+     "does not match"),
+    (lambda: mc.sample_wishart(sd.SpikedModel(3, 5, 1.0), 2.0 * mc.make_spike(3), seed=1, count=10),
+     "unit norm"),
+    (lambda: mc.sample_wishart(sd.SpikedModel(3, 5, 1.0), mc.make_spike(3), seed=1, count=10,
+                               statistics=("w1_real",)), "not sampled"),
+    (lambda: mc.make_spike(0), "must be positive"),
+], ids=["spike_length", "spike_norm", "other_variant_statistic", "zero_dimension"])
+def test_sampler_rejects_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_make_spike_rejects_unknown_style():

@@ -37,6 +37,28 @@ def test_w2_real_mirrors_w1(z, m, theta):
     assert vd.pdf_w2_real(model, z) == vd.pdf_w1_real(model, 1.0 - z)
 
 
+# n = 2 has no alpha limit, but theta = 1e8 overflows from alpha = 34 on, so
+# the draws stop at alpha = 40 and theta = 1e4.
+n2_models = st.builds(lambda alpha, theta: sd.SpikedModel(2, 2 + alpha, theta),
+                      st.integers(0, 40), st.floats(1e-3, 1e4))
+
+
+@given(st.floats(0.5, 1.0, exclude_max=True), n2_models)
+def test_zn_n2_mirrors_z1(z, model):
+    # At n = 2 zn is z1 reflected; for z in [0.5, 1), 1 - z is exact, so the
+    # mirror is bit for bit.
+    assert sd.pdf_zn(model, z) == sd.pdf_z1(model, 1.0 - z)
+
+
+@settings(max_examples=60)
+@given(n2_models)
+def test_z1_n2_is_a_density(model):
+    # MASS_Z's 2^-16 end panel resolves the O(1/theta) mass up to theta = 1e4.
+    vals = sd.pdf_z1(model, MASS_Z)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    assert abs(float(MASS_W @ vals) - 1.0) <= 1e-6
+
+
 @settings(max_examples=100)
 @given(st.integers(2, 12), st.integers(0, 6), st.floats(0.01, 100.0))
 def test_z1_is_a_density(n, alpha, theta):

@@ -62,7 +62,7 @@ def test_pdf_z1_dual_path(n, alpha, theta):
 @pytest.mark.parametrize("n,alpha", [(4, 2), (6, 3), (5, 4)])
 def test_pdf_z1_series_haar_limit(n, alpha):
     # The nested-sum route at beta -> 0 must collapse to the Haar density.
-    vals = sd._pdf_z1_series(n, alpha, 1e-13, ZGRID)
+    vals = sd._pdf_z1_series(n, alpha, 1e-13, 1.0 - ZGRID)
     haar = (n - 1.0) * (1.0 - ZGRID) ** (n - 2)
     assert np.max(np.abs(vals / haar - 1.0)) < 1e-10
 
@@ -320,6 +320,14 @@ def test_clip_density_rejects_non_finite():
         sd._clip_density(np.array([1.0, math.nan, 0.5]))
     with pytest.raises(ArithmeticError):
         sd._clip_density(np.array([1.0, math.inf]))
+
+
+def test_clip_density_floor_is_relative_to_the_peak():
+    peak = 3.0
+    clipped = sd._clip_density(np.array([peak, -1e-5 * peak, 0.5]))
+    assert np.array_equal(clipped, [peak, 0.0, 0.5])
+    with pytest.raises(ArithmeticError, match="significantly below zero"):
+        sd._clip_density(np.array([peak, -1e-3 * peak, 0.5]))
 
 
 def test_pdf_z2_requires_n3():

@@ -246,8 +246,8 @@ def ks_test(samples, model_cdf) -> GofReport:
     The critical value is the asymptotic 1% Kolmogorov point 1.628/sqrt(N).
     The attached histogram uses Freedman-Diaconis bins clipped to the support
     and normalized as a density; the Q-Q table holds 99 evenly spaced
-    probability levels, each found by 80 bisection steps run on all levels
-    at once.  `model_cdf` must map an array to an array of the same shape.
+    probability levels, each bisected from the samples that bracket it down to
+    adjacent floats.  `model_cdf` must be non-decreasing and shape-preserving.
     """
     arr = np.sort(np.asarray(samples, dtype=float))
     n = arr.size
@@ -284,10 +284,12 @@ def ks_test(samples, model_cdf) -> GofReport:
 
     levels = np.arange(1, 100) / 100.0
     emp = np.quantile(arr, levels)
-    lo = np.full(levels.size, support_lo)
-    hi = np.full(levels.size, support_hi)
+    j = np.searchsorted(cdf_vals, levels)  # cdf_vals[j - 1] < level <= cdf_vals[j]
+    lo, hi = np.append(support_lo, arr)[j], np.append(arr, support_hi)[j]
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
+        if not np.any(np.nextafter(lo, hi) < hi):  # every bracket is two adjacent floats
+            break
+        mid = 0.5 * (lo + hi)  # on a collapsed bracket, lo or hi itself
         below = cdf_at(mid) < levels
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)

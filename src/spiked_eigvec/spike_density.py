@@ -25,7 +25,7 @@ numpy.linalg.
 Every density passes through one boundary (`_pdf_boundary`) that checks the
 model and z and rejects non-finite output.  All evaluators are pure;
 per-model precomputations are memoized in a small cache keyed by the frozen
-model.  The cumulative distribution is `model_cdf_fn` / `cdf_grid`.
+model.  The c.d.f. (`model_cdf_fn` / `cdf_grid`) integrates panel interpolants.
 """
 
 from __future__ import annotations
@@ -288,11 +288,13 @@ def _min_overlap_coeffs(n: int, alpha: int, beta: float):
     return t, math.lgamma(n) - math.lgamma(n + alpha) - (alpha + 1) * math.log(c)
 
 
-def _pdf_z1_series(n: int, alpha: int, beta: float, omz: np.ndarray) -> np.ndarray:
+def _pdf_z1_series(n: int, alpha: int, beta: float, omz: np.ndarray,
+                   z: np.ndarray) -> np.ndarray:
     """The smallest-overlap density at z = 1 - omz, a degree-alpha polynomial in
-    r = beta omz / (1 - beta omz) with the `_min_overlap_coeffs` coefficients."""
+    r = beta omz / (1 - beta omz) with the `_min_overlap_coeffs` coefficients;
+    1 - beta omz = (1 - beta) + beta z keeps its digits near 1/(1 + theta)."""
     t_coef, shift = _min_overlap_coeffs(n, alpha, beta)
-    denom = 1.0 - beta * omz
+    denom = (1.0 - beta) + beta * z
     ratio = beta * omz / denom
     acc = np.zeros_like(omz)
     for i in range(alpha, -1, -1):
@@ -314,7 +316,7 @@ def pdf_z1(model: SpikedModel, z) -> float | np.ndarray:
     n = model.n
     if model.theta == 0.0:
         return (n - 1.0) * (1.0 - z) ** (n - 2)
-    return _pdf_z1_series(n, model.alpha, model.beta, 1.0 - z)
+    return _pdf_z1_series(n, model.alpha, model.beta, 1.0 - z, z)
 
 
 def _nz1_v(theta: float, v) -> np.ndarray:
@@ -396,7 +398,7 @@ def pdf_zn(model: SpikedModel, z) -> float | np.ndarray:
     theta = 0 and such calls raise ThetaZeroSingularity.
     """
     if model.n == 2:
-        return _pdf_z1_series(2, model.alpha, model.beta, z)
+        return _pdf_z1_series(2, model.alpha, model.beta, z, 1.0 - z)
     return _zn_prepare(model)(z)
 
 
@@ -511,54 +513,26 @@ def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fast")
     return np.asarray(_statistic(statistic).pdf(model, np.asarray(zs, dtype=float)))
 
 
-# The c.d.f. mesh: 32 uniform panels, the first and last split dyadically 11
-# times because the overlap laws put their mass within O(1/n) of z = 0 or near
-# z = 1, and 8 nodes per panel (432).  Deeper arcsine grading puts nodes where
-# sin^2(s) rounds to 1.
+# The c.d.f. mesh: 32 uniform panels of 8 nodes, the first and last split
+# dyadically, since the laws put their mass within O(1/n), and O(1/theta), of
+# z = 0 or 1: 11 times (432 nodes), once more per doubling of 1 + theta beyond
+# 2^14.  Deeper arcsine grading puts nodes where sin^2(s) rounds to 1.
 _CDF_PANELS, _CDF_LEVELS, _CDF_ORDER = 32, 11, 8
 
 
-@lru_cache(maxsize=1)
-def _cdf_mesh():
-    """Panel edges on [0, 1], nodes on [0, 1] and the cumulative-integration
-    matrix: row i < order integrates the panel's degree-(order - 1)
-    interpolant from the panel start to node i, the last row over the panel."""
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
+def _cdf_mesh(levels: int):
+    """Panel edges on [0, 1], nodes on [0, 1] and the (order + 1, order) matrix
+    from a panel's node values to the powers in t in [-1, 1] of its interpolant
+    integrated from the panel start, per unit panel width."""
     leg = np.polynomial.legendre
     h = 1.0 / _CDF_PANELS
-    ends = h * 2.0 ** -np.arange(_CDF_LEVELS, 0, -1)
+    ends = h * 2.0 ** -np.arange(levels, 0, -1)
     edges = np.concatenate([[0.0], ends, np.linspace(h, 1.0 - h, _CDF_PANELS - 1),
                             1.0 - ends[::-1], [1.0]])
     x, _ = leg.leggauss(_CDF_ORDER)
-    lagrange = np.linalg.inv(leg.legvander(x, _CDF_ORDER - 1))
-    cumint = 0.5 * leg.legval(np.append(x, 1.0), leg.legint(lagrange, lbnd=-1)).T
-    return edges, 0.5 * (x + 1.0), cumint
-
-
-def _cdf_interpolant(statistic: str, model: SpikedModel):
-    """Monotone interpolant of the c.d.f. built from one vectorized pdf pass.
-
-    The mesh lives in the variable s with z = sin^2(s) for the arcsine-type
-    statistics, which removes their inverse-square-root endpoints, and z = s
-    for all others.  The knots are the panel edges and the nodes.  A total
-    mass outside 1 +- 1e-4 raises ArithmeticError.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    arcsine = _statistic(statistic).arcsine
-    edges, gl_x, cumint = _cdf_mesh()
-    sb = edges * (0.5 * math.pi if arcsine else 1.0)
-    widths = np.diff(sb)
-    nodes = sb[:-1, None] + widths[:, None] * gl_x
-    to_z = (lambda s: np.sin(s) ** 2) if arcsine else (lambda s: s)
-    jac = np.sin(2.0 * nodes) if arcsine else 1.0
-    vals = density_values(statistic, model, to_z(nodes.ravel())).reshape(nodes.shape)
-    steps = (vals * jac * widths[:, None]) @ cumint.T
-    starts = np.concatenate([[0.0], np.cumsum(steps[:, -1])])
-    if abs(starts[-1] - 1.0) > 1e-4:
-        raise ArithmeticError(f"c.d.f. mass {starts[-1]:.6g} misses 1 by more than 1e-4")
-    cum = np.concatenate([[0.0], (starts[:-1, None] + steps).ravel()])
-    knots = to_z(np.concatenate([[0.0], np.hstack([nodes, sb[1:, None]]).ravel()]))
-    return PchipInterpolator(knots, np.maximum.accumulate(cum), extrapolate=False)
+    cumint = 0.5 * leg.legint(np.linalg.inv(leg.legvander(x, _CDF_ORDER - 1)), lbnd=-1)
+    return edges, 0.5 * (x + 1.0), np.column_stack([leg.leg2poly(c) for c in cumint.T])
 
 
 def cdf_grid(statistic: str, model: SpikedModel, zs):
@@ -569,20 +543,42 @@ def cdf_grid(statistic: str, model: SpikedModel, zs):
 def model_cdf_fn(statistic: str, model: SpikedModel):
     """Vectorized c.d.f. callable suitable for the KS test.
 
-    The pdf is evaluated on the Gauss-Legendre nodes of a graded composite
-    mesh, integrated cumulatively to every node and panel edge, and
-    interpolated monotonically between them.  The returned values are
-    non-decreasing in x, exactly.
+    One pdf pass on the nodes of `_cdf_mesh`; on each panel the c.d.f. is the
+    integrated degree-7 interpolant plus the mass of the panels before it.
+    The mesh lives in s with z = sin^2(s) for the arcsine-type statistics,
+    which removes their inverse-square-root endpoints, and z = s for all
+    others.  A total mass outside 1 +- 1e-4 raises ArithmeticError and a NaN
+    argument DomainError.  Values lie in [0, 1], non-decreasing in x exactly.
     """
     if statistic == "nz1_asym":
         theta = model.theta
         return lambda x: np.asarray(cdf_nz1_asymptotic(theta, np.maximum(np.asarray(x, float), 0.0)))
-    interp = _cdf_interpolant(statistic, model)
+    arcsine = _statistic(statistic).arcsine
+    grade = 0 if arcsine else math.ceil(math.log2(1.0 + model.theta)) - 3
+    edges, gl_x, cumint = _cdf_mesh(max(_CDF_LEVELS, grade))
+    sb = edges * (0.5 * math.pi if arcsine else 1.0)
+    widths = np.diff(sb)
+    nodes = sb[:-1, None] + widths[:, None] * gl_x
+    jac = np.sin(2.0 * nodes) if arcsine else 1.0
+    vals = density_values(statistic, model, np.sin(nodes) ** 2 if arcsine else nodes)
+    coef = cumint @ (vals * jac * widths[:, None]).T  # (order + 1, panels): powers of t
+    starts = np.cumsum(coef.sum(axis=0))
+    if abs(starts[-1] - 1.0) > 1e-4:
+        raise ArithmeticError(f"c.d.f. mass {starts[-1]:.6g} misses 1 by more than 1e-4")
+    coef[0, 1:] += starts[:-1]
 
     def model_cdf(x):
         x = np.asarray(x, dtype=float)
         order = np.argsort(x, axis=None)
-        vals = np.clip(interp(np.clip(x.ravel()[order], 0.0, 1.0)), 0.0, 1.0)
-        return np.maximum.accumulate(vals)[np.argsort(order)].reshape(x.shape)
+        s = x.ravel()[order].clip(0.0, 1.0)
+        if s.size and np.isnan(s[-1]):  # the sort puts NaN last
+            raise DomainError("the c.d.f. argument must not be NaN")
+        s = np.arcsin(np.sqrt(s)) if arcsine else s
+        runs = np.diff(np.append(np.searchsorted(s, sb[:-1]), s.size))  # sorted: a run per panel
+        t = 2.0 * (s - np.repeat(sb[:-1], runs)) / np.repeat(widths, runs) - 1.0
+        vals = np.polynomial.polynomial.polyval(t, np.repeat(coef, runs, axis=1), tensor=False)
+        out = np.empty(x.size)
+        out[order] = np.maximum.accumulate(vals.clip(0.0, 1.0))
+        return out.reshape(x.shape)
 
     return model_cdf

@@ -479,7 +479,7 @@ def pdf_z1_general_vs_fastpath(model: SpikedModel, z) -> tuple:
         raise UnsupportedModel("dual path needs complex variant, n >= 3, alpha in {0,1}")
     z = _as_z_array(z)
     zz = np.atleast_1d(z)
-    general = _pdf_z1_series(model.n, model.alpha, model.beta, 1.0 - zz)
+    general = _pdf_z1_series(model.n, model.alpha, model.beta, 1.0 - zz, zz)
     fast = _pdf_z1_fast(model.n, model.alpha, model.beta, zz)
     if z.ndim == 0:
         return float(general[0]), float(fast[0])

@@ -168,6 +168,23 @@ def test_module_entry_point():
     assert bad.returncode == 2 and bad.stdout == ""
 
 
+def test_cdf_and_validate_leave_scipy_interpolate_unimported(tmp_path):
+    # The c.d.f. is its own panel polynomials; no interpolation package loads.
+    code = "\n".join([
+        "import sys",
+        "from spiked_eigvec.cli import main",
+        "assert main('cdf --stat z1 --n 3 --m 5 --theta 3 --grid-points 5'.split()) == 0",
+        "assert main('validate --stat z1 --n 3 --m 5 --theta 3 --samples 500 --out'.split()"
+        " + [sys.argv[1]]) == 0",
+        "print('scipy.interpolate' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "report.json")], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_exit_code_beta_rounds_to_one(capsys):
     # beta = theta/(1+theta) is exactly 1 in floating point for theta >~ 9e15.
     assert main("pdf --stat z1 --n 4 --m 6 --theta 1e300".split()) == 3
@@ -179,7 +196,8 @@ def test_exit_code_cdf_mass_check(capsys):
     # The yn_sing density loses its mass at this theta; the c.d.f. mesh
     # total misses 1, so no table is written.
     assert main("cdf --stat yn_sing --n 5 --m 4 --theta 1e8".split()) == 3
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and "c.d.f. mass 1.09" in captured.err
 
 
 @pytest.mark.parametrize("argv,floor", [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from spiked_eigvec import numkit
 
@@ -60,6 +61,35 @@ def test_ks_qq_matches_scalar_bisection():
             else:
                 hi = mid
         assert theo == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("a,b", [(2, 5), (0.5, 0.5), (1, 30), (30, 1)])
+def test_ks_qq_bisection_from_sample_brackets(a, b):
+    # Against the plain 80-step bisection from [0, 1]: both end on a crossing,
+    # two adjacent floats with F(lo) < p <= F(hi).  Where F is non-decreasing
+    # in floats that crossing is unique, so the two answers lie within 1 ulp;
+    # betainc can step down by an ulp, and then both are crossings.
+    calls = []
+
+    def cdf(x):
+        calls.append(x.size)
+        return betainc(a, b, np.clip(x, 0.0, 1.0))
+
+    rep = numkit.ks_test(np.random.default_rng(5).beta(a, b, size=2000), cdf)
+    assert len(calls) < 80
+    levels = np.arange(1, 100) / 100.0
+    lo, hi = np.zeros(levels.size), np.ones(levels.size)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = betainc(a, b, mid) < levels
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    for p, (theo, _), plain in zip(levels, rep.qq, 0.5 * (lo + hi)):
+        around = np.array([np.nextafter(theo, 0.0), theo, np.nextafter(theo, 1.0)])
+        below = betainc(a, b, around) < p
+        assert (below[0] and not below[1]) or (below[1] and not below[2])
+        ends = np.sort(np.array([theo, plain])).view(np.int64)
+        between = np.arange(ends[0], ends[1] + 1).view(np.float64)
+        assert between.size <= 2 or np.any(np.diff(betainc(a, b, between)) < 0)
 
 
 def test_ks_rejects_scalar_cdf():

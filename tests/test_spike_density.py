@@ -62,9 +62,17 @@ def test_pdf_z1_dual_path(n, alpha, theta):
 @pytest.mark.parametrize("n,alpha", [(4, 2), (6, 3), (5, 4)])
 def test_pdf_z1_series_haar_limit(n, alpha):
     # The nested-sum route at beta -> 0 must collapse to the Haar density.
-    vals = sd._pdf_z1_series(n, alpha, 1e-13, 1.0 - ZGRID)
+    vals = sd._pdf_z1_series(n, alpha, 1e-13, 1.0 - ZGRID, ZGRID)
     haar = (n - 1.0) * (1.0 - ZGRID) ** (n - 2)
     assert np.max(np.abs(vals / haar - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("n,m,theta", [(2, 18, 1e15), (3, 5, 1e12), (5, 8, 1e12)])
+def test_pdf_z1_mass_at_huge_theta(n, m, theta):
+    # The mass sits within O(1/theta) of z = 0, where 1 - beta (1 - z) nears
+    # 1/(1 + theta): subtracted from 1 it kept ~10 % of its digits at 1e15.
+    zq, wq = numkit.unit_grid(16, grade_left=60)
+    assert float(wq @ sd.pdf_z1(sd.SpikedModel(n, m, theta), zq)) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("theta", [0.1, 3.0, 1e4])
@@ -366,15 +374,50 @@ def test_cdf_monotone_grid():
         assert np.array_equal(cdf(grid[perm]), vals[perm]), (stat, n, m)
 
 
-@pytest.mark.parametrize("stat,n,m,theta", [("z1", 10, 15, 3.0), ("z1", 40, 42, 1.0),
-                                            ("zn", 3, 5, 3.0), ("w2_real", 2, 5, 1.0)])
+@pytest.mark.parametrize("stat,n,m,theta", [
+    ("z1", 10, 15, 3.0), ("z1", 40, 42, 1.0), ("zn", 3, 5, 3.0), ("w2_real", 2, 5, 1.0),
+    ("z2", 4, 6, 3.0), ("zn", 5, 6, 3.0), ("w1_real", 2, 5, 1.0), ("y1_sing", 4, 3, 0.3),
+    ("yn_sing", 5, 4, 0.3)])
 def test_model_cdf_matches_quadrature_oracle(stat, n, m, theta):
     # Z1 sits within O(1/n) of 0: the graded mesh must resolve both ends.
     # The oracle's arcsine substitution reaches z below the rounding of 1 - z.
+    # The c.d.f. is each panel's integrated interpolant, so it carries only
+    # the panel quadrature's error.
     model = sd.SpikedModel(n, m, theta, sd.STATISTICS[stat].variant)
     zs = np.array([0.002, 0.01, 0.04, 0.1, 0.3, 0.7, 0.95, 0.999])
     ref = [oracles.cdf(stat, model, z) for z in zs]
-    assert np.max(np.abs(sd.model_cdf_fn(stat, model)(zs) - ref)) < 1e-4
+    assert np.max(np.abs(sd.model_cdf_fn(stat, model)(zs) - ref)) < 1e-8
+
+
+@pytest.mark.parametrize("theta", [1e6, 1e8])
+@pytest.mark.parametrize("stat,n,m", [("z1", 5, 6), ("zn", 5, 6), ("z2", 4, 5), ("y1_sing", 4, 3)])
+def test_cdf_mesh_depth_follows_theta(stat, n, m, theta):
+    # The laws' scale near z = 0 or 1 is about 1/(1 + theta): the end panels
+    # split once more per doubling of 1 + theta beyond 2^14.
+    model = sd.SpikedModel(n, m, theta, sd.STATISTICS[stat].variant)
+    assert sd.model_cdf_fn(stat, model)(1.0) == pytest.approx(1.0, abs=1e-7)
+
+
+def test_cdf_mesh_is_fixed_up_to_theta_1e4(monkeypatch):
+    seen, real = [], sd.density_values
+
+    def density_values(stat, model, zs):
+        seen.append(zs)
+        return real(stat, model, zs)
+
+    monkeypatch.setattr(sd, "density_values", density_values)
+    for theta in (0.5, 1e4):
+        sd.model_cdf_fn("z1", sd.SpikedModel(5, 6, theta))
+    sd.model_cdf_fn("w1_real", sd.SpikedModel(2, 5, 1e8, "real"))
+    sd.model_cdf_fn("z1", sd.SpikedModel(5, 6, 1e6))
+    assert [zs.size for zs in seen] == [432, 432, 432, 528]
+    assert np.array_equal(seen[0], seen[1])
+
+
+@pytest.mark.parametrize("stat", ["z1", "nz1_asym"])
+def test_cdf_rejects_nan(stat):
+    with pytest.raises(sd.DomainError):
+        sd.cdf_grid(stat, sd.SpikedModel(3, 5, 3.0), [0.1, np.nan, 0.5])
 
 
 @pytest.mark.parametrize("n,alpha,theta", [(4, 2, 3.0), (6, 4, 0.5)])

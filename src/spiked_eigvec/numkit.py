@@ -191,24 +191,27 @@ class HalfLineSeries:
         return out
 
 
-def halfline_series(x, t, a, log_row, beta: float, r0: int, const=0.0):
-    """Power series in u = 1 - z of const[x] u^r0 + sum_q a[x, q] sum_{r >= r0}
-    (beta x u t_q)^r / r!, scaled by exp(log_row[x]).
+def halfline_series(x, t, a, log_row, beta: float, r0: int):
+    """Power series in u = 1 - z of sum_q a[x, q] sum_{r >= r0} (beta x u t_q)^r
+    / r!, scaled by exp(log_row[x]).
 
     The coefficients (beta x)^r / r! sum_q a[x, q] t_q^r take one matrix
-    product.  Weighted by exp(log_row + beta x z), z in [0, 1], the (x, q) term
-    is at most exp(lb), lb = log_row + beta x + log|a| + r0 log t_q, because
-    e^-v v^r / r! <= 1.  Terms with lb below 1e-20 of the largest are dropped;
-    the series stops where Chernoff's bound on P(Poisson(beta x t_q) >= R) puts
-    every kept tail below that threshold too.  Rows are rescaled by exact powers
-    of two, so the u^r0 coefficient keeps its digits where const cancels it.
+    product.  Weighted by exp(log_row + beta x z), z in [0, 1], the (x, q) sum
+    over r >= r0 is at most exp(lb), lb = log_row + beta x + log|a| + r0 log t_q
+    + min(0, r0 log(beta x) - log r0!), because sum_{r >= r0} v^r / r! is at most
+    e^v and at most e^v v^r0 / r0!.  The last term keeps rows with small beta x
+    from setting a scale that their terms never reach, which would stop the
+    series early.  Terms with lb below 1e-20 of the largest are dropped; the
+    series stops where Chernoff's bound on P(Poisson(beta x t_q) >= R) puts
+    every kept tail below that threshold too.  Rows are rescaled by exact
+    powers of two, so the rescaling rounds no coefficient.
     Raises ArithmeticError when the bound is not finite or needs more than
     2 * t.size terms, so the coefficients never outgrow two (x, t) arrays.
     """
     bx, ln2 = beta * x, math.log(2.0)
     with np.errstate(divide="ignore"):
         lb0 = (log_row + bx)[:, None] + np.log(np.abs(a))
-        lb = lb0 + r0 * np.log(t)
+        lb = lb0 + r0 * np.log(t) + np.minimum(0.0, r0 * np.log(bx) - math.lgamma(r0 + 1.0))[:, None]
     thr = np.max(lb) + math.log(1e-20)
     keep = lb >= thr
     lam, lb0 = (bx[:, None] * t)[keep], lb0[keep]
@@ -222,7 +225,6 @@ def halfline_series(x, t, a, log_row, beta: float, r0: int, const=0.0):
     expo = r * np.log(bx)[:, None] - gammaln(r + 1.0)  # (beta x)^r / r! = 2^k2 e^(expo - k2 ln 2)
     k2 = np.floor(expo / ln2)
     mant = (np.where(keep, a, 0.0) @ t[:, None] ** r) * np.exp(expo - k2 * ln2)
-    mant[:, 0] += np.ldexp(const, -k2[:, 0].astype(int))
     big = np.max(np.where(mant != 0.0, k2 + np.frexp(mant)[1], -np.inf), axis=1)  # -inf: empty row
     coef = np.ldexp(mant, (k2 - np.nan_to_num(big, neginf=0.0)[:, None]).astype(int))
     return HalfLineSeries(bx, r, log_row + ln2 * big, coef)

@@ -176,8 +176,6 @@ def _real_support(model: SpikedModel) -> None:
 def _y1_support(model: SpikedModel) -> None:
     if model.variant != "singular" or not (model.m == 1 or model.n - model.m == 1):
         raise UnsupportedModel("y1_sing requires the singular variant with m = 1 or n - m = 1")
-    if model.m >= 2:
-        _theta_pole(model, "the n - m = 1 smallest-overlap density")
 
 
 def _yn_support(model: SpikedModel) -> None:

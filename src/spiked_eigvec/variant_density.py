@@ -5,7 +5,8 @@ incomplete beta functions; its largest-overlap twin is the reflection
 z -> 1 - z.  The singular case (m < n) has closed forms for m = 1 and for
 n - m = 1; the singular largest-overlap density is a single half-line
 integral on the same grids, orthogonal polynomials and moment series
-(`numkit`) as the complex zn engine.
+(`numkit`) as the complex zn engine.  Both singular n - m = 1 densities are
+written in the form where the paper's beta^(1-m) pole has already cancelled.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln
+from scipy.special import betainc, betaln
 
 from . import numkit
 from .spike_density import (
@@ -89,68 +90,60 @@ def pdf_w2_real(model: SpikedModel, z) -> float | np.ndarray:
 def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
     """Smallest-positive-overlap density for the singular case.
 
-    Closed forms exist for m = 1 (any theta >= 0) and for n - m = 1
-    (theta > 0; the coefficients carry beta poles).
+    Closed forms exist for m = 1 and for n - m = 1, at every theta >= 0.  For
+    n - m = 1 the paper's alternating double sum carries a beta^(1-m) pole; its
+    inner sum does not depend on z and the rest is the Taylor remainder of
+    (c + (c+1) r)^-2, c = m - beta, so with q = 1 - beta (1 - z),
+    r = beta (1 - z) / q and rho = (c+1)/c it sums positive terms:
+
+      m ((1-beta)/q)^m (1-z)^(m-1) / (q c^2) [sum_{i<m-1} (i+1) rho^i
+          + rho^(m-1) (m + (m-1) rho r) / (1 + rho r)^2].
+
+    1 - beta is formed as 1/(1 + theta); at theta = 0 this is the Haar density
+    m (1-z)^(m-1).
     """
     n, m, beta = model.n, model.m, model.beta
     if m == 1:
         return (n - 1.0) * (1.0 - z) ** (n - 2) / (
             (1.0 + model.theta) * (1.0 - beta * z) ** float(n)
         )
-    # n - m = 1
-    acc = np.zeros_like(z)
-    for ell in range(m - 1):
-        for k in range(m - 1 - ell):
-            log_a = (
-                gammaln(m - ell + 1.0)
-                + (m - 2.0 - ell) * math.log(beta)
-                - math.log(k + 2.0)
-                - gammaln(k + 1.0)
-                - gammaln(m - 1.0 - ell - k)
-                - (k + 2.0) * math.log(m - beta)
-            )
-            sign = -1.0 if ell % 2 else 1.0
-            acc += (
-                sign
-                * math.exp(log_a)
-                * (1.0 - z) ** (m - 2 - ell)
-                / (1.0 - (1.0 - z) * beta) ** (m - ell + 1.0)
-            )
-    acc += (-1.0) ** (m - 1) / (m - beta * z) ** 2
-    return m * (1.0 - beta) ** m / beta ** (m - 1.0) * acc
+    omb = 1.0 / (1.0 + model.theta)
+    q = omb + beta * z
+    c = m - beta
+    rho = (c + 1.0) / c
+    rho_r = rho * beta * (1.0 - z) / q
+    head = sum((i + 1.0) * rho**i for i in range(m - 1))
+    tail = rho ** (m - 1) * (m + (m - 1) * rho_r) / (1.0 + rho_r) ** 2
+    return m * (omb / q) ** m * (1.0 - z) ** (m - 1) / (q * c * c) * (head + tail)
 
 
 def _yn_basis(model: SpikedModel) -> dict:
     """The (x, t) grid arrays of the yn engine."""
     m, beta = model.m, model.beta
-    d = m - 2
     power = m * m
-    lam = max(1.0 - beta, 1e-3)
-    x, wx, t, wt = numkit.halfline_unit_grids(lam, power + 2.0 * m, X_NODES, T_NODES)
+    x, wx, t, wt = numkit.halfline_unit_grids(1.0 - beta, power + 2.0 * m, X_NODES, T_NODES)
 
-    # det[t A^(1) - A^(2)] factorizes over the weight t (1-t)^2 e^{-x t};
-    # det[A^(0)] is the plain Hankel of (1-t)^2 e^{-x t} and reduces to the
-    # product of its orthogonal-polynomial norms.
-    log_c1, _, _, p_deg = numkit.discrete_orthogonal_basis(x, t, wt, 1.0, d)
-    log_a0, shift0, logwq0, _ = numkit.discrete_orthogonal_basis(x, t, wt, 0.0, m - 1)
+    # det[t A^(1) - A^(2)] factorizes over the weight t (1-t)^2 e^{-x t}.
+    log_c1, shift, logwq, p_deg = numkit.discrete_orthogonal_basis(x, t, wt, 1.0, m - 2)
 
     logpref = m * math.log1p(-beta) + (1.0 - m) * math.log(beta) - 2.0 * sum(
         math.lgamma(m - j + 1.0) for j in range(1, m + 1))
     base = logpref + power * np.log(x) - x + np.log(wx)
-    return dict(x=x, t=t, wt=wt, p_deg=p_deg, log_c1=log_c1, log_a0=log_a0, base=base, beta=beta,
-                m=m, logwq0=logwq0, shift0=shift0)
+    return dict(x=x, t=t, wt=wt, logwq=logwq, shift=shift, p_deg=p_deg, log_c1=log_c1, base=base,
+                beta=beta, m=m)
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _yn_prepare(model: SpikedModel) -> numkit.HalfLineSeries:
     """The z-grid evaluator: the bracket as one moment series.  The kernel sum
-    expands e^{beta x u t} against (1-t)^2 e^{-x t} from r = 0; the z-free
-    Hankel term joins the r = 0 coefficient."""
+    expands e^{beta x u t} against (1-t)^2 e^{-x t}, the power-1 weight over t.
+    The Hankel term det[A^(0)] is minus its r = 0 moment (the reproducing
+    property of the Christoffel-Darboux kernel), and moments 1..m-2 vanish by
+    orthogonality, so the series starts at r = m - 1 with nothing to cancel."""
     prep = _yn_basis(model)
-    a = np.exp(prep["logwq0"]) * prep["p_deg"]  # the weight (1-t)^2 e^{-x t}
-    hankel = (-1.0) ** (prep["m"] - 1) * np.exp(prep["log_a0"] - prep["log_c1"] - prep["shift0"])
-    log_row = prep["base"] + prep["log_c1"] + prep["shift0"]
-    return numkit.halfline_series(prep["x"], prep["t"], a, log_row, prep["beta"], 0, hankel)
+    a = np.exp(prep["logwq"] - np.log(prep["t"])) * prep["p_deg"]
+    log_row = prep["base"] + prep["log_c1"] + prep["shift"]
+    return numkit.halfline_series(prep["x"], prep["t"], a, log_row, prep["beta"], prep["m"] - 1)
 
 
 @_pdf_boundary(_yn_support)
@@ -159,6 +152,7 @@ def pdf_yn_singular(model: SpikedModel, z) -> float | np.ndarray:
 
     A single half-line integral whose integrand combines the inner kernel
     integral with a pure Hankel determinant term; the empty determinant at
-    m = 2 is 1 by convention.
+    m = 2 is 1 by convention.  The Hankel term cancels the kernel sum's
+    leading moments exactly, so only the remainder is summed (`_yn_prepare`).
     """
     return _yn_prepare(model)(z)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammainc, gammaln, roots_genlaguerre
 
 from spiked_eigvec.montecarlo import EigensolverFailure
-from spiked_eigvec.numkit import gauss_legendre_panel
+from spiked_eigvec.numkit import discrete_orthogonal_basis, gauss_legendre_panel
 from spiked_eigvec.spike_density import (
     DomainError,
     SpikedModel,
@@ -554,8 +554,10 @@ def pdf_yn_loop(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
     """The yn_sing engine's half-line integral summed z by z on its own (x, t) grid."""
     prep = _yn_basis(model)
     x, t, wt, p_deg = prep["x"], prep["t"], prep["wt"], prep["p_deg"]
-    log_c1, log_a0, base = prep["log_c1"], prep["log_a0"], prep["base"]
-    beta, m = prep["beta"], prep["m"]
+    log_c1, base, beta, m = prep["log_c1"], prep["base"], prep["beta"], prep["m"]
+    # The paper's Hankel term det[A^(0)] on the same grid: the norm product of
+    # the weight (1-t)^2 e^{-x t} up to degree m - 1.
+    log_a0 = discrete_orthogonal_basis(x, t, wt, 0.0, m - 1)[0]
     sign_m = (-1.0) ** (m - 1)
     log_t_weight = np.log(wt) + 2.0 * np.log1p(-t)
     out = np.empty(zs.size)

@@ -193,19 +193,22 @@ def test_exit_code_beta_rounds_to_one(capsys):
 
 
 def test_exit_code_cdf_mass_check(capsys):
-    # The yn_sing density loses its mass at this theta; the c.d.f. mesh
-    # total misses 1, so no table is written.
-    assert main("cdf --stat yn_sing --n 5 --m 4 --theta 1e8".split()) == 3
+    # The z2 density's beta^(2-n) prefactor cancels its digits at this theta;
+    # the c.d.f. mesh total misses 1, so no table is written.
+    assert main("cdf --stat z2 --n 8 --m 11 --theta 0.01".split()) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "c.d.f. mass 1.09" in captured.err
+    assert captured.out == "" and "c.d.f. mass 2.39" in captured.err
 
 
 @pytest.mark.parametrize("argv,floor", [
     ("cdf --stat z2 --n 4 --m 5 --theta 3000", 1.0 - 1e-6),
     ("cdf --stat yn_sing --n 5 --m 4 --theta 300", 0.9999),
-], ids=["z2", "yn_sing"])
+    ("cdf --stat yn_sing --n 5 --m 4 --theta 1e8 --z-max 1", 1.0 - 1e-4),
+], ids=["z2", "yn_sing", "yn_sing_theta1e8"])
 def test_cdf_table_reaches_full_mass(argv, floor, tmp_path):
-    # Both densities pile up near z = 1; the table ends at the default z-max.
+    # These densities pile up near z = 1; the table ends at z-max, the default
+    # unless given.  At theta = 1e8 yn_sing keeps all but 1e-14 of its mass
+    # above the default z-max.
     out = tmp_path / "cdf.csv"
     assert main(argv.split() + ["--out", str(out)]) == 0
     _, data = _read_csv(out)

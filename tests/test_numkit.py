@@ -105,20 +105,34 @@ def test_ks_empty_sample():
         numkit.ks_test([], lambda x: np.asarray(x, dtype=float))
 
 
-def test_halfline_series_sums_the_taylor_remainder():
-    # sum_x e^{log_row + beta x z} (const u^r0 + sum_q a e^{y} P(r0, y)),
-    # u = 1 - z, y = beta x u t_q.
+def _taylor_remainder_sum(x, t, a, log_row, beta, r0, z):
+    """sum_x e^{log_row + beta x z} sum_q a e^{y} P(r0, y), u = 1 - z, y = beta x u t_q."""
     from scipy.special import gammainc
 
+    y = beta * x[:, None, None] * (1.0 - z)[None, None, :] * t[None, :, None]
+    inner = np.sum(a[:, :, None] * np.exp(y) * gammainc(r0, y), axis=1)
+    return np.sum(np.exp(log_row[:, None] + beta * np.outer(x, z)) * inner, axis=0)
+
+
+def test_halfline_series_sums_the_taylor_remainder():
     x, t = np.array([0.5, 2.0, 5.0]), np.linspace(0.05, 0.95, 16)
     a = np.random.default_rng(7).standard_normal((x.size, t.size))
-    log_row, beta, r0, const = np.array([-1.0, 0.0, -3.0]), 0.6, 2, np.array([0.5, -1.0, 2.0])
+    log_row, beta, r0 = np.array([-1.0, 0.0, -3.0]), 0.6, 2
     z = np.linspace(0.0, 1.0, 601)  # three 256-z chunks
-    y = beta * x[:, None, None] * (1.0 - z)[None, None, :] * t[None, :, None]
-    inner = np.sum(a[:, :, None] * np.exp(y) * gammainc(r0, y), axis=1) + np.outer(const, (1.0 - z) ** r0)
-    expected = np.sum(np.exp(log_row[:, None] + beta * np.outer(x, z)) * inner, axis=0)
-    series = numkit.halfline_series(x, t, a, log_row, beta, r0, const)
+    expected = _taylor_remainder_sum(x, t, a, log_row, beta, r0, z)
+    series = numkit.halfline_series(x, t, a, log_row, beta, r0)
     assert np.max(np.abs(series(z) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_halfline_series_length_at_small_beta_x():
+    # (beta x)^r0 / r0! is 2.5e-21 here: a bound that leaves it out puts every
+    # term below 1e-20 of the scale and stops after one.
+    x, t = np.array([0.02]), np.linspace(0.05, 0.95, 16)
+    a, log_row, beta, r0 = np.ones((1, t.size)), np.zeros(1), 0.5, 8
+    z = np.linspace(0.0, 1.0, 11)
+    expected = _taylor_remainder_sum(x, t, a, log_row, beta, r0, z)
+    series = numkit.halfline_series(x, t, a, log_row, beta, r0)
+    assert np.all(np.abs(series(z) - expected) <= 1e-13 * expected)
 
 
 def test_halfline_series_refuses_what_it_cannot_bound():

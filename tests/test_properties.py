@@ -77,6 +77,15 @@ def test_zn_n3_is_a_density(alpha, theta):
     assert abs(float(MASS_W @ vals) - 1.0) <= 1e-8
 
 
+@settings(max_examples=40)
+@given(st.sampled_from([vd.pdf_y1_singular, vd.pdf_yn_singular]), st.integers(2, 12),
+       st.floats(0.01, 1e4))
+def test_singular_nm1_is_a_density(pdf, m, theta):
+    vals = pdf(sd.SpikedModel(m + 1, m, theta, "singular"), MASS_Z)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    assert abs(float(MASS_W @ vals) - 1.0) <= 1e-9
+
+
 @st.composite
 def sampled_models(draw):
     variant = draw(st.sampled_from(["complex", "real", "singular"]))

@@ -239,6 +239,15 @@ def test_pdf_zn_n4_normalization_small_theta(alpha):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("n,m,theta", [(12, 14, 0.01), (12, 12, 0.003)])
+def test_pdf_zn_normalization_small_beta_x(n, m, theta):
+    # The series starts at r = n - 2 with (beta x)^r / r! far below 1; a
+    # length bound that left that factor out missed by 4.5e-9 and 3.9e-6.
+    zq, wq = numkit.unit_grid(16, grade_left=24, grade_right=24)
+    total = float(np.dot(wq, sd.pdf_zn(sd.SpikedModel(n, m, theta), zq)))
+    assert abs(total - 1.0) <= 1e-10
+
+
 SHAPE_MODELS = {
     "z1": sd.SpikedModel(4, 6, 1.0),
     "z2": sd.SpikedModel(3, 4, 3.0),

@@ -105,9 +105,39 @@ def test_y1_nm1_normalization(n, theta):
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
-def test_y1_nm1_theta_zero_pole():
-    with pytest.raises(sd.ThetaZeroSingularity):
-        vd.pdf_y1_singular(sd.SpikedModel(4, 3, 0.0, "singular"), 0.5)
+@pytest.mark.parametrize("m", [3, 9])
+def test_y1_nm1_theta_zero_is_haar(m):
+    # The summed form has no pole: theta = 0 gives the Haar density.
+    zs = np.linspace(0.0, 1.0, 21)
+    got = vd.pdf_y1_singular(sd.SpikedModel(m + 1, m, 0.0, "singular"), zs)
+    assert np.max(np.abs(got - m * (1.0 - zs) ** (m - 1))) <= 1e-14
+
+
+def _y1_paper_sum(m, theta, z):
+    """The paper's n - m = 1 double sum, with its beta^(1-m) pole, in mpmath."""
+    import mpmath
+
+    beta = mpmath.mpf(theta) / (1 + mpmath.mpf(theta))
+    acc = (-1) ** (m - 1) / (m - beta * z) ** 2
+    for ell in range(m - 1):
+        for k in range(m - 1 - ell):
+            coef = (mpmath.factorial(m - ell) * beta ** (m - 2 - ell) / (k + 2)
+                    / (mpmath.factorial(k) * mpmath.factorial(m - 2 - ell - k) * (m - beta) ** (k + 2)))
+            acc += (-1) ** ell * coef * (1 - z) ** (m - 2 - ell) / (1 - (1 - z) * beta) ** (m - ell + 1)
+    return m * (1 - beta) ** m / beta ** (m - 1) * acc
+
+
+@pytest.mark.parametrize("m", [2, 5, 9, 12])
+@pytest.mark.parametrize("theta", [1e-4, 0.01, 0.3, 100.0, 1e6])
+def test_y1_nm1_matches_paper_sum(m, theta):
+    # 200 digits absorb the pole's cancellation (44 digits at m = 12, theta = 1e-4).
+    import mpmath
+
+    zs = np.array([0.0, 0.1, 0.5, 0.9, 1.0 - 1e-6])
+    with mpmath.workdps(200):
+        ref = np.array([float(_y1_paper_sum(m, theta, mpmath.mpf(z))) for z in zs])
+    got = vd.pdf_y1_singular(sd.SpikedModel(m + 1, m, theta, "singular"), zs)
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
 
 
 def test_y1_rejects_deep_rank_gap():
@@ -124,6 +154,32 @@ def test_yn_normalization(n, theta):
     assert total == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("n,theta", [
+    # The paper's bracket cancels a Hankel term against the kernel sum; here
+    # that cancellation gave masses from 0.9954 to 1.378.
+    (3, 1e4), (4, 1e4), (5, 1e4), (6, 300.0), (6, 1e3), (7, 0.01), (7, 300.0), (8, 0.01), (8, 30.0),
+    # The series starts at r = m - 1, where (beta x)^r / r! is far below 1.
+    (10, 1e-3), (13, 1e-3), (13, 0.01),
+])
+def test_yn_mass_on_a_graded_grid(n, theta):
+    model = sd.SpikedModel(n, n - 1, theta, "singular")
+    zq, wq = numkit.unit_grid(16, 24, 24)
+    assert abs(float(np.dot(wq, vd.pdf_yn_singular(model, zq))) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_yn_hankel_term_is_minus_the_kernel_moment(m):
+    # det[A^(0)] on the engine grid against the r = 0 moment of the power-1
+    # kernel that the series leaves out, node by node.
+    prep = vd._yn_basis(sd.SpikedModel(m + 1, m, 1.0, "singular"))
+    x, t = prep["x"], prep["t"]
+    log_a0 = numkit.discrete_orthogonal_basis(x, t, prep["wt"], 0.0, m - 1)[0]
+    hankel = (-1.0) ** (m - 1) * np.exp(log_a0)
+    moment = np.exp(prep["log_c1"] + prep["shift"]) * np.sum(
+        np.exp(prep["logwq"] - np.log(t)) * prep["p_deg"], axis=1)
+    assert np.max(np.abs(hankel + moment) / np.abs(hankel)) <= 1e-12
+
+
 def test_yn_preconditions():
     with pytest.raises(sd.UnsupportedModel):
         vd.pdf_yn_singular(sd.SpikedModel(5, 3, 1.0, "singular"), 0.5)
@@ -133,8 +189,9 @@ def test_yn_preconditions():
 
 @pytest.mark.parametrize(
     "n,theta,tol",
-    # At theta = 300 the Hankel term cancels the kernel sum to ~1e-14 near
-    # z = 1; a finer (x, t) grid moves the loop itself by 1.7e-9 there.
+    # The loop keeps the paper's Hankel term, which cancels the kernel sum to
+    # ~1e-14 near z = 1 at theta = 300; a finer (x, t) grid moves the loop
+    # itself by 1.7e-9 there.
     [(5, 0.3, 1e-9), (4, 0.1, 1e-9), (4, 300.0, 1e-8)],
 )
 def test_yn_series_matches_loop(n, theta, tol):

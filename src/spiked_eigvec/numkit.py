@@ -94,16 +94,20 @@ def unit_grid(nodes_per_panel: int = 32, grade_left: int = 0, grade_right: int =
     return _panels(sorted(edges), nodes_per_panel)
 
 
-def halfline_unit_grids(decay_rate: float, power_hint: float, x_nodes: int, t_nodes: int):
-    """The (x, t) layout of the half-line engines: (x, wx, t, wt).
+# Gauss-Legendre nodes per panel of the half-line engines' x and t layouts.
+X_NODES, T_NODES = 32, 24
+
+
+def halfline_unit_grids(decay_rate: float, power_hint: float):
+    """The (x, t) layout of the half-line engines (zn, yn_sing): (x, wx, t, wt).
 
     x is `halfline_grid` for the envelope x^power_hint e^{-decay_rate x}; t
     is `unit_grid` graded toward 0 with one dyadic level per doubling of the
     x range (2 to 40 levels), since e^{-x t} varies on the scale t ~ 1/x.
     """
-    x, wx = halfline_grid(decay_rate, power_hint=power_hint, nodes_per_panel=x_nodes)
+    x, wx = halfline_grid(decay_rate, power_hint=power_hint, nodes_per_panel=X_NODES)
     levels = int(np.clip(math.ceil(math.log2(max(x[-1], 2.0))), 2, 40))
-    t, wt = unit_grid(t_nodes, grade_left=levels)
+    t, wt = unit_grid(T_NODES, grade_left=levels)
     return x, wx, t, wt
 
 

@@ -238,15 +238,16 @@ STATISTICS = {
 
 # Per-model engine precomputations kept by each prepare function.
 ENGINE_CACHE_SIZE = 12
-# The smallest-overlap route's range validated on an mpmath oracle: m - n and
-# the Gauss-Laguerre node count (scipy's weights overflow from 363 nodes on).
-Z1_MAX_ALPHA, Z1_MAX_NODES = 10, 360
+# Validated ranges.  z1: m - n and the Gauss-Laguerre node count, on an mpmath
+# oracle (scipy's weights overflow from 363 nodes on).  z2: m - n; its mass is
+# within 1.1e-7 at m - n = 5 and off by up to 6e-4 at 6.
+Z1_MAX_ALPHA, Z1_MAX_NODES, Z2_MAX_ALPHA = 10, 360, 5
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _min_overlap_coeffs(n: int, alpha: int, beta: float):
-    """The smallest-overlap coefficients T_i: closed sums at n = 2, and for
-    n >= 3 an Andreief/Gauss-Laguerre integral.
+    """The smallest-overlap polynomial in r, as (coefficients, log_shift): closed
+    sums at n = 2, and for n >= 3 an Andreief/Gauss-Laguerre integral.
 
     With Gamma(p) c^-p = int x^(p-1) e^{-cx} dx, c = n - beta, the alpha-fold
     sum over (k_1..k_alpha) moves inside the determinant (Andreief's
@@ -257,18 +258,16 @@ def _min_overlap_coeffs(n: int, alpha: int, beta: float):
     Gauss-Laguerre nodes integrate exactly.  At n = 2 the density is
     (1-beta)^(alpha+2) / (alpha+1)! sum_k c_k denom^-(k+3), c_k =
     (k+2)(k+1) (2 alpha-k)! / (alpha-k)! (2-beta)^-(2 alpha-k+1), and
-    1/denom = 1 + r gives the coefficients b_j = sum_{k>=j} C(k, j) c_k in r,
-    T_j = b_j j! / (alpha+2)!: sums of positive terms, with no alpha limit.
-    Returns (T, log_shift).
+    1/denom = 1 + r gives the coefficients b_j = sum_{k>=j} C(k, j) c_k in r:
+    sums of positive terms, with no alpha limit.  For n >= 3 the coefficient of
+    r^i is Gamma(n+alpha+1) / Gamma(n+i-1) T_i, which leaves the exact factor
+    (n+i)(n+i-1) on the binomial sum and Gamma(n) / Gamma(n+alpha) in the shift.
     """
     idx = np.arange(alpha + 1)
     if n == 2:
         ck = np.exp(gammaln(idx + 3.0) + gammaln(2.0 * alpha - idx + 1.0) - gammaln(idx + 1.0)
                    - gammaln(alpha - idx + 1.0) - (2.0 * alpha - idx + 1.0) * math.log(2.0 - beta))
-        t = (comb(idx, idx[:, None]) @ ck) * np.exp(gammaln(idx + 1.0) - gammaln(alpha + 3.0))
-        return t, -math.lgamma(alpha + 2.0)
-    if alpha == 0:
-        return np.array([1.0 / (n - beta)]), 0.0
+        return comb(idx, idx[:, None]) @ ck, -math.lgamma(alpha + 2.0)
     nodes = alpha * (2 * n + alpha - 3) // 4 + 2
     if alpha > Z1_MAX_ALPHA or nodes > Z1_MAX_NODES:  # (m - n)(n + m - 3) <= 1434
         raise ArithmeticError(f"z1 is validated for m - n <= {Z1_MAX_ALPHA}, {Z1_MAX_NODES} nodes")
@@ -282,8 +281,8 @@ def _min_overlap_coeffs(n: int, alpha: int, beta: float):
                                     else 0.0 for s in range(-alpha - 1, alpha - 1)]
     keep = [[r for r in idx if r != i] for i in idx]
     u = wy @ np.linalg.det(g[:, idx[:, None] - idx[:alpha] + alpha - 1][:, keep, :])
-    t = np.exp(gammaln(n + idx + 1.0) - gammaln(n + alpha + 1.0)) * (comb(idx, idx[:, None]) @ u)
-    return t, math.lgamma(n) - math.lgamma(n + alpha) - (alpha + 1) * math.log(c)
+    coef = (n + idx) * (n + idx - 1.0) * (comb(idx, idx[:, None]) @ u)
+    return coef, -math.log(math.perm(n + alpha - 1, alpha)) - (alpha + 1) * math.log(c)
 
 
 def _pdf_z1_series(n: int, alpha: int, beta: float, omz: np.ndarray,
@@ -291,17 +290,14 @@ def _pdf_z1_series(n: int, alpha: int, beta: float, omz: np.ndarray,
     """The smallest-overlap density at z = 1 - omz, a degree-alpha polynomial in
     r = beta omz / (1 - beta omz) with the `_min_overlap_coeffs` coefficients;
     1 - beta omz = (1 - beta) + beta z keeps its digits near 1/(1 + theta)."""
-    t_coef, shift = _min_overlap_coeffs(n, alpha, beta)
+    coef, shift = _min_overlap_coeffs(n, alpha, beta)
     denom = (1.0 - beta) + beta * z
-    ratio = beta * omz / denom
-    acc = np.zeros_like(omz)
-    for i in range(alpha, -1, -1):
-        gr = math.exp(gammaln(n + alpha + 1.0) - gammaln(n + i - 1.0))
-        acc = acc * ratio + gr * t_coef[i]
-    # (1-beta)^(n+alpha) denom^-(n+1) as (1-beta)^(alpha-1) ((1-beta)/denom)^(n+1):
-    # denom >= 1 - beta, so the power stays <= 1 where 1 - beta is tiny.
+    acc = np.polynomial.polynomial.polyval(beta * omz / denom, coef)
+    # (1-beta)^(n+alpha) denom^-(n+1) as (1-beta)^(alpha-1) (1 + beta z/(1-beta))^-(n+1),
+    # the power <= 1 in logs: its error follows its logarithm, not n + 1 roundings of denom.
     log_base = shift + (alpha - 1.0) * math.log1p(-beta)
-    return math.exp(log_base) * omz ** (n - 2) * ((1.0 - beta) / denom) ** (n + 1.0) * acc
+    power = np.exp(-(n + 1.0) * np.log1p(beta * z / (1.0 - beta)))
+    return math.exp(log_base) * omz ** (n - 2) * power * acc
 
 
 @_pdf_boundary(_z1_support)
@@ -343,9 +339,7 @@ def cdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
 # Largest-eigenvalue overlap
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre nodes per panel of the double-integral engines: x and t of the
-# zn and yn_sing grids; x, y and w of the z2 grids.
-X_NODES, T_NODES = 32, 24
+# Gauss-Legendre nodes per panel of the z2 engine's x, y and w grids.
 Z2_X_NODES, Z2_Y_NODES, Z2_W_NODES = 48, 12, 16
 
 
@@ -365,7 +359,7 @@ def _zn_basis(model: SpikedModel) -> dict:
     n, alpha, beta = model.n, model.alpha, model.beta
     d = n - 2
     power = n * n + n * alpha - n + 1
-    x, wx, t, wt = numkit.halfline_unit_grids(1.0 - beta, power, X_NODES, T_NODES)
+    x, wx, t, wt = numkit.halfline_unit_grids(1.0 - beta, power)
 
     # The determinant in the inner integrand factorizes over the orthogonal
     # polynomials of the weight t^alpha (1-t)^2 e^{-x t}; the factorized form
@@ -484,8 +478,11 @@ def pdf_z2(model: SpikedModel, z) -> float | np.ndarray:
     Defined for the complex variant with n >= 3 and theta > 0 (the formula
     carries a beta^(2-n) pole).  A double integral whose determinant is expanded
     along its z-dependent column; that column's Cauchy kernel is summed once
-    per model, which leaves one exponential sum in z (`_z2_prepare`).
+    per model, which leaves one exponential sum in z (`_z2_prepare`).  Past
+    m - n = Z2_MAX_ALPHA it raises ArithmeticError.
     """
+    if model.alpha > Z2_MAX_ALPHA:
+        raise ArithmeticError(f"z2 is validated for m - n <= {Z2_MAX_ALPHA}")
     return _pdf_z2_grid(model, z)
 
 

@@ -20,8 +20,6 @@ from scipy.special import betainc, betaln
 from . import numkit
 from .spike_density import (
     ENGINE_CACHE_SIZE,
-    T_NODES,
-    X_NODES,
     DomainError,
     SpikedModel,
     _pdf_boundary,
@@ -121,7 +119,7 @@ def _yn_basis(model: SpikedModel) -> dict:
     """The (x, t) grid arrays of the yn engine."""
     m, beta = model.m, model.beta
     power = m * m
-    x, wx, t, wt = numkit.halfline_unit_grids(1.0 - beta, power + 2.0 * m, X_NODES, T_NODES)
+    x, wx, t, wt = numkit.halfline_unit_grids(1.0 - beta, power + 2.0 * m)
 
     # det[t A^(1) - A^(2)] factorizes over the weight t (1-t)^2 e^{-x t}.
     log_c1, shift, logwq, p_deg = numkit.discrete_orthogonal_basis(x, t, wt, 1.0, m - 2)

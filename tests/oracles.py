@@ -442,6 +442,31 @@ def min_overlap_coeffs_mpmath(n: int, alpha: int, beta: float, log_shift: float,
         return np.array([float(ti * scale) for ti in t])
 
 
+def pdf_z1_mpmath(n: int, alpha: int, beta: float, z: np.ndarray, dps: int = 50) -> np.ndarray:
+    """The smallest-overlap density for n >= 3 in mpmath, from the
+    `min_overlap_coeffs_mpmath` T_i and the exact factorial ratios
+    Gamma(n+alpha+1) / Gamma(n+i-1): (1-beta)^(n+alpha) (1-z)^(n-2) denom^-(n+1)
+    sum_i Gamma(n+alpha+1) / Gamma(n+i-1) T_i r^i, denom = 1 - beta (1-z) and
+    r = beta (1-z) / denom.  1 - z is formed exactly from each float z.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        b = mpmath.mpf(beta)
+        # The coefficients come back as floats scaled by e^-log_scale, which keeps them in range.
+        log_scale = float(mpmath.loggamma(n) - mpmath.loggamma(n + alpha) - (alpha + 1) * mpmath.log(n - b))
+        t = min_overlap_coeffs_mpmath(n, alpha, beta, log_scale, dps)
+        coef = [mpmath.exp(log_scale) * mpmath.mpf(ti) * math.perm(n + alpha, alpha + 2 - i)
+                for i, ti in enumerate(t)]
+        out = []
+        for zq in z:
+            omz = 1 - mpmath.mpf(zq)
+            denom = 1 - b * omz
+            poly = mpmath.polyval(coef[::-1], b * omz / denom)
+            out.append(float((1 - b) ** (n + alpha) * omz ** (n - 2) / denom ** (n + 1) * poly))
+        return np.array(out)
+
+
 def _pdf_z1_fast(n: int, alpha: int, beta: float, z: np.ndarray) -> np.ndarray:
     """Closed smallest-overlap forms for alpha = 0 and alpha = 1, n >= 3."""
     omz = 1.0 - z

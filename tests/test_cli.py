@@ -155,6 +155,7 @@ def test_exit_code_invalid_config(capsys):
     assert main("pdf --stat z1 --n 4 --m 6 --theta 1 --z-min 0.5 --z-max 0.5".split()) == 2
     assert main("pdf --stat z1 --n 4 --m 6 --theta 1 --z-max 1.5".split()) == 2
     assert main("pdf --stat nz1_asym".split()) == 2
+    assert main("pdf --stat w1_real --n 2 --m 5 --theta 1 --z-min 0".split()) == 2  # open support
     assert capsys.readouterr().out == ""
 
 
@@ -183,6 +184,13 @@ def test_cdf_and_validate_leave_scipy_interpolate_unimported(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False"
+
+
+def test_pdf_z2_past_validated_alpha_exits_3(capsys):
+    # m - n = 10 > Z2_MAX_ALPHA, where the unchecked density reads 4.4e13 at z = 1e-4.
+    assert main("pdf --stat z2 --n 4 --m 14 --theta 10".split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "validated for" in captured.err
 
 
 def test_exit_code_beta_rounds_to_one(capsys):

@@ -290,6 +290,15 @@ def test_split_tridiagonal_is_right_or_fails(diag, sub2, monkeypatch):
         assert abs(got[0, 0] - want) <= 1e-12, (k, got, want)
 
 
+def test_overlap_outside_unit_interval_fails(monkeypatch):
+    # An infinite diagonal entry gets past the eigenvalue solve and the sweep,
+    # but not the final range check on the weights.
+    t = np.diag([np.inf, 1.0, 2.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
+    monkeypatch.setattr(mc, "_tridiagonal", lambda *args: t[None])
+    with pytest.raises(mc.EigensolverFailure, match="not a number in"):
+        mc._chunk_projections(sd.SpikedModel(3, 3, 0.0), seed=0, start=0, stop=1)
+
+
 @pytest.mark.parametrize(
     "n,m,variant",
     [(5, 7, "complex"), (4, 6, "real"), (5, 3, "singular"), (1, 3, "complex")],

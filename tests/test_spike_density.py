@@ -23,9 +23,18 @@ def test_model_validation():
         sd.SpikedModel(3, 5, math.inf)
     with pytest.raises(ValueError):
         sd.SpikedModel(3.5, 5, 1.0)
+    with pytest.raises(ValueError, match="at least 1"):
+        sd.SpikedModel(0, 5, 1.0)
+    with pytest.raises(ValueError, match="unknown variant"):
+        sd.SpikedModel(3, 5, 1.0, "quaternion")
     m = sd.SpikedModel(3, 5, 3.0)
     assert m.alpha == 2
     assert m.beta == pytest.approx(0.75)
+
+
+def test_density_values_rejects_unknown_statistic():
+    with pytest.raises(sd.UnsupportedModel, match="unknown statistic"):
+        sd.density_values("z3", sd.SpikedModel(3, 5, 1.0), ZGRID)
 
 
 def test_pdf_z1_haar_point():
@@ -75,15 +84,22 @@ def test_pdf_z1_mass_at_huge_theta(n, m, theta):
     assert float(wq @ sd.pdf_z1(sd.SpikedModel(n, m, theta), zq)) == pytest.approx(1.0, abs=1e-9)
 
 
+def _coeff_factor(n, alpha):
+    # The exact Gamma(n+alpha+1) / Gamma(n+i-1) that turns the oracles' T_i
+    # into the coefficients of r^i.
+    return np.array([math.perm(n + alpha, alpha + 2 - i) for i in range(alpha + 1)], dtype=float)
+
+
 @pytest.mark.parametrize("theta", [0.1, 3.0, 1e4])
 def test_min_overlap_coeffs_match_enumeration(theta):
     # The Andreief/Gauss-Laguerre integral against the k-tuple sum it replaced.
     beta = theta / (1.0 + theta)
     for n in range(3, 11):
         for alpha in range(5):
-            t, shift = sd._min_overlap_coeffs(n, alpha, beta)
+            coef, shift = sd._min_overlap_coeffs(n, alpha, beta)
             ref, ref_shift = oracles.min_overlap_coeffs_enumerated(n, alpha, beta)
-            err = np.max(np.abs(t * math.exp(shift - ref_shift) - ref))
+            ref = ref * _coeff_factor(n, alpha)
+            err = np.max(np.abs(coef * math.exp(shift - ref_shift) - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (n, alpha)
 
 
@@ -98,9 +114,22 @@ def test_min_overlap_coeffs_match_enumeration(theta):
 ])
 def test_min_overlap_coeffs_match_mpmath(n, alpha, theta):
     beta = theta / (1.0 + theta)
-    t, shift = sd._min_overlap_coeffs(n, alpha, beta)
-    ref = oracles.min_overlap_coeffs_mpmath(n, alpha, beta, shift)
-    assert np.max(np.abs(t - ref)) <= 1e-7 * np.max(ref)
+    coef, shift = sd._min_overlap_coeffs(n, alpha, beta)
+    ref = oracles.min_overlap_coeffs_mpmath(n, alpha, beta, shift) * _coeff_factor(n, alpha)
+    assert np.max(np.abs(coef - ref)) <= 1e-7 * np.max(ref)
+
+
+# Large n, where an exp of log-gamma values near 3,900 would cost ~4e-13, and
+# a power n + 1 of a rounded denominator up to n + 1 half-ulps.
+@pytest.mark.parametrize("n,alpha,theta", [(200, 1, 1e4), (359, 2, 3.0), (700, 1, 1e4), (718, 1, 1.0)])
+def test_pdf_z1_matches_mpmath_at_large_n(n, alpha, theta):
+    beta = theta / (1.0 + theta)
+    # Out to 12 limit-law means 1 / (n (1 + theta)), at z whose 1 - z is exact:
+    # a rounded 1 - z adds up to (n - 2) / 2 ulps (3e-14 of the peak here).
+    z = 1.0 - (1.0 - np.linspace(0.0, 12.0 / (n * (1.0 + theta)), 49))
+    ref = oracles.pdf_z1_mpmath(n, alpha, beta, z)
+    got = sd.pdf_z1(sd.SpikedModel(n, n + alpha, theta), z)
+    assert np.max(np.abs(got - ref)) <= 5e-14 * np.max(ref)
 
 
 def _largest_validated_n(alpha):
@@ -132,8 +161,23 @@ def test_pdf_z1_refuses_past_the_alpha_limit():
         sd.pdf_z1(sd.SpikedModel(3, 4 + sd.Z1_MAX_ALPHA, 1.0), 0.5)
 
 
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("theta", [0.5, 3.0])
+def test_nz1_limit_law_rate(alpha, theta):
+    # The paper's limit n z1 -> chi2_2 / 2(1 + theta), from the exact law: the
+    # sup-distance D_n between the c.d.f.s of n z1 and of the limit falls like
+    # 1/n (n D_n read 0.078-0.375 over these cells).
+    v = np.linspace(0.0, 8.0, 2001)
+    dists = []
+    for n in (30, 100, 300):
+        exact = sd.cdf_grid("z1", sd.SpikedModel(n, n + alpha, theta), v / n)
+        dists.append(float(np.max(np.abs(exact + np.expm1(-(1.0 + theta) * v)))))
+    assert all(n * d <= 0.5 for n, d in zip((30, 100, 300), dists)), dists
+    assert dists[0] >= 2.5 * dists[1] and dists[1] >= 2.5 * dists[2], dists
+
+
 def test_pdf_z1_closed_cells_have_no_range_limit():
-    # m = n and n = 2 take no determinant.
+    # m = n (an empty minor) and n = 2 (closed sums) have no range limit.
     for model in (sd.SpikedModel(80, 80, 3.0), sd.SpikedModel(2, 40, 3.0)):
         assert np.all(np.isfinite(sd.pdf_z1(model, ZGRID)))
 
@@ -218,6 +262,18 @@ def test_pdf_z2_normalization_large_theta():
     zq, wq = numkit.unit_grid(12, grade_left=16, grade_right=16)
     total = float(np.dot(wq, sd.pdf_z2(model, zq)))
     assert total == pytest.approx(1.0, abs=1e-4)
+
+
+def test_pdf_z2_alpha_limit():
+    # m - n = Z2_MAX_ALPHA still normalizes (1.1e-7 was the worst of a sweep);
+    # one past it raises before any basis is built.
+    zq, wq = numkit.unit_grid(16, grade_left=20, grade_right=20)
+    total = float(np.dot(wq, sd.pdf_z2(sd.SpikedModel(8, 8 + sd.Z2_MAX_ALPHA, 1.0), zq)))
+    assert total == pytest.approx(1.0, abs=1e-6)
+    sd._z2_prepare.cache_clear()
+    with pytest.raises(ArithmeticError, match="validated for"):
+        sd.pdf_z2(sd.SpikedModel(3, 4 + sd.Z2_MAX_ALPHA, 1.0), 0.5)
+    assert sd._z2_prepare.cache_info().misses == 0
 
 
 def test_pdf_zn_normalization_large_theta():

@@ -86,6 +86,11 @@ def test_w1_rejects_bad_models():
         vd.pdf_w1_real(sd.SpikedModel(3, 5, 1.0, "real"), 0.5)
     with pytest.raises(sd.UnsupportedModel):
         vd.pdf_w1_real(sd.SpikedModel(2, 4, 1.0, "complex"), 0.5)
+    # The z^(-1/2) (1-z)^(-1/2) endpoints lie outside the open support.
+    for pdf in (vd.pdf_w1_real, vd.pdf_w2_real):
+        for z in (0.0, 1.0):
+            with pytest.raises(sd.DomainError, match="strictly inside"):
+                pdf(sd.SpikedModel(2, 5, 1.0, "real"), z)
 
 
 def test_y1_m1_haar_reduction():

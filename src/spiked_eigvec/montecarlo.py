@@ -166,16 +166,16 @@ def sample_wishart(
         raise ValueError("spike dimension does not match the model")
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("spike vector must have unit norm")
+    # A middle column is its own statistic only below the top one: at n = 2
+    # the second-smallest eigenvector is the largest.
+    rank = model.m if model.variant == "singular" else model.n
     columns = {
         name: entry.column
         for name, entry in STATISTICS.items()
         if entry.variant == model.variant and entry.column is not None
+        and (entry.column <= 0 or entry.column < rank - 1)
     }
-    if statistics is None:
-        # A middle column is its own statistic only below the top one: at
-        # n = 2 the second-smallest eigenvector is the largest.
-        rank = model.m if model.variant == "singular" else model.n
-        statistics = tuple(name for name, col in columns.items() if col <= 0 or col < rank - 1)
+    statistics = tuple(columns) if statistics is None else statistics
     for stat in statistics:
         if stat not in columns:
             raise ValueError(f"statistic {stat!r} is not sampled for variant {model.variant!r}")

@@ -6,8 +6,9 @@ list of panel edges with one Gauss-Legendre rule per panel, so callers
 evaluate vectorized integrands over the whole grid at once.  The
 determinants inside the double-integral densities factorize over the
 orthogonal polynomials of the quadrature-discretized weight, built here by
-the Stieltjes recurrence; `halfline_series` turns their z-dependent inner
-sums into power series in 1 - z, so a z grid costs one matrix product.
+the Stieltjes recurrence.  `halfline_basis` builds the half-line engines'
+grids, basis and outer weight, and `halfline_series` turns their inner sums
+into power series in u = 1 - z, so a z grid costs one matrix product.
 
 Everything here is pure and safe for concurrent use.
 """
@@ -98,17 +99,26 @@ def unit_grid(nodes_per_panel: int = 32, grade_left: int = 0, grade_right: int =
 X_NODES, T_NODES = 32, 24
 
 
-def halfline_unit_grids(decay_rate: float, power_hint: float):
-    """The (x, t) layout of the half-line engines (zn, yn_sing): (x, wx, t, wt).
+def halfline_basis(beta: float, log_pref: float, power: float, grid_power: float,
+                   weight_power: float, degree: int) -> dict:
+    """The (x, t) arrays of a half-line engine (zn, yn_sing).
 
-    x is `halfline_grid` for the envelope x^power_hint e^{-decay_rate x}; t
-    is `unit_grid` graded toward 0 with one dyadic level per doubling of the
-    x range (2 to 40 levels), since e^{-x t} varies on the scale t ~ 1/x.
+    x is `halfline_grid` for the envelope x^grid_power e^{-(1-beta) x}; t is
+    `unit_grid` graded toward 0 with one dyadic level per doubling of the x
+    range (2 to 40 levels), since e^{-x t} varies on the scale t ~ 1/x.  The
+    basis is `discrete_orthogonal_basis(x, t, wt, weight_power, degree)`, and
+    log_row = log_pref + power log x - (1-beta) x + log wx + log_norm + shift
+    is the log outer weight at z = 1, which `halfline_series` scales by
+    e^{-beta x (1-z)}: no term of size x cancels another.  Returns the dict
+    (x, t, wt, logwq, p_deg, log_norm, shift, log_row).
     """
-    x, wx = halfline_grid(decay_rate, power_hint=power_hint, nodes_per_panel=X_NODES)
+    x, wx = halfline_grid(1.0 - beta, grid_power, X_NODES)
     levels = int(np.clip(math.ceil(math.log2(max(x[-1], 2.0))), 2, 40))
     t, wt = unit_grid(T_NODES, grade_left=levels)
-    return x, wx, t, wt
+    log_norm, shift, logwq, p_deg = discrete_orthogonal_basis(x, t, wt, weight_power, degree)
+    log_row = log_pref + power * np.log(x) - (1.0 - beta) * x + np.log(wx) + log_norm + shift
+    return dict(x=x, t=t, wt=wt, logwq=logwq, p_deg=p_deg, log_norm=log_norm, shift=shift,
+                log_row=log_row)
 
 
 def geometric_grid(start: float, end: float, nodes_per_panel: int):
@@ -153,22 +163,16 @@ def discrete_orthogonal_basis(x: np.ndarray, t: np.ndarray, wt: np.ndarray,
     logwq = logw - shift[:, None]
     wq = np.exp(logwq)
 
-    nx = x.size
-    log_norm = np.zeros(nx)
-    p_km1 = np.zeros_like(wq)
-    p_k = np.ones_like(wq)
-    h_prev = None
+    log_norm = np.zeros(x.size)
+    p_km1, p_k, h_prev = np.zeros_like(wq), np.ones_like(wq), 1.0
     for k in range(degree):
         h_k = np.einsum("xq,xq->x", wq, p_k * p_k)
         if not np.all((h_k > 0.0) & (h_k < np.inf)):
             raise ArithmeticError(f"the orthogonal basis breaks down at degree {k}")
         a_k = np.einsum("xq,xq->x", wq * t[None, :], p_k * p_k) / h_k
         log_norm += np.log(h_k)
-        if k == 0:
-            p_next = (t[None, :] - a_k[:, None]) * p_k
-        else:
-            b_k = h_k / h_prev
-            p_next = (t[None, :] - a_k[:, None]) * p_k - b_k[:, None] * p_km1
+        b_k = h_k / h_prev  # h_{-1} = 1 and p_{-1} = 0: b_0 p_{-1} is exactly 0
+        p_next = (t[None, :] - a_k[:, None]) * p_k - b_k[:, None] * p_km1
         h_prev = h_k
         p_km1, p_k = p_k, p_next
     log_norm += degree * shift
@@ -177,7 +181,10 @@ def discrete_orthogonal_basis(x: np.ndarray, t: np.ndarray, wt: np.ndarray,
 
 @dataclass(frozen=True)
 class HalfLineSeries:
-    """sum_x exp(log_scale[x] + bx[x] z) sum_k coef[x, k] (1 - z)^powers[k]."""
+    """sum_x exp(log_scale[x] - bx[x] u) sum_k coef[x, k] u^powers[k], u = 1 - z.
+
+    The outer weight lives in the polynomial's variable u, so near z = 1 no
+    exponent of size bx cancels against another."""
 
     bx: np.ndarray
     powers: np.ndarray
@@ -187,34 +194,36 @@ class HalfLineSeries:
     def __call__(self, zs: np.ndarray) -> np.ndarray:
         out, chunk = np.empty(zs.size), 256  # z chunks keep the (x, z) arrays small
         for lo in range(0, zs.size, chunk):
-            zc = zs[lo : lo + chunk]
-            logv = self.log_scale[:, None] + np.outer(self.bx, zc)
+            u = 1.0 - zs[lo : lo + chunk]
+            logv = self.log_scale[:, None] - np.outer(self.bx, u)
             top = np.max(logv, axis=0)
-            inner = self.coef @ (1.0 - zc) ** self.powers[:, None]
+            inner = self.coef @ u ** self.powers[:, None]
             out[lo : lo + chunk] = np.einsum("xz,xz->z", inner, np.exp(logv - top)) * np.exp(top)
         return out
 
 
 def halfline_series(x, t, a, log_row, beta: float, r0: int):
     """Power series in u = 1 - z of sum_q a[x, q] sum_{r >= r0} (beta x u t_q)^r
-    / r!, scaled by exp(log_row[x]).
+    / r!, weighted by exp(log_row[x] - beta x u): log_row is the log weight at
+    z = 1.
 
     The coefficients (beta x)^r / r! sum_q a[x, q] t_q^r take one matrix
-    product.  Weighted by exp(log_row + beta x z), z in [0, 1], the (x, q) sum
-    over r >= r0 is at most exp(lb), lb = log_row + beta x + log|a| + r0 log t_q
-    + min(0, r0 log(beta x) - log r0!), because sum_{r >= r0} v^r / r! is at most
-    e^v and at most e^v v^r0 / r0!.  The last term keeps rows with small beta x
-    from setting a scale that their terms never reach, which would stop the
-    series early.  Terms with lb below 1e-20 of the largest are dropped; the
-    series stops where Chernoff's bound on P(Poisson(beta x t_q) >= R) puts
-    every kept tail below that threshold too.  Rows are rescaled by exact
-    powers of two, so the rescaling rounds no coefficient.
+    product.  For u in [0, 1] the weighted (x, q) sum over r >= r0 is at most
+    exp(lb), lb = log_row + log|a| + r0 log t_q + min(0, r0 log(beta x) -
+    log r0!): with v = beta x u t_q, e^{-beta x u} sum_{r >= r0} v^r / r! is at
+    most 1 and at most (beta x t_q)^r0 / r0!.  The last term keeps rows with
+    small beta x from setting a scale that their terms never reach, which
+    would stop the series early.  Terms with lb below 1e-20 of the largest
+    are dropped; the series stops where Chernoff's bound on
+    P(Poisson(beta x t_q) >= R) puts every kept tail below that threshold too.
+    Rows are rescaled by exact powers of two, so the rescaling rounds no
+    coefficient.
     Raises ArithmeticError when the bound is not finite or needs more than
     2 * t.size terms, so the coefficients never outgrow two (x, t) arrays.
     """
     bx, ln2 = beta * x, math.log(2.0)
     with np.errstate(divide="ignore"):
-        lb0 = (log_row + bx)[:, None] + np.log(np.abs(a))
+        lb0 = log_row[:, None] + np.log(np.abs(a))
         lb = lb0 + r0 * np.log(t) + np.minimum(0.0, r0 * np.log(bx) - math.lgamma(r0 + 1.0))[:, None]
     thr = np.max(lb) + math.log(1e-20)
     keep = lb >= thr

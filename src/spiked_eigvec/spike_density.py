@@ -119,7 +119,7 @@ def _clip_density(values: np.ndarray) -> np.ndarray:
 def _pdf_boundary(support: Callable):
     """Decorator: the one validation boundary every density passes.
 
-    The wrapped body takes (model, z, ...) with z a 1-d float array in
+    The wrapped body takes (model, z) with z a 1-d float array in
     [0, 1].  The wrapper runs `support(model)`, rejects a theta so large that
     beta = theta/(1+theta) rounds to 1 (the formulas carry 1 - beta factors
     and logs), validates z, clips the body's values with `_clip_density`,
@@ -128,12 +128,12 @@ def _pdf_boundary(support: Callable):
 
     def decorate(body):
         @wraps(body)
-        def pdf(model: SpikedModel, z, *args, **kwargs):
+        def pdf(model: SpikedModel, z):
             support(model)
             if model.beta == 1.0:
                 raise ArithmeticError("theta is too large: beta = theta/(1+theta) rounds to 1")
             z = _as_z_array(z)
-            out = _clip_density(body(model, z.ravel(), *args, **kwargs))
+            out = _clip_density(body(model, z.ravel()))
             return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
         return pdf
@@ -355,29 +355,25 @@ def _max_overlap_log_prefactor(n: int, alpha: int, beta: float) -> float:
 
 
 def _zn_basis(model: SpikedModel) -> dict:
-    """The (x, t) grid arrays of the zn engine."""
+    """The (x, t) arrays of the zn engine.  The determinant in the inner
+    integrand factorizes over the orthogonal polynomials of the weight
+    t^alpha (1-t)^2 e^{-x t}; the factorized form is stable where the raw
+    Hankel assembly loses all digits."""
     n, alpha, beta = model.n, model.alpha, model.beta
-    d = n - 2
     power = n * n + n * alpha - n + 1
-    x, wx, t, wt = numkit.halfline_unit_grids(1.0 - beta, power)
-
-    # The determinant in the inner integrand factorizes over the orthogonal
-    # polynomials of the weight t^alpha (1-t)^2 e^{-x t}; the factorized form
-    # is stable where the raw Hankel assembly loses all digits.
-    log_norm, shift, logwq, p_deg = numkit.discrete_orthogonal_basis(x, t, wt, float(alpha), d)
-    logpref = _max_overlap_log_prefactor(n, alpha, beta)
-    base = logpref + power * np.log(x) - x + log_norm + shift + np.log(wx)
-    return dict(x=x, t=t, logwq=logwq, p_deg=p_deg, base=base, beta=beta, d=d)
+    return numkit.halfline_basis(beta, _max_overlap_log_prefactor(n, alpha, beta), power, power,
+                                 alpha, n - 2)
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _zn_prepare(model: SpikedModel) -> numkit.HalfLineSeries:
     """The z-grid evaluator: the inner sum e^{st} P(d, st), s = beta x (1-z), as
     a moment series in 1 - z (P the regularized lower incomplete gamma
-    function; the Taylor part below degree d is annihilated by orthogonality)."""
+    function; the Taylor part below degree d = n - 2 is annihilated by
+    orthogonality)."""
     prep = _zn_basis(model)
     a = np.exp(prep["logwq"]) * prep["p_deg"]
-    return numkit.halfline_series(prep["x"], prep["t"], a, prep["base"], prep["beta"], prep["d"])
+    return numkit.halfline_series(prep["x"], prep["t"], a, prep["log_row"], model.beta, model.n - 2)
 
 
 @_pdf_boundary(_zn_support)

@@ -116,19 +116,12 @@ def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
 
 
 def _yn_basis(model: SpikedModel) -> dict:
-    """The (x, t) grid arrays of the yn engine."""
+    """The (x, t) arrays of the yn engine: det[t A^(1) - A^(2)] factorizes over
+    the weight t (1-t)^2 e^{-x t}."""
     m, beta = model.m, model.beta
-    power = m * m
-    x, wx, t, wt = numkit.halfline_unit_grids(1.0 - beta, power + 2.0 * m)
-
-    # det[t A^(1) - A^(2)] factorizes over the weight t (1-t)^2 e^{-x t}.
-    log_c1, shift, logwq, p_deg = numkit.discrete_orthogonal_basis(x, t, wt, 1.0, m - 2)
-
-    logpref = m * math.log1p(-beta) + (1.0 - m) * math.log(beta) - 2.0 * sum(
+    log_pref = m * math.log1p(-beta) + (1.0 - m) * math.log(beta) - 2.0 * sum(
         math.lgamma(m - j + 1.0) for j in range(1, m + 1))
-    base = logpref + power * np.log(x) - x + np.log(wx)
-    return dict(x=x, t=t, wt=wt, logwq=logwq, shift=shift, p_deg=p_deg, log_c1=log_c1, base=base,
-                beta=beta, m=m)
+    return numkit.halfline_basis(beta, log_pref, m * m, m * m + 2.0 * m, 1.0, m - 2)
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
@@ -140,8 +133,7 @@ def _yn_prepare(model: SpikedModel) -> numkit.HalfLineSeries:
     orthogonality, so the series starts at r = m - 1 with nothing to cancel."""
     prep = _yn_basis(model)
     a = np.exp(prep["logwq"] - np.log(prep["t"])) * prep["p_deg"]
-    log_row = prep["base"] + prep["log_c1"] + prep["shift"]
-    return numkit.halfline_series(prep["x"], prep["t"], a, log_row, prep["beta"], prep["m"] - 1)
+    return numkit.halfline_series(prep["x"], prep["t"], a, prep["log_row"], model.beta, model.m - 1)
 
 
 @_pdf_boundary(_yn_support)

@@ -558,7 +558,7 @@ def pdf_zn_loop(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
     """
     prep = _zn_basis(model)
     x, t, logwq, p_deg = prep["x"], prep["t"], prep["logwq"], prep["p_deg"]
-    base, beta, d = prep["base"], prep["beta"], prep["d"]
+    log_row, beta, d = prep["log_row"], model.beta, model.n - 2
     out = np.empty(zs.size)
     for i, z in enumerate(zs):
         # Inner integral: the Taylor part of e^{st}, s = beta x (1-z), up to
@@ -569,7 +569,7 @@ def pdf_zn_loop(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
         st = (beta * x * (1.0 - z))[:, None] * t[None, :]
         wrem = np.exp(logwq + st) * gammainc(d, st)
         inner = np.einsum("xq,xq->x", wrem, p_deg)
-        logv = base + beta * x * z
+        logv = log_row - beta * x * (1.0 - z)
         mshift = np.max(logv)
         out[i] = float(np.dot(inner, np.exp(logv - mshift))) * math.exp(mshift)
     return out
@@ -579,7 +579,8 @@ def pdf_yn_loop(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
     """The yn_sing engine's half-line integral summed z by z on its own (x, t) grid."""
     prep = _yn_basis(model)
     x, t, wt, p_deg = prep["x"], prep["t"], prep["wt"], prep["p_deg"]
-    log_c1, base, beta, m = prep["log_c1"], prep["base"], prep["beta"], prep["m"]
+    log_norm, beta, m = prep["log_norm"], model.beta, model.m
+    base = prep["log_row"] - log_norm - prep["shift"]
     # The paper's Hankel term det[A^(0)] on the same grid: the norm product of
     # the weight (1-t)^2 e^{-x t} up to degree m - 1.
     log_a0 = discrete_orthogonal_basis(x, t, wt, 0.0, m - 1)[0]
@@ -591,11 +592,11 @@ def pdf_yn_loop(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
         logw2 = log_t_weight[None, :] - q * x[:, None] * t[None, :]
         shift2 = np.max(logw2, axis=1)
         s_t = np.einsum("xq,xq->x", np.exp(logw2 - shift2[:, None]), p_deg)
-        log_j = log_c1 + shift2 + np.log(np.maximum(np.abs(s_t), 1e-320))
+        log_j = log_norm + shift2 + np.log(np.maximum(np.abs(s_t), 1e-320))
         sign_j = np.sign(s_t)
         mshift = np.maximum(log_j, log_a0)
         bracket = sign_j * np.exp(log_j - mshift) + sign_m * np.exp(log_a0 - mshift)
-        logterm = base + beta * x * z + mshift
+        logterm = base - beta * x * (1.0 - z) + mshift
         top = np.max(logterm)
         out[i] = float(np.dot(bracket, np.exp(logterm - top))) * math.exp(top)
     return out

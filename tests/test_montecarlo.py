@@ -111,6 +111,13 @@ def test_default_statistics(n, m, variant, keys):
     assert tuple(mc.sample_wishart(model, spike, seed=3, count=8)) == keys
 
 
+def test_top_column_is_not_sampled_as_z2():
+    # At n = 2 column 1 is the largest eigenvector: z2 would repeat zn.
+    model = sd.SpikedModel(2, 4, 1.0)
+    with pytest.raises(ValueError, match="not sampled"):
+        mc.sample_wishart(model, mc.make_spike(2), seed=1, count=5, statistics=("z2",))
+
+
 def test_per_draw_projection_sum():
     model = sd.SpikedModel(5, 7, 3.0)
     proj = mc._chunk_projections(model, seed=9, start=0, stop=500)

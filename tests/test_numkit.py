@@ -106,12 +106,12 @@ def test_ks_empty_sample():
 
 
 def _taylor_remainder_sum(x, t, a, log_row, beta, r0, z):
-    """sum_x e^{log_row + beta x z} sum_q a e^{y} P(r0, y), u = 1 - z, y = beta x u t_q."""
+    """sum_x e^{log_row - beta x u} sum_q a e^{y} P(r0, y), u = 1 - z, y = beta x u t_q."""
     from scipy.special import gammainc
 
     y = beta * x[:, None, None] * (1.0 - z)[None, None, :] * t[None, :, None]
     inner = np.sum(a[:, :, None] * np.exp(y) * gammainc(r0, y), axis=1)
-    return np.sum(np.exp(log_row[:, None] + beta * np.outer(x, z)) * inner, axis=0)
+    return np.sum(np.exp(log_row[:, None] - beta * np.outer(x, 1.0 - z)) * inner, axis=0)
 
 
 def test_halfline_series_sums_the_taylor_remainder():

@@ -350,6 +350,26 @@ def test_zn_series_matches_loop(n, m, theta, tol):
     assert np.max(np.abs(series - loop)) <= tol * np.max(loop)
 
 
+@pytest.mark.parametrize("theta", [1e6, 1e8, 1e12])
+@pytest.mark.parametrize("n,m", [(3, 5), (4, 6), (5, 6)])
+def test_zn_series_matches_loop_at_large_theta(n, m, theta):
+    # x reaches 1e13 at theta = 1e12: an outer weight formed from terms of
+    # size x that cancel near z = 1 carried eps x (1e-4 of the peak here).
+    model = sd.SpikedModel(n, m, theta)
+    zs = 1.0 - np.geomspace(1e-3, 30.0, 60) / theta
+    loop = oracles.pdf_zn_loop(model, zs)
+    series = sd._zn_prepare(model)(zs)
+    assert np.max(np.abs(series - loop)) <= 1e-13 * np.max(loop)
+
+
+@pytest.mark.parametrize("n,m", [(3, 5), (4, 6), (5, 6), (6, 8), (8, 10)])
+def test_pdf_zn_mass_at_theta_1e8(n, m):
+    theta = 1e8
+    zq, wq = numkit.unit_grid(16, 20, math.ceil(math.log2(1.0 + theta)) + 12)
+    total = float(np.dot(wq, sd.pdf_zn(sd.SpikedModel(n, m, theta), zq)))
+    assert abs(total - 1.0) <= 2e-9
+
+
 def test_zn_unbounded_series_raises():
     # At theta = 1e15 the orthogonal basis breaks down (a norm is zero or not
     # finite): an error, not a zero density, and no RuntimeWarning on the way.

@@ -172,6 +172,16 @@ def test_yn_mass_on_a_graded_grid(n, theta):
     assert abs(float(np.dot(wq, vd.pdf_yn_singular(model, zq))) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_yn_mass_at_theta_1e8(n):
+    # The outer weight is e^{-beta x (1-z)} on its value at z = 1; formed from
+    # terms of size x (1e10 here) the mass missed by up to 2e-8.
+    theta = 1e8
+    zq, wq = numkit.unit_grid(16, 20, math.ceil(math.log2(1.0 + theta)) + 12)
+    total = float(np.dot(wq, vd.pdf_yn_singular(sd.SpikedModel(n, n - 1, theta, "singular"), zq)))
+    assert abs(total - 1.0) <= 2e-9
+
+
 @pytest.mark.parametrize("m", range(2, 9))
 def test_yn_hankel_term_is_minus_the_kernel_moment(m):
     # det[A^(0)] on the engine grid against the r = 0 moment of the power-1
@@ -180,7 +190,7 @@ def test_yn_hankel_term_is_minus_the_kernel_moment(m):
     x, t = prep["x"], prep["t"]
     log_a0 = numkit.discrete_orthogonal_basis(x, t, prep["wt"], 0.0, m - 1)[0]
     hankel = (-1.0) ** (m - 1) * np.exp(log_a0)
-    moment = np.exp(prep["log_c1"] + prep["shift"]) * np.sum(
+    moment = np.exp(prep["log_norm"] + prep["shift"]) * np.sum(
         np.exp(prep["logwq"] - np.log(t)) * prep["p_deg"], axis=1)
     assert np.max(np.abs(hankel + moment) / np.abs(hankel)) <= 1e-12
 

@@ -1,10 +1,10 @@
 """Ground-truth sampler for spiked Wishart eigenvector projections.
 
-Draws come from the Dumitriu-Edelman tridiagonal model: 2n - 1 (singular:
-2m) Gamma variates per draw (see `_tridiagonal`), one batched eigenvalue solve
-per chunk and an O(n) Gauss-weight sweep per requested overlap (see
-`_chunk_projections`).  The law of the projections does not depend on the
-spike direction, which is validated for shape, unit norm and realness only.
+Draws come from the Dumitriu-Edelman tridiagonal model: 2n - 1 (singular: 2m)
+Gamma variates per draw give T's diagonal and squared subdiagonal (`_tridiagonal`).
+One batched eigenvalue solve per chunk and an O(n) Gauss-weight sweep per overlap,
+or `eigh` for a nearly split T, give the projections (`_chunk_projections`).  Their
+law does not depend on the spike direction, validated for shape, norm and realness.
 
 Each chunk of CHUNK_SIZE draws owns a counter-based Philox stream keyed by
 (seed, index of its first draw).  Chunks are a fixed size independent of the
@@ -15,7 +15,6 @@ of a larger one.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,6 +25,9 @@ from .spike_density import STATISTICS, SpikedModel
 # Draws per chunk.  Each chunk is one random stream, so this constant fixes
 # the draws: changing it changes every seeded output.
 CHUNK_SIZE = 2048
+
+# A draw with a squared subdiagonal below SPLIT_TOL max(a)^2 nearly splits.
+SPLIT_TOL = 1e-12
 
 
 class EigensolverFailure(RuntimeError):
@@ -69,8 +71,9 @@ def make_spike(n: int, seed: int = 0, style: str = "first_basis", real: bool = F
     return v
 
 
-def _tridiagonal(model: SpikedModel, seed: int, start: int, stop: int) -> np.ndarray:
-    """T = D B B^T D of draws [start, stop), shape (count, size, size), size = min(n, m + 1).
+def _tridiagonal(model: SpikedModel, seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """T = D B B^T D of draws [start, stop) as its diagonal a, shape (count, size), and
+    squared subdiagonal b2, shape (count, size - 1), with size = min(n, m + 1).
 
     A draw takes v = e1: reflections that fix e1 reduce the Gaussian factor to a lower
     bidiagonal B and commute with D = diag(sqrt(1+theta), 1, ..., 1).  B[i, i]^2 ~
@@ -79,31 +82,20 @@ def _tridiagonal(model: SpikedModel, seed: int, start: int, stop: int) -> np.nda
     (seed, start).  The singular variant's T has rank m.
     """
     n, m = model.n, model.m
-    count = stop - start
     size = min(n, m + 1)
     # B is n x m lower bidiagonal with nonzero rows 0..size-1; the squares
     # B[i, i]^2 and B[i + 1, i]^2 are Gamma variates with these shapes.
     ndiag = min(n, m)
     shapes = np.concatenate([np.arange(m, m - ndiag, -1), np.arange(n - 1, n - size, -1)])
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), start]))
-    if model.variant == "real":
-        squares = 2.0 * rng.standard_gamma(shapes / 2.0, size=(count, shapes.size))
-    else:
-        squares = rng.standard_gamma(shapes, size=(count, shapes.size))
+    chi = 2.0 if model.variant == "real" else 1.0
+    squares = chi * rng.standard_gamma(shapes / chi, size=(stop - start, shapes.size))
     d2, s2 = squares[:, :ndiag], squares[:, ndiag:]
-
-    # T = D B B^T D: diagonal d2[i] + s2[i - 1], subdiagonal sqrt(s2[i] d2[i]).
-    idx = np.arange(size)
-    t = np.zeros((count, size, size))
-    t[:, idx[:ndiag], idx[:ndiag]] = d2
-    t[:, idx[1:], idx[1:]] += s2
-    sub = np.sqrt(d2[:, :size - 1] * s2)
-    t[:, idx[1:], idx[:-1]] = sub
-    t[:, idx[:-1], idx[1:]] = sub
-    spike_scale = math.sqrt(1.0 + model.theta)
-    t[:, 0, :] *= spike_scale
-    t[:, :, 0] *= spike_scale
-    return t
+    # a_i = d2[i] + s2[i - 1] and b2_i = d2[i] s2[i]; D scales a_0 and b2_0 by 1 + theta.
+    d2[:, 0] *= 1.0 + model.theta
+    a = np.pad(d2, ((0, 0), (0, size - ndiag)))
+    a[:, 1:] += s2
+    return a, d2[:, :size - 1] * s2
 
 
 def _chunk_projections(model: SpikedModel, seed: int, start: int, stop: int,
@@ -115,24 +107,31 @@ def _chunk_projections(model: SpikedModel, seed: int, start: int, stop: int,
     Comp. 23, 1969), u_k(0)^2 = 1 / g_0'(lam_k), so no eigenvectors are needed.
     With a the diagonal and b2 the squared subdiagonal of T, g_{s-1} = lam -
     a_{s-1}, g_i = lam - a_i - b2_i / g_{i+1} and g'_i = 1 + (b2_i / g_{i+1}^2)
-    g'_{i+1}, a sum of positive terms.  A zero pivot raises EigensolverFailure.
+    g'_{i+1}, a sum of positive terms.  A T that nearly splits (SPLIT_TOL; 1 real
+    draw in 3e4-6e5) has pivots of rounding noise and takes the squared first
+    components of `eigh` instead, clipped at 1 since they can read 1 + 2^-52.  A
+    non-finite T or an overlap outside [0, 1] raises EigensolverFailure.
     """
-    rank = model.m if model.variant == "singular" else model.n
-    cols = np.arange(rank) if columns is None else np.arange(rank)[list(columns)]
-    if min(model.n, model.m + 1) == 1:
-        return np.ones((stop - start, cols.size))
-    t = _tridiagonal(model, seed, start, stop)
-    a = np.diagonal(t, axis1=1, axis2=2)[:, :, None]
-    b2 = np.square(np.diagonal(t, offset=-1, axis1=1, axis2=2))[:, :, None]
+    a, b2 = _tridiagonal(model, seed, start, stop)
+    count, size = a.shape
+    rank = model.m if model.variant == "singular" else model.n  # singular T: 0 comes first
+    cols = np.arange(size - rank, size)[list(range(rank) if columns is None else columns)]
+    t = np.zeros((count, size, size))  # LAPACK reads the lower triangle only
+    t[:, range(size), range(size)] = a
+    t[:, range(1, size), range(size - 1)] = np.sqrt(b2)
+    scale = np.max(a, axis=1)
+    split = np.any(b2 < SPLIT_TOL * scale[:, None] ** 2, axis=1) & np.isfinite(scale)
+    a, b2, proj = a[~split], b2[~split], np.empty((count, cols.size))
     try:
-        lam = np.linalg.eigvalsh(t)[:, cols + (model.variant == "singular")]  # zero first
+        lam = np.linalg.eigvalsh(t)[~split][:, cols]
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            g, dg = lam - a[:, -1], np.ones_like(lam)
-            for i in range(t.shape[1] - 2, 0, -1):
-                q = b2[:, i] / g
+            g, dg = lam - a[:, -1:], np.ones_like(lam)
+            for i in range(size - 2, -1, -1):
+                q = b2[:, i:i + 1] / g
                 dg = 1.0 + q / g * dg
-                g = lam - a[:, i] - q
-            proj = 1.0 / (1.0 + b2[:, 0] / g * (dg / g))
+                g = lam - a[:, i:i + 1] - q
+        proj[~split] = 1.0 / dg
+        proj[split] = np.minimum(np.linalg.eigh(t[split])[1][:, 0, cols] ** 2, 1.0)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise EigensolverFailure(f"eigenvalue or Gauss-weight solve failed: {exc}") from exc
     if not np.all((proj >= 0.0) & (proj <= 1.0)):

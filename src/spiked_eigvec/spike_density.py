@@ -293,11 +293,12 @@ def _pdf_z1_series(n: int, alpha: int, beta: float, omz: np.ndarray,
     coef, shift = _min_overlap_coeffs(n, alpha, beta)
     denom = (1.0 - beta) + beta * z
     acc = np.polynomial.polynomial.polyval(beta * omz / denom, coef)
-    # (1-beta)^(n+alpha) denom^-(n+1) as (1-beta)^(alpha-1) (1 + beta z/(1-beta))^-(n+1),
-    # the power <= 1 in logs: its error follows its logarithm, not n + 1 roundings of denom.
-    log_base = shift + (alpha - 1.0) * math.log1p(-beta)
-    power = np.exp(-(n + 1.0) * np.log1p(beta * z / (1.0 - beta)))
-    return math.exp(log_base) * omz ** (n - 2) * power * acc
+    # (1-beta)^(n+alpha) denom^-(n+1) (1-z)^(n-2) as (1-beta)^(alpha-1) times powers <= 1
+    # in logs: their error follows their logarithm, not n roundings of denom or of 1 - z.
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: the density is 0 at z = 1
+        log_edge = (n - 2.0) * np.log1p(-z) if n > 2 else 0.0
+    power = np.exp(log_edge - (n + 1.0) * np.log1p(beta * z / (1.0 - beta)))
+    return math.exp(shift + (alpha - 1.0) * math.log1p(-beta)) * power * acc
 
 
 @_pdf_boundary(_z1_support)

@@ -130,6 +130,13 @@ def test_validate_pass_and_report(tmp_path):
     assert payload["report"]["ks_statistic"] <= payload["report"]["critical_value_1pct"]
 
 
+def test_validate_nearly_split_real_draw(tmp_path):
+    # One of these draws has a squared subdiagonal of 2.5e-16: its sweep pivot
+    # is rounding noise, and the chunk used to exit 3.
+    argv = "validate --stat w1_real --n 2 --m 3 --theta 3.0027031298717315 --samples 2048"
+    assert main(argv.split() + ["--seed", "265984065", "--out", str(tmp_path / "v.json")]) == 0
+
+
 def test_validate_negative_control(tmp_path):
     out = tmp_path / "neg.json"
     rc = main(

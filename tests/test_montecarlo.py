@@ -270,11 +270,27 @@ def test_bit_identical_across_worker_counts(n, m, variant, monkeypatch):
 def test_gauss_weights_match_interlacing_oracle(variant, n, theta):
     # Same variates, same T: the weight sweep against the interlacing product.
     model = sd.SpikedModel(n, n - 1 if variant == "singular" else n + 2, theta, variant)
-    oracle = oracles.chunk_projections_interlacing(mc._tridiagonal(model, 5, 0, 200))
+    oracle = oracles.chunk_projections_interlacing(_dense(*mc._tridiagonal(model, 5, 0, 200)))
     if variant == "singular":
         oracle = oracle[:, 1:]
     proj = mc._chunk_projections(model, seed=5, start=0, stop=200)
     assert np.max(np.abs(proj - oracle)) <= 1e-12
+
+
+def _dense(a, b2):
+    """The dense symmetric T of a batch of diagonals a and squared subdiagonals b2."""
+    idx = np.arange(a.shape[1])
+    t = np.zeros(a.shape + a.shape[1:])
+    t[:, idx, idx] = a
+    t[:, idx[1:], idx[:-1]] = t[:, idx[:-1], idx[1:]] = np.sqrt(b2)
+    return t
+
+
+def _inject(monkeypatch, a, b2):
+    """Make `_chunk_projections` read the given (a, b2) batch; returns its model."""
+    a, b2 = np.atleast_2d(a).astype(float), np.atleast_2d(b2).astype(float)
+    monkeypatch.setattr(mc, "_tridiagonal", lambda *args: (a, b2))
+    return sd.SpikedModel(a.shape[1], a.shape[1], 0.0)
 
 
 @pytest.mark.parametrize(
@@ -284,26 +300,52 @@ def test_gauss_weights_match_interlacing_oracle(variant, n, theta):
         ([3.0, 1.0, 2.0], [1.0, 0.0]),  # the same one level down
     ],
 )
-def test_split_tridiagonal_is_right_or_fails(diag, sub2, monkeypatch):
-    t = np.diag(diag) + np.diag(np.sqrt(sub2), 1) + np.diag(np.sqrt(sub2), -1)
-    monkeypatch.setattr(mc, "_tridiagonal", lambda *args: t[None])
-    expected = np.linalg.eigh(t)[1][0] ** 2
-    model = sd.SpikedModel(len(diag), len(diag), 0.0)
+def test_split_tridiagonal_is_right(diag, sub2, monkeypatch):
+    model = _inject(monkeypatch, diag, sub2)
+    expected = np.linalg.eigh(_dense(np.array([diag]), np.array([sub2])))[1][0, 0] ** 2
     for k, want in enumerate(expected):
-        try:
-            got = mc._chunk_projections(model, seed=0, start=0, stop=1, columns=(k,))
-        except mc.EigensolverFailure:
-            continue
+        got = mc._chunk_projections(model, seed=0, start=0, stop=1, columns=(k,))
         assert abs(got[0, 0] - want) <= 1e-12, (k, got, want)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_nearly_split_tridiagonal_matches_eigh(size, monkeypatch):
+    # One squared subdiagonal in [1e-40, 1e-14]: the sweep's pivot there is
+    # rounding noise, so these draws take their weights from eigh.
+    rng = np.random.default_rng(size)
+    count = 500
+    a = rng.uniform(0.0, 10.0, (count, size))
+    b2 = rng.uniform(0.01, 10.0, (count, size - 1))
+    b2[np.arange(count), rng.integers(0, size - 1, count)] = 10.0 ** rng.uniform(-40, -14, count)
+    model = _inject(monkeypatch, a, b2)
+    got = mc._chunk_projections(model, seed=0, start=0, stop=count)
+    assert np.max(np.abs(got - np.linalg.eigh(_dense(a, b2))[1][:, 0, :] ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,m,theta,seed,start",
+    [
+        # Draw 929 has b2 = 6.3e-15; one scan of 3.1e7 draws found it.
+        (3, 5, 1.0, 7, 10549 * mc.CHUNK_SIZE),
+        # One draw has b2 = 2.5e-16 against a diagonal of 18.3 and 2.86.
+        (2, 3, 3.0027031298717315, 265984065, 0),
+    ],
+)
+def test_nearly_split_real_draws_match_eigh(n, m, theta, seed, start):
+    model = sd.SpikedModel(n, m, theta, "real")
+    stop = start + mc.CHUNK_SIZE
+    a, b2 = mc._tridiagonal(model, seed, start, stop)
+    assert np.any(np.min(b2, axis=1) < mc.SPLIT_TOL * np.max(a, axis=1) ** 2)
+    got = mc._chunk_projections(model, seed, start, stop)
+    assert np.max(np.abs(got - np.linalg.eigh(_dense(a, b2))[1][:, 0, :] ** 2)) <= 1e-12
 
 
 def test_overlap_outside_unit_interval_fails(monkeypatch):
     # An infinite diagonal entry gets past the eigenvalue solve and the sweep,
     # but not the final range check on the weights.
-    t = np.diag([np.inf, 1.0, 2.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
-    monkeypatch.setattr(mc, "_tridiagonal", lambda *args: t[None])
+    model = _inject(monkeypatch, [np.inf, 1.0, 2.0], [1.0, 1.0])
     with pytest.raises(mc.EigensolverFailure, match="not a number in"):
-        mc._chunk_projections(sd.SpikedModel(3, 3, 0.0), seed=0, start=0, stop=1)
+        mc._chunk_projections(model, seed=0, start=0, stop=1)
 
 
 @pytest.mark.parametrize(
@@ -346,6 +388,6 @@ def test_trace_mean(n, m, theta, variant):
     # E trace T = E |D X|_F^2 = m (n + theta) in every variant: a wrong Gamma
     # shape or a missing factor 2 on the real chi-square moves the mean.
     model = sd.SpikedModel(n, m, theta, variant)
-    trace = np.trace(mc._tridiagonal(model, 13, 0, 20_000), axis1=1, axis2=2)
+    trace = mc._tridiagonal(model, 13, 0, 20_000)[0].sum(axis=1)
     se = trace.std(ddof=1) / np.sqrt(trace.size)
     assert abs(trace.mean() - m * (n + theta)) <= 6.0 * se

@@ -124,12 +124,32 @@ def test_min_overlap_coeffs_match_mpmath(n, alpha, theta):
 @pytest.mark.parametrize("n,alpha,theta", [(200, 1, 1e4), (359, 2, 3.0), (700, 1, 1e4), (718, 1, 1.0)])
 def test_pdf_z1_matches_mpmath_at_large_n(n, alpha, theta):
     beta = theta / (1.0 + theta)
-    # Out to 12 limit-law means 1 / (n (1 + theta)), at z whose 1 - z is exact:
-    # a rounded 1 - z adds up to (n - 2) / 2 ulps (3e-14 of the peak here).
+    # Out to 12 limit-law means 1 / (n (1 + theta)), at z whose 1 - z is exact
+    # (the next test takes z where it rounds).
     z = 1.0 - (1.0 - np.linspace(0.0, 12.0 / (n * (1.0 + theta)), 49))
     ref = oracles.pdf_z1_mpmath(n, alpha, beta, z)
     got = sd.pdf_z1(sd.SpikedModel(n, n + alpha, theta), z)
     assert np.max(np.abs(got - ref)) <= 5e-14 * np.max(ref)
+
+
+# The same range at z where 1 - z rounds.  (1 - z)^(n - 2) is formed as
+# exp((n - 2) log1p(-z)); the power of a rounded 1 - z read up to 3.9e-14.
+@pytest.mark.parametrize("n,alpha,theta", [(200, 1, 1e4), (700, 1, 1e4), (718, 1, 1.0)])
+def test_pdf_z1_matches_mpmath_where_one_minus_z_rounds(n, alpha, theta):
+    beta = theta / (1.0 + theta)
+    z = np.linspace(0.0, 12.0 / (n * (1.0 + theta)), 49)[1:]
+    assert np.all(1.0 - (1.0 - z) != z)
+    ref = oracles.pdf_z1_mpmath(n, alpha, beta, z)
+    got = sd.pdf_z1(sd.SpikedModel(n, n + alpha, theta), z)
+    assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(ref)
+
+
+@pytest.mark.parametrize("n,m,theta", [(3, 5, 1.0), (12, 20, 1e4), (718, 719, 1.0)])
+def test_pdf_z1_is_zero_at_one(n, m, theta):
+    # log1p(-1) = -inf in the edge factor: exactly 0, with no RuntimeWarning.
+    model = sd.SpikedModel(n, m, theta)
+    assert sd.pdf_z1(model, 1.0) == 0.0
+    assert sd.pdf_z1(model, np.array([0.5, 1.0]))[1] == 0.0
 
 
 def _largest_validated_n(alpha):

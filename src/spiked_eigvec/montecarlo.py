@@ -26,7 +26,8 @@ from .spike_density import STATISTICS, SpikedModel
 # the draws: changing it changes every seeded output.
 CHUNK_SIZE = 2048
 
-# A draw with a squared subdiagonal below SPLIT_TOL max(a)^2 nearly splits.
+# A draw with some b2_i <= SPLIT_TOL a_i a_{i+1} nearly splits (LAPACK's deflation
+# test).  1 + theta scales a_0 and b2_0 alike, so it cancels from the test.
 SPLIT_TOL = 1e-12
 
 
@@ -107,10 +108,9 @@ def _chunk_projections(model: SpikedModel, seed: int, start: int, stop: int,
     Comp. 23, 1969), u_k(0)^2 = 1 / g_0'(lam_k), so no eigenvectors are needed.
     With a the diagonal and b2 the squared subdiagonal of T, g_{s-1} = lam -
     a_{s-1}, g_i = lam - a_i - b2_i / g_{i+1} and g'_i = 1 + (b2_i / g_{i+1}^2)
-    g'_{i+1}, a sum of positive terms.  A T that nearly splits (SPLIT_TOL; 1 real
-    draw in 3e4-6e5) has pivots of rounding noise and takes the squared first
-    components of `eigh` instead, clipped at 1 since they can read 1 + 2^-52.  A
-    non-finite T or an overlap outside [0, 1] raises EigensolverFailure.
+    g'_{i+1}, a sum of positive terms.  A nearly split T (SPLIT_TOL) has pivots of
+    rounding noise and takes `eigh`'s squared first components, clipped at 1 (they
+    can read 1 + 2^-52).  Non-finite T or overlaps outside [0, 1] raise EigensolverFailure.
     """
     a, b2 = _tridiagonal(model, seed, start, stop)
     count, size = a.shape
@@ -119,18 +119,18 @@ def _chunk_projections(model: SpikedModel, seed: int, start: int, stop: int,
     t = np.zeros((count, size, size))  # LAPACK reads the lower triangle only
     t[:, range(size), range(size)] = a
     t[:, range(1, size), range(size - 1)] = np.sqrt(b2)
-    scale = np.max(a, axis=1)
-    split = np.any(b2 < SPLIT_TOL * scale[:, None] ** 2, axis=1) & np.isfinite(scale)
-    a, b2, proj = a[~split], b2[~split], np.empty((count, cols.size))
+    split = np.any(b2 <= SPLIT_TOL * a[:, :-1] * a[:, 1:], axis=1) & np.isfinite(a).all(axis=1)
+    keep = ~split if split.any() else slice(None)  # no copies unless a draw splits
+    a, b2, proj = a[keep], b2[keep], np.empty((count, cols.size))
     try:
-        lam = np.linalg.eigvalsh(t)[~split][:, cols]
+        lam = np.linalg.eigvalsh(t)[:, cols][keep]
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             g, dg = lam - a[:, -1:], np.ones_like(lam)
             for i in range(size - 2, -1, -1):
                 q = b2[:, i:i + 1] / g
                 dg = 1.0 + q / g * dg
                 g = lam - a[:, i:i + 1] - q
-        proj[~split] = 1.0 / dg
+        proj[keep] = 1.0 / dg
         proj[split] = np.minimum(np.linalg.eigh(t[split])[1][:, 0, cols] ** 2, 1.0)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise EigensolverFailure(f"eigenvalue or Gauss-weight solve failed: {exc}") from exc

@@ -267,14 +267,24 @@ def test_bit_identical_across_worker_counts(n, m, variant, monkeypatch):
 @pytest.mark.parametrize("variant", ["complex", "real", "singular"])
 @pytest.mark.parametrize("n", [2, 3, 30, 100])
 @pytest.mark.parametrize("theta", [0.0, 0.01, 1e4, 1e12])
-def test_gauss_weights_match_interlacing_oracle(variant, n, theta):
+def test_gauss_weights_match_interlacing_oracle(variant, n, theta, monkeypatch):
     # Same variates, same T: the weight sweep against the interlacing product.
     model = sd.SpikedModel(n, n - 1 if variant == "singular" else n + 2, theta, variant)
     oracle = oracles.chunk_projections_interlacing(_dense(*mc._tridiagonal(model, 5, 0, 200)))
     if variant == "singular":
         oracle = oracle[:, 1:]
+    routed = _count_eigh_rows(monkeypatch)
     proj = mc._chunk_projections(model, seed=5, start=0, stop=200)
     assert np.max(np.abs(proj - oracle)) <= 1e-12
+    # The sweep, not eigh, gives these weights, at every theta.
+    assert sum(routed) <= 2
+
+
+def _count_eigh_rows(monkeypatch):
+    """A list that collects the number of draws each `eigh` call is handed."""
+    rows, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda t: rows.append(len(t)) or eigh(t))
+    return rows
 
 
 def _dense(a, b2):
@@ -331,13 +341,15 @@ def test_nearly_split_tridiagonal_matches_eigh(size, monkeypatch):
         (2, 3, 3.0027031298717315, 265984065, 0),
     ],
 )
-def test_nearly_split_real_draws_match_eigh(n, m, theta, seed, start):
+def test_nearly_split_real_draws_match_eigh(n, m, theta, seed, start, monkeypatch):
     model = sd.SpikedModel(n, m, theta, "real")
     stop = start + mc.CHUNK_SIZE
     a, b2 = mc._tridiagonal(model, seed, start, stop)
-    assert np.any(np.min(b2, axis=1) < mc.SPLIT_TOL * np.max(a, axis=1) ** 2)
+    want = np.linalg.eigh(_dense(a, b2))[1][:, 0, :] ** 2
+    routed = _count_eigh_rows(monkeypatch)
     got = mc._chunk_projections(model, seed, start, stop)
-    assert np.max(np.abs(got - np.linalg.eigh(_dense(a, b2))[1][:, 0, :] ** 2)) <= 1e-12
+    assert sum(routed) == 1  # the one nearly split draw
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_overlap_outside_unit_interval_fails(monkeypatch):

@@ -18,7 +18,10 @@ n >= 3 the inner integral is a power series in 1 - z built once per model
 follows the t weight, not theta (20 terms at theta = 0.1, 134 at 1e4), and a
 model whose series cannot be bounded raises ArithmeticError; no series here
 has a term budget.  The second-smallest density applies the Cauchy kernel of
-its z-dependent column once per model, which leaves one exponential sum in z.
+its z-dependent column once per model, which leaves one exponential sum in z;
+that sum is interpolated once per model on 17 Chebyshev points of each of
+dyadic panels graded toward z = 0, and a model whose interpolant's mass
+misses 1 by more than 1e-4 raises ArithmeticError.
 Laguerre values and log-gamma come from scipy.special, determinants from
 numpy.linalg.
 
@@ -244,6 +247,12 @@ ENGINE_CACHE_SIZE = 12
 Z1_MAX_ALPHA, Z1_MAX_NODES, Z2_MAX_ALPHA = 10, 360, 5
 
 
+def _check_mass(what: str, mass: float) -> None:
+    """The one mass check of the c.d.f. and the z2 engine."""
+    if abs(mass - 1.0) > 1e-4:
+        raise ArithmeticError(f"{what} mass {mass:.6g} misses 1 by more than 1e-4")
+
+
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _min_overlap_coeffs(n: int, alpha: int, beta: float):
     """The smallest-overlap polynomial in r, as (coefficients, log_shift): closed
@@ -443,12 +452,25 @@ def _z2_basis(model: SpikedModel) -> dict:
     return dict(u=u, w=w, gvec=gvec, cof=cof, sv=sv, su=su, pref=pref, beta=beta)
 
 
+# The z2 proxy: a degree-16 Chebyshev interpolant on each dyadic panel of [0, 1].
+_Z2_ORDER = 17
+_Z2_T = np.polynomial.chebyshev.chebpts2(_Z2_ORDER)
+_Z2_FROM_VALUES = np.linalg.inv(np.polynomial.chebyshev.chebvander(_Z2_T, _Z2_ORDER - 1))
+_Z2_INTEGRALS = np.polynomial.chebyshev.chebval(  # int_{-1}^{1} T_j dt
+    1.0, np.polynomial.chebyshev.chebint(np.eye(_Z2_ORDER), lbnd=-1))
+
+
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _z2_prepare(model: SpikedModel):
-    """(lam, c, pref) of the density pref * sum_k c_k e^{lam_k z}: e^{-beta w z}
-    is the phi column's only z dependence, so its Cauchy kernel is summed once,
-    h[w] = sum_i gvec[w, i] sum_u su[u] cof[u, i] / (w + u); lam = beta u with
-    c = sv, and lam = -beta w with c = -h."""
+    """(edges, coef, mass): the density as Chebyshev panels in z, and their exact
+    integral.  e^{-beta w z} is the phi column's only z dependence, so its Cauchy
+    kernel is summed once, h[w] = sum_i gvec[w, i] sum_u su[u] cof[u, i] / (w + u),
+    which leaves pref * sum_k c_k e^{lam_k z}: lam = beta u with c = sv, and
+    lam = -beta w with c = -h.  That sum is entire in z and is evaluated once, on
+    17 Chebyshev points of each panel [0, 2^-L], [2^-L, 2^(1-L)], ..., [1/2, 1],
+    with L = max(0, ceil(log2(max(1, -min lam) / 16))) so that the fastest decay
+    spans at most 16 units of lam z on the first panel.  coef[:, p] holds panel
+    p's interpolant in t in [-1, 1]."""
     b = _z2_basis(model)
     u, w, beta = b["u"], b["w"], b["beta"]
     scof, kern = b["su"][:, None] * b["cof"], np.zeros(b["gvec"].shape)
@@ -456,16 +478,23 @@ def _z2_prepare(model: SpikedModel):
         recip = np.add.outer(w, u[lo : lo + 4096])
         kern += np.reciprocal(recip, out=recip) @ scof[lo : lo + 4096]
     h = np.sum(b["gvec"] * kern, axis=1)
-    return np.concatenate([beta * u, -beta * w]), np.concatenate([b["sv"], -h]), b["pref"]
+    lam, c = np.concatenate([beta * u, -beta * w]), np.concatenate([b["sv"], -h])
+    levels = max(0, math.ceil(math.log2(max(1.0, -np.min(lam)) / 16.0)))
+    edges = np.concatenate([[0.0], 2.0 ** np.arange(-levels, 1.0)])
+    half = 0.5 * np.diff(edges)
+    zs = (edges[:-1, None] + half[:, None] * (_Z2_T + 1.0)).ravel()
+    # Pairwise sums, one node at a time: at small theta the terms cancel, and one
+    # BLAS product over all of them lands up to 20 times farther from a long-double sum.
+    vals = b["pref"] * np.array([np.sum(c * np.exp(lam * z)) for z in zs])
+    coef = _Z2_FROM_VALUES @ vals.reshape(half.size, _Z2_ORDER).T
+    return edges, coef, float(half @ (_Z2_INTEGRALS @ coef))
 
 
 def _pdf_z2_grid(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
-    lam, c, pref = _z2_prepare(model)
-    out = np.empty(zs.size)
-    for lo in range(0, zs.size, 64):  # one (Nu + Nw, 64) exponential slab at a time
-        expo = np.outer(lam, zs[lo : lo + 64])
-        out[lo : lo + 64] = pref * (c @ np.exp(expo, out=expo))
-    return out
+    edges, coef, _ = _z2_prepare(model)
+    panel = np.searchsorted(edges[1:-1], zs, side="right")
+    t = (zs - edges[panel]) / (0.5 * (edges[panel + 1] - edges[panel])) - 1.0
+    return np.polynomial.chebyshev.chebval(t, coef[:, panel], tensor=False)
 
 
 @_pdf_boundary(_z2_support)
@@ -475,11 +504,13 @@ def pdf_z2(model: SpikedModel, z) -> float | np.ndarray:
     Defined for the complex variant with n >= 3 and theta > 0 (the formula
     carries a beta^(2-n) pole).  A double integral whose determinant is expanded
     along its z-dependent column; that column's Cauchy kernel is summed once
-    per model, which leaves one exponential sum in z (`_z2_prepare`).  Past
-    m - n = Z2_MAX_ALPHA it raises ArithmeticError.
+    per model, which leaves one exponential sum in z, kept as Chebyshev panels
+    (`_z2_prepare`).  Past m - n = Z2_MAX_ALPHA, or when the panels' exact mass
+    misses 1 by more than 1e-4, it raises ArithmeticError.
     """
     if model.alpha > Z2_MAX_ALPHA:
         raise ArithmeticError(f"z2 is validated for m - n <= {Z2_MAX_ALPHA}")
+    _check_mass("z2", _z2_prepare(model)[2])
     return _pdf_z2_grid(model, z)
 
 
@@ -555,8 +586,7 @@ def model_cdf_fn(statistic: str, model: SpikedModel):
     vals = density_values(statistic, model, np.sin(nodes) ** 2 if arcsine else nodes)
     coef = cumint @ (vals * jac * widths[:, None]).T  # (order + 1, panels): powers of t
     starts = np.cumsum(coef.sum(axis=0))
-    if abs(starts[-1] - 1.0) > 1e-4:
-        raise ArithmeticError(f"c.d.f. mass {starts[-1]:.6g} misses 1 by more than 1e-4")
+    _check_mass("c.d.f.", starts[-1])
     coef[0, 1:] += starts[:-1]
 
     def model_cdf(x):

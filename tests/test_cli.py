@@ -207,12 +207,23 @@ def test_exit_code_beta_rounds_to_one(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_exit_code_cdf_mass_check(capsys):
+def test_pdf_z2_mass_check_exits_3(capsys):
     # The z2 density's beta^(2-n) prefactor cancels its digits at this theta;
-    # the c.d.f. mesh total misses 1, so no table is written.
+    # the engine's exact mass misses 1, so no table is written.
+    assert main("pdf --stat z2 --n 8 --m 11 --theta 0.01".split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "z2 mass 2.39" in captured.err
+
+
+def test_exit_code_cdf_mass_check(capsys):
+    # z2 raises on its own mass before the c.d.f. sums its mesh.
     assert main("cdf --stat z2 --n 8 --m 11 --theta 0.01".split()) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "c.d.f. mass 2.39" in captured.err
+    assert captured.out == "" and "z2 mass 2.39" in captured.err
+    # The arcsine mesh stays at 11 levels and loses mass at this theta.
+    assert main("cdf --stat w2_real --n 2 --m 5 --theta 1e12 --z-max 1".split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "c.d.f. mass 1.12999" in captured.err
 
 
 @pytest.mark.parametrize("argv,floor", [

@@ -22,7 +22,7 @@ def _z2_peak() -> float:
 @settings(max_examples=50)
 @given(arrays(float, st.integers(1, 40), elements=unit_z))
 def test_z2_array_equals_pointwise(zs):
-    # The exponential sum runs z chunk by z chunk; no point may depend on
+    # Each z reads the Chebyshev panel it falls in; no point may depend on
     # which others share its call.
     whole = sd.pdf_z2(Z2_MODEL, zs)
     alone = np.array([sd.pdf_z2(Z2_MODEL, z) for z in zs])

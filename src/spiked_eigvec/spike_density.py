@@ -25,10 +25,11 @@ misses 1 by more than 1e-4 raises ArithmeticError.
 Laguerre values and log-gamma come from scipy.special, determinants from
 numpy.linalg.
 
-Every density passes through one boundary (`_pdf_boundary`) that checks the
-model and z and rejects non-finite output.  All evaluators are pure;
-per-model precomputations are memoized in a small cache keyed by the frozen
-model.  The c.d.f. (`model_cdf_fn` / `cdf_grid`) integrates panel interpolants.
+Every density passes through one boundary (`_density`) that checks z and
+rejects non-finite output.  All evaluators are pure; each model's engine
+(`Statistic.prepare`) is built once, after its support check, into one
+12-entry cache keyed by (statistic, frozen model) and shared by all statistics
+(`_engine`).  The c.d.f. (`model_cdf_fn` / `cdf_grid`) integrates panel interpolants.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -119,29 +120,27 @@ def _clip_density(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
-def _pdf_boundary(support: Callable):
-    """Decorator: the one validation boundary every density passes.
+ENGINE_CACHE_SIZE = 12  # engines (over all statistics) and c.d.f. meshes kept at once
 
-    The wrapped body takes (model, z) with z a 1-d float array in
-    [0, 1].  The wrapper runs `support(model)`, rejects a theta so large that
-    beta = theta/(1+theta) rounds to 1 (the formulas carry 1 - beta factors
-    and logs), validates z, clips the body's values with `_clip_density`,
-    and returns a float for scalar z and an array of z's shape otherwise.
-    """
 
-    def decorate(body):
-        @wraps(body)
-        def pdf(model: SpikedModel, z):
-            support(model)
-            if model.beta == 1.0:
-                raise ArithmeticError("theta is too large: beta = theta/(1+theta) rounds to 1")
-            z = _as_z_array(z)
-            out = _clip_density(body(model, z.ravel()))
-            return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
+def _engine(statistic: str, model: SpikedModel) -> Callable:
+    """The statistic's `prepare(model)`, built once after `support(model)` and a
+    check that beta = theta/(1+theta) does not round to 1 (the formulas carry 1 - beta)."""
+    entry = _statistic(statistic)
+    entry.support(model)
+    if model.beta == 1.0:
+        raise ArithmeticError("theta is too large: beta = theta/(1+theta) rounds to 1")
+    return entry.prepare(model)
 
-        return pdf
 
-    return decorate
+def _density(statistic: str, model: SpikedModel, z) -> float | np.ndarray:
+    """The one boundary every density passes: checks z in [0, 1], clips the
+    engine's values on z flattened with `_clip_density`, and returns a float for
+    scalar z and an array of z's shape otherwise."""
+    z = _as_z_array(z)
+    out = _clip_density(_engine(statistic, model)(z.ravel()))
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -198,39 +197,37 @@ class Statistic:
     """Everything the library, sampler and CLI need to know about a statistic.
 
     `column` indexes the sampler's ascending projection row (None: not
-    sampled); `pdf(model, z)` looks its density up through the module
-    at call time; `support(model)` raises when the density is undefined for
-    the model; `arcsine` marks inverse-square-root endpoints, which the
-    c.d.f. integrates in the sin^2-substituted variable.
+    sampled); `support(model)` raises when the density is undefined for the
+    model; `prepare(model)` builds its engine, a callable from a 1-d z array in
+    [0, 1] to density values, kept by `_engine` (None for the n * z1 limit law);
+    `arcsine` marks inverse-square-root endpoints, which the c.d.f. integrates
+    in the sin^2-substituted variable.
     """
 
     variant: str
     column: int | None
-    pdf: Callable
     support: Callable
+    prepare: Callable | None
     arcsine: bool = False
 
 
 STATISTICS = {
-    "z1": Statistic("complex", 0, lambda mo, z: pdf_z1(mo, z), _z1_support),
-    "z2": Statistic("complex", 1, lambda mo, z: pdf_z2(mo, z), _z2_support),
-    "zn": Statistic("complex", -1, lambda mo, z: pdf_zn(mo, z), _zn_support),
+    "z1": Statistic("complex", 0, _z1_support, lambda mo: _z1_prepare(mo)),
+    "z2": Statistic("complex", 1, _z2_support, lambda mo: _z2_prepare(mo)),
+    "zn": Statistic("complex", -1, _zn_support, lambda mo: _zn_prepare(mo)),
     # The law of n * z1 needs a model on which z1 is defined.
-    "nz1_asym": Statistic(
-        "complex", None, lambda mo, z: pdf_nz1_asymptotic(mo.theta, z), _z1_support
-    ),
+    "nz1_asym": Statistic("complex", None, _z1_support, None),
+    # The closed forms keep only their model; variant_density imports this module.
     "w1_real": Statistic(
-        "real", 0, lambda mo, z: _variant_density().pdf_w1_real(mo, z), _real_support, True
+        "real", 0, _real_support, lambda mo: partial(_variant_density()._pdf_w_real, mo), True
     ),
     "w2_real": Statistic(
-        "real", -1, lambda mo, z: _variant_density().pdf_w2_real(mo, z), _real_support, True
+        "real", -1, _real_support, lambda mo: partial(_variant_density()._pdf_w_mirror, mo), True
     ),
     "y1_sing": Statistic(
-        "singular", 0, lambda mo, z: _variant_density().pdf_y1_singular(mo, z), _y1_support
+        "singular", 0, _y1_support, lambda mo: partial(_variant_density()._pdf_y1, mo)
     ),
-    "yn_sing": Statistic(
-        "singular", -1, lambda mo, z: _variant_density().pdf_yn_singular(mo, z), _yn_support
-    ),
+    "yn_sing": Statistic("singular", -1, _yn_support, lambda mo: _variant_density()._yn_prepare(mo)),
 }
 
 
@@ -239,8 +236,6 @@ STATISTICS = {
 # ---------------------------------------------------------------------------
 
 
-# Per-model engine precomputations kept by each prepare function.
-ENGINE_CACHE_SIZE = 12
 # Validated ranges.  z1: m - n and the Gauss-Laguerre node count, on an mpmath
 # oracle (scipy's weights overflow from 363 nodes on).  z2: m - n; its mass is
 # within 1.1e-7 at m - n = 5 and off by up to 6e-4 at 6.
@@ -253,7 +248,6 @@ def _check_mass(what: str, mass: float) -> None:
         raise ArithmeticError(f"{what} mass {mass:.6g} misses 1 by more than 1e-4")
 
 
-@lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _min_overlap_coeffs(n: int, alpha: int, beta: float):
     """The smallest-overlap polynomial in r, as (coefficients, log_shift): closed
     sums at n = 2, and for n >= 3 an Andreief/Gauss-Laguerre integral.
@@ -294,33 +288,41 @@ def _min_overlap_coeffs(n: int, alpha: int, beta: float):
     return coef, -math.log(math.perm(n + alpha - 1, alpha)) - (alpha + 1) * math.log(c)
 
 
-def _pdf_z1_series(n: int, alpha: int, beta: float, omz: np.ndarray,
-                   z: np.ndarray) -> np.ndarray:
-    """The smallest-overlap density at z = 1 - omz, a degree-alpha polynomial in
-    r = beta omz / (1 - beta omz) with the `_min_overlap_coeffs` coefficients;
-    1 - beta omz = (1 - beta) + beta z keeps its digits near 1/(1 + theta)."""
+def _z1_series(n: int, alpha: int, beta: float) -> Callable:
+    """The smallest-overlap density as (omz, z) -> its values at z = 1 - omz: a
+    degree-alpha polynomial in r = beta omz / (1 - beta omz) with the
+    `_min_overlap_coeffs` coefficients; 1 - beta omz = (1 - beta) + beta z keeps
+    its digits near 1/(1 + theta)."""
     coef, shift = _min_overlap_coeffs(n, alpha, beta)
-    denom = (1.0 - beta) + beta * z
-    acc = np.polynomial.polynomial.polyval(beta * omz / denom, coef)
-    # (1-beta)^(n+alpha) denom^-(n+1) (1-z)^(n-2) as (1-beta)^(alpha-1) times powers <= 1
-    # in logs: their error follows their logarithm, not n roundings of denom or of 1 - z.
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: the density is 0 at z = 1
-        log_edge = (n - 2.0) * np.log1p(-z) if n > 2 else 0.0
-    power = np.exp(log_edge - (n + 1.0) * np.log1p(beta * z / (1.0 - beta)))
-    return math.exp(shift + (alpha - 1.0) * math.log1p(-beta)) * power * acc
+    scale = math.exp(shift + (alpha - 1.0) * math.log1p(-beta))
+
+    def series(omz: np.ndarray, z: np.ndarray) -> np.ndarray:
+        denom = (1.0 - beta) + beta * z
+        acc = np.polynomial.polynomial.polyval(beta * omz / denom, coef)
+        # (1-beta)^(n+alpha) denom^-(n+1) (1-z)^(n-2) as (1-beta)^(alpha-1) times powers <= 1
+        # in logs: their error follows their logarithm, not n roundings of denom or of 1 - z.
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf: the density is 0 at z = 1
+            log_edge = (n - 2.0) * np.log1p(-z) if n > 2 else 0.0
+        power = np.exp(log_edge - (n + 1.0) * np.log1p(beta * z / (1.0 - beta)))
+        return scale * power * acc
+
+    return series
 
 
-@_pdf_boundary(_z1_support)
+def _z1_prepare(model: SpikedModel) -> Callable:
+    if model.theta == 0.0:
+        return lambda z: (model.n - 1.0) * (1.0 - z) ** (model.n - 2)
+    series = _z1_series(model.n, model.alpha, model.beta)
+    return lambda z: series(1.0 - z, z)
+
+
 def pdf_z1(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the smallest-eigenvalue overlap |v^H u_1|^2.
 
-    One polynomial in r for every n (`_pdf_z1_series`); theta = 0 reduces to
+    One polynomial in r for every n (`_z1_series`); theta = 0 reduces to
     the Haar density (n-1)(1-z)^(n-2).
     """
-    n = model.n
-    if model.theta == 0.0:
-        return (n - 1.0) * (1.0 - z) ** (n - 2)
-    return _pdf_z1_series(n, model.alpha, model.beta, 1.0 - z, z)
+    return _density("z1", model, z)
 
 
 def _nz1_v(theta: float, v) -> np.ndarray:
@@ -375,18 +377,19 @@ def _zn_basis(model: SpikedModel) -> dict:
                                  alpha, n - 2)
 
 
-@lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _zn_prepare(model: SpikedModel) -> numkit.HalfLineSeries:
-    """The z-grid evaluator: the inner sum e^{st} P(d, st), s = beta x (1-z), as
-    a moment series in 1 - z (P the regularized lower incomplete gamma
-    function; the Taylor part below degree d = n - 2 is annihilated by
-    orthogonality)."""
+def _zn_prepare(model: SpikedModel) -> Callable:
+    """The z-grid evaluator.  At n = 2 the smallest-overlap polynomial reflected;
+    for n >= 3 the inner sum e^{st} P(d, st), s = beta x (1-z), as a moment
+    series in 1 - z (P the regularized lower incomplete gamma function; the
+    Taylor part below degree d = n - 2 is annihilated by orthogonality)."""
+    if model.n == 2:
+        series = _z1_series(2, model.alpha, model.beta)
+        return lambda z: series(z, 1.0 - z)
     prep = _zn_basis(model)
     a = np.exp(prep["logwq"]) * prep["p_deg"]
     return numkit.halfline_series(prep["x"], prep["t"], a, prep["log_row"], model.beta, model.n - 2)
 
 
-@_pdf_boundary(_zn_support)
 def pdf_zn(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the largest-eigenvalue overlap |v^H u_n|^2.
 
@@ -395,9 +398,7 @@ def pdf_zn(model: SpikedModel, z) -> float | np.ndarray:
     representation (`_zn_prepare`).  For n >= 3 the formula has a pole at
     theta = 0 and such calls raise ThetaZeroSingularity.
     """
-    if model.n == 2:
-        return _pdf_z1_series(2, model.alpha, model.beta, z, 1.0 - z)
-    return _zn_prepare(model)(z)
+    return _density("zn", model, z)
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +461,18 @@ _Z2_INTEGRALS = np.polynomial.chebyshev.chebval(  # int_{-1}^{1} T_j dt
     1.0, np.polynomial.chebyshev.chebint(np.eye(_Z2_ORDER), lbnd=-1))
 
 
-@lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _z2_prepare(model: SpikedModel):
-    """(edges, coef, mass): the density as Chebyshev panels in z, and their exact
-    integral.  e^{-beta w z} is the phi column's only z dependence, so its Cauchy
-    kernel is summed once, h[w] = sum_i gvec[w, i] sum_u su[u] cof[u, i] / (w + u),
-    which leaves pref * sum_k c_k e^{lam_k z}: lam = beta u with c = sv, and
-    lam = -beta w with c = -h.  That sum is entire in z and is evaluated once, on
+def _z2_prepare(model: SpikedModel) -> Callable:
+    """The density as Chebyshev panels in z.  e^{-beta w z} is the phi column's
+    only z dependence, so its Cauchy kernel is summed once, h[w] = sum_i gvec[w, i]
+    sum_u su[u] cof[u, i] / (w + u), which leaves pref * sum_k c_k e^{lam_k z}:
+    lam = beta u with c = sv, and lam = -beta w with c = -h.  That sum is entire in z and is evaluated once, on
     17 Chebyshev points of each panel [0, 2^-L], [2^-L, 2^(1-L)], ..., [1/2, 1],
     with L = max(0, ceil(log2(max(1, -min lam) / 16))) so that the fastest decay
     spans at most 16 units of lam z on the first panel.  coef[:, p] holds panel
-    p's interpolant in t in [-1, 1]."""
+    p's interpolant in t in [-1, 1].  The evaluator checks the exact mass on every
+    call, so a model that fails it raises each time without a rebuild."""
+    if model.alpha > Z2_MAX_ALPHA:
+        raise ArithmeticError(f"z2 is validated for m - n <= {Z2_MAX_ALPHA}")
     b = _z2_basis(model)
     u, w, beta = b["u"], b["w"], b["beta"]
     scof, kern = b["su"][:, None] * b["cof"], np.zeros(b["gvec"].shape)
@@ -487,17 +489,17 @@ def _z2_prepare(model: SpikedModel):
     # BLAS product over all of them lands up to 20 times farther from a long-double sum.
     vals = b["pref"] * np.array([np.sum(c * np.exp(lam * z)) for z in zs])
     coef = _Z2_FROM_VALUES @ vals.reshape(half.size, _Z2_ORDER).T
-    return edges, coef, float(half @ (_Z2_INTEGRALS @ coef))
+    mass = float(half @ (_Z2_INTEGRALS @ coef))
+
+    def panels(zs: np.ndarray) -> np.ndarray:
+        _check_mass("z2", mass)
+        panel = np.searchsorted(edges[1:-1], zs, side="right")
+        t = (zs - edges[panel]) / half[panel] - 1.0
+        return np.polynomial.chebyshev.chebval(t, coef[:, panel], tensor=False)
+
+    return panels
 
 
-def _pdf_z2_grid(model: SpikedModel, zs: np.ndarray) -> np.ndarray:
-    edges, coef, _ = _z2_prepare(model)
-    panel = np.searchsorted(edges[1:-1], zs, side="right")
-    t = (zs - edges[panel]) / (0.5 * (edges[panel + 1] - edges[panel])) - 1.0
-    return np.polynomial.chebyshev.chebval(t, coef[:, panel], tensor=False)
-
-
-@_pdf_boundary(_z2_support)
 def pdf_z2(model: SpikedModel, z) -> float | np.ndarray:
     """Density of the second-smallest-eigenvalue overlap |v^H u_2|^2.
 
@@ -508,10 +510,7 @@ def pdf_z2(model: SpikedModel, z) -> float | np.ndarray:
     (`_z2_prepare`).  Past m - n = Z2_MAX_ALPHA, or when the panels' exact mass
     misses 1 by more than 1e-4, it raises ArithmeticError.
     """
-    if model.alpha > Z2_MAX_ALPHA:
-        raise ArithmeticError(f"z2 is validated for m - n <= {Z2_MAX_ALPHA}")
-    _check_mass("z2", _z2_prepare(model)[2])
-    return _pdf_z2_grid(model, z)
+    return _density("z2", model, z)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +532,9 @@ def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fast")
     """
     if preset != "fast":
         raise ValueError(f"unknown preset {preset!r}: the engines have one grid, 'fast'")
-    return np.asarray(_statistic(statistic).pdf(model, np.asarray(zs, dtype=float)))
+    if statistic == "nz1_asym":
+        return np.asarray(pdf_nz1_asymptotic(model.theta, zs))
+    return np.asarray(_density(statistic, model, np.asarray(zs, dtype=float)))
 
 
 # The c.d.f. mesh: 32 uniform panels of 8 nodes, the first and last split

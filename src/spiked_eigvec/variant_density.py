@@ -7,31 +7,25 @@ n - m = 1; the singular largest-overlap density is a single half-line
 integral on the same grids, orthogonal polynomials and moment series
 (`numkit`) as the complex zn engine.  Both singular n - m = 1 densities are
 written in the form where the paper's beta^(1-m) pole has already cancelled.
+Each density goes through `spike_density._density`, and its engine (a closed
+form bound to its model, or the yn_sing series) lives in the shared engine cache.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, betaln
 
 from . import numkit
-from .spike_density import (
-    ENGINE_CACHE_SIZE,
-    DomainError,
-    SpikedModel,
-    _pdf_boundary,
-    _real_support,
-    _y1_support,
-    _yn_support,
-)
+from .spike_density import DomainError, SpikedModel, _density
 
 
-def _pdf_w_real(model: SpikedModel, z: np.ndarray, omz: np.ndarray) -> np.ndarray:
-    """pdf_w1_real at z, given 1 - z as omz: whichever of the pair lies near 0
-    keeps its relative precision."""
+def _pdf_w_real(model: SpikedModel, z: np.ndarray, omz: np.ndarray | None = None) -> np.ndarray:
+    """pdf_w1_real at z, given 1 - z as omz (by default 1 - z itself): whichever
+    of the pair lies near 0 keeps its relative precision."""
+    omz = 1.0 - z if omz is None else omz
     if np.any(z <= 0) or np.any(omz <= 0):
         raise DomainError("real overlap density needs z strictly inside (0, 1)")
     m, theta = model.m, model.theta
@@ -55,7 +49,6 @@ def _pdf_w_real(model: SpikedModel, z: np.ndarray, omz: np.ndarray) -> np.ndarra
     return np.exp(log_h1) * -np.expm1(log_ratio)
 
 
-@_pdf_boundary(_real_support)
 def pdf_w1_real(model: SpikedModel, z) -> float | np.ndarray:
     """Smallest-overlap density for the real spiked case with n = 2.
 
@@ -68,10 +61,9 @@ def pdf_w1_real(model: SpikedModel, z) -> float | np.ndarray:
     1 - beta (1 - z) written in theta so that neither rounds near the ends of
     the support.
     """
-    return _pdf_w_real(model, z, 1.0 - z)
+    return _density("w1_real", model, z)
 
 
-@_pdf_boundary(_real_support)
 def pdf_w2_real(model: SpikedModel, z) -> float | np.ndarray:
     """Largest-overlap density for the real n = 2 case: the z -> 1-z mirror.
 
@@ -80,11 +72,14 @@ def pdf_w2_real(model: SpikedModel, z) -> float | np.ndarray:
     relatively.  Below, that rounding grows relative to z (1 - z rounds to 1
     for z < 2^-54), so the body gets z itself as the complement.
     """
+    return _density("w2_real", model, z)
+
+
+def _pdf_w_mirror(model: SpikedModel, z: np.ndarray) -> np.ndarray:
     mirror = 1.0 - z
     return _pdf_w_real(model, mirror, np.where(z < 0.03125, z, 1.0 - mirror))
 
 
-@_pdf_boundary(_y1_support)
 def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
     """Smallest-positive-overlap density for the singular case.
 
@@ -100,6 +95,10 @@ def pdf_y1_singular(model: SpikedModel, z) -> float | np.ndarray:
     1 - beta is formed as 1/(1 + theta); at theta = 0 this is the Haar density
     m (1-z)^(m-1).
     """
+    return _density("y1_sing", model, z)
+
+
+def _pdf_y1(model: SpikedModel, z: np.ndarray) -> np.ndarray:
     n, m, beta = model.n, model.m, model.beta
     if m == 1:
         return (n - 1.0) * (1.0 - z) ** (n - 2) / (
@@ -124,7 +123,6 @@ def _yn_basis(model: SpikedModel) -> dict:
     return numkit.halfline_basis(beta, log_pref, m * m, m * m + 2.0 * m, 1.0, m - 2)
 
 
-@lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _yn_prepare(model: SpikedModel) -> numkit.HalfLineSeries:
     """The z-grid evaluator: the bracket as one moment series.  The kernel sum
     expands e^{beta x u t} against (1-t)^2 e^{-x t}, the power-1 weight over t.
@@ -136,7 +134,6 @@ def _yn_prepare(model: SpikedModel) -> numkit.HalfLineSeries:
     return numkit.halfline_series(prep["x"], prep["t"], a, prep["log_row"], model.beta, model.m - 1)
 
 
-@_pdf_boundary(_yn_support)
 def pdf_yn_singular(model: SpikedModel, z) -> float | np.ndarray:
     """Largest-overlap density for the singular case with n - m = 1.
 
@@ -145,4 +142,4 @@ def pdf_yn_singular(model: SpikedModel, z) -> float | np.ndarray:
     m = 2 is 1 by convention.  The Hankel term cancels the kernel sum's
     leading moments exactly, so only the remainder is summed (`_yn_prepare`).
     """
-    return _yn_prepare(model)(z)
+    return _density("yn_sing", model, z)

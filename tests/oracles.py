@@ -31,10 +31,10 @@ from spiked_eigvec.spike_density import (
     SpikedModel,
     UnsupportedModel,
     _as_z_array,
+    _clip_density,
     _max_overlap_log_prefactor,
-    _pdf_boundary,
-    _pdf_z1_series,
     _statistic,
+    _z1_series,
     _z2_basis,
     _zn_basis,
     _zn_support,
@@ -504,7 +504,7 @@ def pdf_z1_general_vs_fastpath(model: SpikedModel, z) -> tuple:
         raise UnsupportedModel("dual path needs complex variant, n >= 3, alpha in {0,1}")
     z = _as_z_array(z)
     zz = np.atleast_1d(z)
-    general = _pdf_z1_series(model.n, model.alpha, model.beta, 1.0 - zz, zz)
+    general = _z1_series(model.n, model.alpha, model.beta)(1.0 - zz, zz)
     fast = _pdf_z1_fast(model.n, model.alpha, model.beta, zz)
     if z.ndim == 0:
         return float(general[0]), float(fast[0])
@@ -638,10 +638,17 @@ def _zn_closed_support(model: SpikedModel) -> None:
         raise UnsupportedModel("closed form exists for complex n in {2, 3, 4} only")
 
 
-@_pdf_boundary(_zn_closed_support)
 def pdf_zn_closed(model: SpikedModel, z) -> float | np.ndarray:
     """Closed-form largest-overlap density for n in {2, 3, 4}: the n = 2
-    Gauss 2F1 form, the n = 3 F2 difference and the n = 4 F2 assembly."""
+    Gauss 2F1 form, the n = 3 F2 difference and the n = 4 F2 assembly.
+    Checked and clipped as the library's densities are."""
+    _zn_closed_support(model)
+    z = _as_z_array(z)
+    out = _clip_density(_pdf_zn_closed_body(model, z.ravel()))
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+
+
+def _pdf_zn_closed_body(model: SpikedModel, z: np.ndarray) -> np.ndarray:
     n, alpha, beta = model.n, model.alpha, model.beta
     if n == 3:
         return _pdf_zn_closed_n3(alpha, beta, z)

@@ -11,7 +11,6 @@ import pytest
 
 from spiked_eigvec import cli, montecarlo, numkit
 from spiked_eigvec import spike_density as sd
-from spiked_eigvec import variant_density as vd
 from spiked_eigvec.cli import main
 
 
@@ -272,16 +271,21 @@ def test_cli_rejects_exactly_where_the_pdf_raises(stat, tmp_path):
                 assert (main(argv) == 2) == raises, (n, m, theta)
 
 
-@pytest.mark.parametrize("stat,n,m,theta", [("zn", 5, 6, "3"), ("zn", 3, 5, "3"),
-                                            ("z2", 3, 4, "3"), ("yn_sing", 5, 4, "0.3")])
+@pytest.mark.parametrize("stat,n,m,theta", [
+    ("z1", 10, 15, "3"), ("zn", 5, 6, "3"), ("zn", 3, 5, "3"), ("z2", 3, 4, "3"),
+    ("w1_real", 2, 5, "1"), ("w2_real", 2, 5, "1"), ("y1_sing", 4, 1, "1"),
+    ("yn_sing", 5, 4, "0.3"), ("nz1_asym", None, None, "3"),
+])
 def test_pdf_and_cdf_share_one_engine_build(stat, n, m, theta, capsys):
-    prepare = {"zn": sd._zn_prepare, "z2": sd._z2_prepare, "yn_sing": vd._yn_prepare}[stat]
-    prepare.cache_clear()
-    argv = ["--stat", stat, "--n", str(n), "--m", str(m), "--theta", theta]
+    # One engine cache serves every statistic; the n * z1 limit law has no engine.
+    sd._engine.cache_clear()
+    argv = ["--stat", stat, "--theta", theta]
+    if n is not None:
+        argv += ["--n", str(n), "--m", str(m)]
     assert main(["pdf"] + argv) == 0
     assert main(["cdf"] + argv) == 0
     capsys.readouterr()
-    assert prepare.cache_info().misses == 1
+    assert sd._engine.cache_info().misses == (0 if stat == "nz1_asym" else 1)
 
 
 def test_unknown_figure():

@@ -71,7 +71,7 @@ def test_pdf_z1_dual_path(n, alpha, theta):
 @pytest.mark.parametrize("n,alpha", [(4, 2), (6, 3), (5, 4)])
 def test_pdf_z1_series_haar_limit(n, alpha):
     # The nested-sum route at beta -> 0 must collapse to the Haar density.
-    vals = sd._pdf_z1_series(n, alpha, 1e-13, 1.0 - ZGRID, ZGRID)
+    vals = sd._z1_series(n, alpha, 1e-13)(1.0 - ZGRID, ZGRID)
     haar = (n - 1.0) * (1.0 - ZGRID) ** (n - 2)
     assert np.max(np.abs(vals / haar - 1.0)) < 1e-10
 
@@ -242,13 +242,13 @@ ZN_PEAK_GRID = 1.0 - np.geomspace(1e-5, 0.999, 60)
 def test_pdf_zn_closed_vs_generic(n, alpha, theta):
     model = sd.SpikedModel(n, n + alpha, theta)
     closed = oracles.pdf_zn_closed(model, ZN_PEAK_GRID)
-    generic = sd._zn_prepare(model)(ZN_PEAK_GRID)
+    generic = sd._engine("zn", model)(ZN_PEAK_GRID)
     assert np.max(np.abs(generic - closed)) <= 1e-8 * np.max(closed)
     if (n, alpha, theta) in ZN_CLOSED_CELLS:
         # Pointwise too; at large theta the n = 3 values far from z = 1 lie
         # orders of magnitude below the peak, where the F2 difference cancels.
         closed = oracles.pdf_zn_closed(model, ZGRID)
-        generic = sd._zn_prepare(model)(ZGRID)
+        generic = sd._engine("zn", model)(ZGRID)
         assert np.max(np.abs(generic / closed - 1.0)) < 1e-6
 
 
@@ -256,7 +256,7 @@ def test_pdf_zn_generic_vs_adaptive_reference():
     # The grid engine against the fully adaptive nested-quadrature route.
     model = sd.SpikedModel(3, 4, 1.0)
     z = 0.4
-    grid_val = float(sd._zn_prepare(model)(np.array([z]))[0])
+    grid_val = float(sd._engine("zn", model)(np.array([z]))[0])
     adaptive = oracles._pdf_zn_adaptive(model, z)
     assert grid_val == pytest.approx(adaptive, rel=1e-8)
 
@@ -284,16 +284,28 @@ def test_pdf_z2_normalization_large_theta():
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
-def test_pdf_z2_alpha_limit():
+def test_pdf_z2_alpha_limit(monkeypatch):
     # m - n = Z2_MAX_ALPHA still normalizes (1.1e-7 was the worst of a sweep);
     # one past it raises before any basis is built.
     zq, wq = numkit.unit_grid(16, grade_left=20, grade_right=20)
     total = float(np.dot(wq, sd.pdf_z2(sd.SpikedModel(8, 8 + sd.Z2_MAX_ALPHA, 1.0), zq)))
     assert total == pytest.approx(1.0, abs=1e-6)
-    sd._z2_prepare.cache_clear()
+    built = []
+    monkeypatch.setattr(sd, "_z2_basis", lambda model: built.append(model))
     with pytest.raises(ArithmeticError, match="validated for"):
         sd.pdf_z2(sd.SpikedModel(3, 4 + sd.Z2_MAX_ALPHA, 1.0), 0.5)
-    assert sd._z2_prepare.cache_info().misses == 0
+    assert built == []
+
+
+def test_pdf_z2_mass_check_raises_on_every_call_from_one_build():
+    # The engine keeps a model whose mass check fails (2.39 at (8, 11, 0.01)),
+    # so a second call raises again without building the panels again.
+    sd._engine.cache_clear()
+    model = sd.SpikedModel(8, 11, 0.01)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="z2 mass 2.39"):
+            sd.pdf_z2(model, 0.5)
+    assert sd._engine.cache_info().misses == 1
 
 
 def test_pdf_zn_normalization_large_theta():
@@ -364,9 +376,9 @@ def test_density_values_has_one_grid(stat):
 def test_zn_series_matches_loop(n, m, theta, tol):
     model = sd.SpikedModel(n, m, theta)
     zs = np.concatenate([np.linspace(0.0, 0.95, 20), 1.0 - np.geomspace(1e-6, 0.04, 12)])
-    assert isinstance(sd._zn_prepare(model), numkit.HalfLineSeries)
+    assert isinstance(sd._engine("zn", model), numkit.HalfLineSeries)
     loop = oracles.pdf_zn_loop(model, zs)
-    series = sd._zn_prepare(model)(zs)
+    series = sd._engine("zn", model)(zs)
     assert np.max(np.abs(series - loop)) <= tol * np.max(loop)
 
 
@@ -378,7 +390,7 @@ def test_zn_series_matches_loop_at_large_theta(n, m, theta):
     model = sd.SpikedModel(n, m, theta)
     zs = 1.0 - np.geomspace(1e-3, 30.0, 60) / theta
     loop = oracles.pdf_zn_loop(model, zs)
-    series = sd._zn_prepare(model)(zs)
+    series = sd._engine("zn", model)(zs)
     assert np.max(np.abs(series - loop)) <= 1e-13 * np.max(loop)
 
 
@@ -393,7 +405,7 @@ def test_pdf_zn_mass_at_theta_1e8(n, m):
 def test_zn_unbounded_series_raises():
     # At theta = 1e15 the orthogonal basis breaks down (a norm is zero or not
     # finite): an error, not a zero density, and no RuntimeWarning on the way.
-    sd._zn_prepare.cache_clear()
+    sd._engine.cache_clear()
     with pytest.raises(ArithmeticError):
         sd.pdf_zn(sd.SpikedModel(5, 6, 1e15), np.linspace(0.05, 0.95, 7))
 
@@ -401,8 +413,9 @@ def test_zn_unbounded_series_raises():
 def test_zn_series_chunks_do_not_interact():
     model = sd.SpikedModel(5, 6, 3.0)
     zs = np.linspace(0.0, 1.0, 1001)
-    whole = sd._zn_prepare(model)(zs)
-    pieces = np.concatenate([sd._zn_prepare(model)(zs[i : i + 7]) for i in range(0, zs.size, 7)])
+    engine = sd._engine("zn", model)
+    whole = engine(zs)
+    pieces = np.concatenate([engine(zs[i : i + 7]) for i in range(0, zs.size, 7)])
     assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(whole)
 
 
@@ -420,14 +433,15 @@ def test_z2_sum_matches_loop(n, m, theta, tol):
     zs = np.concatenate([np.geomspace(1e-9, 1e-2, 12), np.linspace(0.0, 0.95, 20),
                          1.0 - np.geomspace(1e-6, 0.04, 12)])
     loop = oracles.pdf_z2_loop(model, zs)
-    assert np.max(np.abs(sd._pdf_z2_grid(model, zs) - loop)) <= tol * np.max(loop)
+    assert np.max(np.abs(sd._engine("z2", model)(zs) - loop)) <= tol * np.max(loop)
 
 
 def test_z2_chunks_do_not_interact():
     model = sd.SpikedModel(5, 6, 3.0)
     zs = np.linspace(0.0, 1.0, 1001)
-    whole = sd._pdf_z2_grid(model, zs)
-    pieces = np.concatenate([sd._pdf_z2_grid(model, zs[i : i + 7]) for i in range(0, zs.size, 7)])
+    engine = sd._engine("z2", model)
+    whole = engine(zs)
+    pieces = np.concatenate([engine(zs[i : i + 7]) for i in range(0, zs.size, 7)])
     assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(whole)
 
 

@@ -212,15 +212,16 @@ def test_yn_preconditions():
 def test_yn_series_matches_loop(n, theta, tol):
     model = sd.SpikedModel(n, n - 1, theta, "singular")
     zs = np.concatenate([np.linspace(0.0, 0.95, 20), 1.0 - np.geomspace(1e-6, 0.04, 12)])
-    assert isinstance(vd._yn_prepare(model), numkit.HalfLineSeries)
+    assert isinstance(sd._engine("yn_sing", model), numkit.HalfLineSeries)
     loop = oracles.pdf_yn_loop(model, zs)
-    series = vd._yn_prepare(model)(zs)
+    series = sd._engine("yn_sing", model)(zs)
     assert np.max(np.abs(series - loop)) <= tol * np.max(loop)
 
 
 def test_yn_series_chunks_do_not_interact():
     model = sd.SpikedModel(5, 4, 0.3, "singular")
     zs = np.linspace(0.0, 1.0, 1001)
-    whole = vd._yn_prepare(model)(zs)
-    pieces = np.concatenate([vd._yn_prepare(model)(zs[i : i + 7]) for i in range(0, zs.size, 7)])
+    engine = sd._engine("yn_sing", model)
+    whole = engine(zs)
+    pieces = np.concatenate([engine(zs[i : i + 7]) for i in range(0, zs.size, 7)])
     assert np.max(np.abs(whole - pieces)) <= 1e-14 * np.max(whole)

@@ -19,7 +19,7 @@ follows the t weight, not theta (20 terms at theta = 0.1, 134 at 1e4), and a
 model whose series cannot be bounded raises ArithmeticError; no series here
 has a term budget.  The second-smallest density applies the Cauchy kernel of
 its z-dependent column once per model, which leaves one exponential sum in z;
-that sum is interpolated once per model on 17 Chebyshev points of each of
+that sum is interpolated once per model on 21 Chebyshev points of each of
 dyadic panels graded toward z = 0, and a model whose interpolant's mass
 misses 1 by more than 1e-4 raises ArithmeticError.
 Laguerre values and log-gamma come from scipy.special, determinants from
@@ -453,8 +453,8 @@ def _z2_basis(model: SpikedModel) -> dict:
     return dict(u=u, w=w, gvec=gvec, cof=cof, sv=sv, su=su, pref=pref, beta=beta)
 
 
-# The z2 proxy: a degree-16 Chebyshev interpolant on each dyadic panel of [0, 1].
-_Z2_ORDER = 17
+# The z2 proxy: a degree-20 Chebyshev interpolant on each dyadic panel of [0, 1].
+_Z2_ORDER = 21
 _Z2_T = np.polynomial.chebyshev.chebpts2(_Z2_ORDER)
 _Z2_FROM_VALUES = np.linalg.inv(np.polynomial.chebyshev.chebvander(_Z2_T, _Z2_ORDER - 1))
 _Z2_INTEGRALS = np.polynomial.chebyshev.chebval(  # int_{-1}^{1} T_j dt
@@ -465,12 +465,13 @@ def _z2_prepare(model: SpikedModel) -> Callable:
     """The density as Chebyshev panels in z.  e^{-beta w z} is the phi column's
     only z dependence, so its Cauchy kernel is summed once, h[w] = sum_i gvec[w, i]
     sum_u su[u] cof[u, i] / (w + u), which leaves pref * sum_k c_k e^{lam_k z}:
-    lam = beta u with c = sv, and lam = -beta w with c = -h.  That sum is entire in z and is evaluated once, on
-    17 Chebyshev points of each panel [0, 2^-L], [2^-L, 2^(1-L)], ..., [1/2, 1],
-    with L = max(0, ceil(log2(max(1, -min lam) / 16))) so that the fastest decay
-    spans at most 16 units of lam z on the first panel.  coef[:, p] holds panel
-    p's interpolant in t in [-1, 1].  The evaluator checks the exact mass on every
-    call, so a model that fails it raises each time without a rebuild."""
+    lam = beta u with c = sv, and lam = -beta w with c = -h.  That sum is entire
+    in z and is evaluated once, on 21 Chebyshev points of each panel [0, 2^-L],
+    [2^-L, 2^(1-L)], ..., [1/2, 1], with L = max(0, ceil(log2(max(1, -min lam) / 16)))
+    so that the fastest decay spans at most 16 units of lam z on the first panel.
+    coef[:, p] holds panel p's interpolant in t in [-1, 1].  The evaluator checks
+    the exact mass on every call, so a model that fails it raises each time
+    without a rebuild."""
     if model.alpha > Z2_MAX_ALPHA:
         raise ArithmeticError(f"z2 is validated for m - n <= {Z2_MAX_ALPHA}")
     b = _z2_basis(model)
@@ -534,7 +535,7 @@ def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fast")
         raise ValueError(f"unknown preset {preset!r}: the engines have one grid, 'fast'")
     if statistic == "nz1_asym":
         return np.asarray(pdf_nz1_asymptotic(model.theta, zs))
-    return np.asarray(_density(statistic, model, np.asarray(zs, dtype=float)))
+    return np.asarray(_density(statistic, model, zs))
 
 
 # The c.d.f. mesh: 32 uniform panels of 8 nodes, the first and last split

@@ -426,11 +426,14 @@ def test_zn_series_chunks_do_not_interact():
      (3, 8, 100.0, 1e-13), (6, 7, 1e3, 1e-13), (4, 5, 1e6, 1e-13),
      # Small theta: the beta^(2-n) prefactor amplifies the rounding of the
      # cancelling sv and h terms (the two routes sum them in different orders).
-     (7, 9, 0.1, 1e-9), (8, 12, 0.1, 1e-9)],
+     (7, 9, 0.1, 1e-9), (8, 12, 0.1, 1e-9),
+     # The tail of a wide panel, where the density is 2e-6 of its peak: 17 points
+     # per panel read 2.1e-14 at z = 0.68.
+     (8, 13, 1.0, 5e-15)],
 )
 def test_z2_sum_matches_loop(n, m, theta, tol):
     model = sd.SpikedModel(n, m, theta)
-    zs = np.concatenate([np.geomspace(1e-9, 1e-2, 12), np.linspace(0.0, 0.95, 20),
+    zs = np.concatenate([np.geomspace(1e-9, 1e-2, 12), np.linspace(0.0, 0.95, 20), [0.68],
                          1.0 - np.geomspace(1e-6, 0.04, 12)])
     loop = oracles.pdf_z2_loop(model, zs)
     assert np.max(np.abs(sd._engine("z2", model)(zs) - loop)) <= tol * np.max(loop)

@@ -120,31 +120,8 @@ def _clip_density(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
-ENGINE_CACHE_SIZE = 12  # engines (over all statistics) and c.d.f. meshes kept at once
-
-
-@lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _engine(statistic: str, model: SpikedModel) -> Callable:
-    """The statistic's `prepare(model)`, built once after `support(model)` and a
-    check that beta = theta/(1+theta) does not round to 1 (the formulas carry 1 - beta)."""
-    entry = _statistic(statistic)
-    entry.support(model)
-    if model.beta == 1.0:
-        raise ArithmeticError("theta is too large: beta = theta/(1+theta) rounds to 1")
-    return entry.prepare(model)
-
-
-def _density(statistic: str, model: SpikedModel, z) -> float | np.ndarray:
-    """The one boundary every density passes: checks z in [0, 1], clips the
-    engine's values on z flattened with `_clip_density`, and returns a float for
-    scalar z and an array of z's shape otherwise."""
-    z = _as_z_array(z)
-    out = _clip_density(_engine(statistic, model)(z.ravel()))
-    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
-
-
 # ---------------------------------------------------------------------------
-# Statistic table
+# Supports
 # ---------------------------------------------------------------------------
 
 
@@ -184,51 +161,6 @@ def _yn_support(model: SpikedModel) -> None:
     if model.variant != "singular" or model.n - model.m != 1 or model.m < 2:
         raise UnsupportedModel("yn_sing requires the singular variant with n - m = 1, m >= 2")
     _theta_pole(model, "the singular largest-overlap density")
-
-
-def _variant_density():
-    from . import variant_density
-
-    return variant_density
-
-
-@dataclass(frozen=True)
-class Statistic:
-    """Everything the library, sampler and CLI need to know about a statistic.
-
-    `column` indexes the sampler's ascending projection row (None: not
-    sampled); `support(model)` raises when the density is undefined for the
-    model; `prepare(model)` builds its engine, a callable from a 1-d z array in
-    [0, 1] to density values, kept by `_engine` (None for the n * z1 limit law);
-    `arcsine` marks inverse-square-root endpoints, which the c.d.f. integrates
-    in the sin^2-substituted variable.
-    """
-
-    variant: str
-    column: int | None
-    support: Callable
-    prepare: Callable | None
-    arcsine: bool = False
-
-
-STATISTICS = {
-    "z1": Statistic("complex", 0, _z1_support, lambda mo: _z1_prepare(mo)),
-    "z2": Statistic("complex", 1, _z2_support, lambda mo: _z2_prepare(mo)),
-    "zn": Statistic("complex", -1, _zn_support, lambda mo: _zn_prepare(mo)),
-    # The law of n * z1 needs a model on which z1 is defined.
-    "nz1_asym": Statistic("complex", None, _z1_support, None),
-    # The closed forms keep only their model; variant_density imports this module.
-    "w1_real": Statistic(
-        "real", 0, _real_support, lambda mo: partial(_variant_density()._pdf_w_real, mo), True
-    ),
-    "w2_real": Statistic(
-        "real", -1, _real_support, lambda mo: partial(_variant_density()._pdf_w_mirror, mo), True
-    ),
-    "y1_sing": Statistic(
-        "singular", 0, _y1_support, lambda mo: partial(_variant_density()._pdf_y1, mo)
-    ),
-    "yn_sing": Statistic("singular", -1, _yn_support, lambda mo: _variant_density()._yn_prepare(mo)),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +447,82 @@ def pdf_z2(model: SpikedModel, z) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cumulative distributions
+# Statistic table, engines and cumulative distributions
 # ---------------------------------------------------------------------------
+
+
+def _variant_density():
+    from . import variant_density
+
+    return variant_density
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """Everything the library, sampler and CLI need to know about a statistic.
+
+    `column` indexes the sampler's ascending projection row (None: not
+    sampled); `support(model)` raises when the density is undefined for the
+    model; `prepare(model)` builds its engine, a callable from a 1-d z array in
+    [0, 1] to density values, kept by `_engine` (None for the n * z1 limit law);
+    `arcsine` marks inverse-square-root endpoints, which the c.d.f. integrates
+    in the sin^2-substituted variable.
+    """
+
+    variant: str
+    column: int | None
+    support: Callable
+    prepare: Callable | None
+    arcsine: bool = False
+
+
+STATISTICS = {
+    "z1": Statistic("complex", 0, _z1_support, _z1_prepare),
+    "z2": Statistic("complex", 1, _z2_support, _z2_prepare),
+    "zn": Statistic("complex", -1, _zn_support, _zn_prepare),
+    # The law of n * z1 needs a model on which z1 is defined.
+    "nz1_asym": Statistic("complex", None, _z1_support, None),
+    # The closed forms keep only their model; variant_density imports this module.
+    "w1_real": Statistic(
+        "real", 0, _real_support, lambda mo: partial(_variant_density()._pdf_w_real, mo), True
+    ),
+    "w2_real": Statistic(
+        "real", -1, _real_support, lambda mo: partial(_variant_density()._pdf_w_mirror, mo), True
+    ),
+    "y1_sing": Statistic(
+        "singular", 0, _y1_support, lambda mo: partial(_variant_density()._pdf_y1, mo)
+    ),
+    "yn_sing": Statistic("singular", -1, _yn_support, lambda mo: _variant_density()._yn_prepare(mo)),
+}
 
 
 def _statistic(name: str) -> Statistic:
     if name not in STATISTICS:
         raise UnsupportedModel(f"unknown statistic {name!r}")
     return STATISTICS[name]
+
+
+ENGINE_CACHE_SIZE = 12  # engines (over all statistics) and c.d.f. meshes kept at once
+
+
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
+def _engine(statistic: str, model: SpikedModel) -> Callable:
+    """The statistic's `prepare(model)`, built once after `support(model)` and a
+    check that beta = theta/(1+theta) does not round to 1 (the formulas carry 1 - beta)."""
+    entry = _statistic(statistic)
+    entry.support(model)
+    if model.beta == 1.0:
+        raise ArithmeticError("theta is too large: beta = theta/(1+theta) rounds to 1")
+    return entry.prepare(model)
+
+
+def _density(statistic: str, model: SpikedModel, z) -> float | np.ndarray:
+    """The one boundary every density passes: checks z in [0, 1], clips the
+    engine's values on z flattened with `_clip_density`, and returns a float for
+    scalar z and an array of z's shape otherwise."""
+    z = _as_z_array(z)
+    out = _clip_density(_engine(statistic, model)(z.ravel()))
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fast") -> np.ndarray:

@@ -17,11 +17,13 @@ n >= 3 the inner integral is a power series in 1 - z built once per model
 (`numkit.halfline_series`), so a z grid costs one matrix product.  Its length
 follows the t weight, not theta (20 terms at theta = 0.1, 134 at 1e4), and a
 model whose series cannot be bounded raises ArithmeticError; no series here
-has a term budget.  The second-smallest density applies the Cauchy kernel of
-its z-dependent column once per model, which leaves one exponential sum in z;
-that sum is interpolated once per model on 21 Chebyshev points of each of
-dyadic panels graded toward z = 0, and a model whose interpolant's mass
-misses 1 by more than 1e-4 raises ArithmeticError.
+has a term budget.  The second-smallest density's Laguerre determinants do
+not depend on theta: they are built once per (n, m - n), on an x grid laid
+out for beta -> 1, into an 8-entry cache (`_z2_minors`).  It applies the
+Cauchy kernel of its z-dependent column once per model, which leaves one
+exponential sum in z; that sum is interpolated once per model on 21 Chebyshev
+points of each of dyadic panels graded toward z = 0, and a model whose
+interpolant's mass misses 1 by more than 1e-4 raises ArithmeticError.
 Laguerre values and log-gamma come from scipy.special, determinants from
 numpy.linalg.
 
@@ -338,19 +340,22 @@ def pdf_zn(model: SpikedModel, z) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _z2_basis(model: SpikedModel) -> dict:
-    """The (x, y) and w grid arrays of the z2 engine."""
-    n, alpha, beta = model.n, model.alpha, model.beta
-    lam_x = n - 1.0 - beta
-    power_x = 5.0 + alpha + (alpha + 1.0) * (n + alpha)
-    x, wx = numkit.halfline_grid(lam_x, power_hint=power_x, nodes_per_panel=Z2_X_NODES)
-    y, wy = numkit.unit_grid(Z2_Y_NODES, grade_left=2, grade_right=2)
-    nx, ny = x.size, y.size
+def _z2_y_grid():
+    return numkit.unit_grid(Z2_Y_NODES, grade_left=2, grade_right=2)
 
-    xu = np.repeat(x, ny)
-    yu = np.tile(y, nx)
-    wxy = np.outer(wx, wy).ravel()
-    u = xu * yu
+
+@lru_cache(maxsize=8)
+def _z2_minors(n: int, alpha: int) -> tuple:
+    """The theta-free part of the z2 basis, shared by every theta of (n, m):
+    the x nodes and weights, the z-free determinant vdet and the phi column's
+    cofactors cof, on the (x, y) nodes x-major, as read-only arrays.  Only the
+    x envelope e^{-(n-1-beta) x} depends on theta, so the x grid is laid out
+    for its slowest decay, beta -> 1."""
+    power_x = 5.0 + alpha + (alpha + 1.0) * (n + alpha)
+    x, wx = numkit.halfline_grid(n - 2.0, power_hint=power_x, nodes_per_panel=Z2_X_NODES)
+    y, _ = _z2_y_grid()
+    ny = y.size
+    u = np.repeat(x, ny) * np.tile(y, x.size)
 
     # The (alpha+3) determinant without its phi column: row i = 1..alpha+3
     # holds L_{n+i-4}^(2)(-u), L_{n+i-5}^(3)(-u), then L_{n+i-k}^(k-2)(-x)
@@ -369,11 +374,27 @@ def _z2_basis(model: SpikedModel) -> dict:
     for i in range(du):
         sign_i = 1.0 if i % 2 == 0 else -1.0
         cof[:, i] = sign_i * np.linalg.det(rest[:, [r for r in range(du) if r != i]])
+    for a in (x, wx, vdet, cof):
+        a.flags.writeable = False
+    return x, wx, vdet, cof
+
+
+def _z2_basis(model: SpikedModel) -> dict:
+    """The (x, y) and w grid arrays of the z2 engine: `_z2_minors` times the
+    theta-dependent factors."""
+    n, alpha, beta = model.n, model.alpha, model.beta
+    x, wx, vdet, cof = _z2_minors(n, alpha)
+    y, wy = _z2_y_grid()
+    xu = np.repeat(x, y.size)
+    yu = np.tile(y, x.size)
+    wxy = np.outer(wx, wy).ravel()
+    u = xu * yu
 
     # Shared w grid for the phi-column integrals (Cauchy kernel against u).
     lam_w = 1.0 - beta
     w_end = numkit.envelope_end(lam_w, power_hint=n + alpha + 2.0)
     w, ww = numkit.geometric_grid(1e-7, w_end, nodes_per_panel=Z2_W_NODES)
+    deg = n - 3 + np.arange(alpha + 3)
     gvec = (ww * w * w)[:, None] * eval_genlaguerre(deg, 2, w[:, None]) * np.exp(-lam_w * w)[:, None]
 
     r_ratio = math.exp(gammaln(n) - gammaln(n + alpha))
@@ -534,6 +555,7 @@ def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fast")
     if preset != "fast":
         raise ValueError(f"unknown preset {preset!r}: the engines have one grid, 'fast'")
     if statistic == "nz1_asym":
+        STATISTICS[statistic].support(model)
         return np.asarray(pdf_nz1_asymptotic(model.theta, zs))
     return np.asarray(_density(statistic, model, zs))
 
@@ -576,6 +598,7 @@ def model_cdf_fn(statistic: str, model: SpikedModel):
     argument DomainError.  Values lie in [0, 1], non-decreasing in x exactly.
     """
     if statistic == "nz1_asym":
+        STATISTICS[statistic].support(model)
         theta = model.theta
         return lambda x: np.asarray(cdf_nz1_asymptotic(theta, np.maximum(np.asarray(x, float), 0.0)))
     arcsine = _statistic(statistic).arcsine

@@ -211,14 +211,14 @@ def test_pdf_z2_mass_check_exits_3(capsys):
     # the engine's exact mass misses 1, so no table is written.
     assert main("pdf --stat z2 --n 8 --m 11 --theta 0.01".split()) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "z2 mass 2.39" in captured.err
+    assert captured.out == "" and "z2 mass -1.03837" in captured.err
 
 
 def test_exit_code_cdf_mass_check(capsys):
     # z2 raises on its own mass before the c.d.f. sums its mesh.
     assert main("cdf --stat z2 --n 8 --m 11 --theta 0.01".split()) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "z2 mass 2.39" in captured.err
+    assert captured.out == "" and "z2 mass -1.03837" in captured.err
     # The arcsine mesh stays at 11 levels and loses mass at this theta.
     assert main("cdf --stat w2_real --n 2 --m 5 --theta 1e12 --z-max 1".split()) == 3
     captured = capsys.readouterr()

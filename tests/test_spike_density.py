@@ -292,20 +292,51 @@ def test_pdf_z2_alpha_limit(monkeypatch):
     assert total == pytest.approx(1.0, abs=1e-6)
     built = []
     monkeypatch.setattr(sd, "_z2_basis", lambda model: built.append(model))
+    sd._z2_minors.cache_clear()
     with pytest.raises(ArithmeticError, match="validated for"):
         sd.pdf_z2(sd.SpikedModel(3, 4 + sd.Z2_MAX_ALPHA, 1.0), 0.5)
-    assert built == []
+    assert built == [] and sd._z2_minors.cache_info().misses == 0
 
 
 def test_pdf_z2_mass_check_raises_on_every_call_from_one_build():
-    # The engine keeps a model whose mass check fails (2.39 at (8, 11, 0.01)),
+    # The engine keeps a model whose mass check fails (-1.03837 at (8, 11, 0.01)),
     # so a second call raises again without building the panels again.
     sd._engine.cache_clear()
     model = sd.SpikedModel(8, 11, 0.01)
     for _ in range(2):
-        with pytest.raises(ArithmeticError, match="z2 mass 2.39"):
+        with pytest.raises(ArithmeticError, match="z2 mass -1.03837"):
             sd.pdf_z2(model, 0.5)
     assert sd._engine.cache_info().misses == 1
+
+
+def test_z2_minors_are_built_once_per_n_and_alpha():
+    sd._engine.cache_clear()
+    sd._z2_minors.cache_clear()
+    for theta in (0.1, 1.0, 3.0, 10.0):
+        sd.pdf_z2(sd.SpikedModel(4, 6, theta), 0.5)
+    assert sd._z2_minors.cache_info().misses == 1
+    assert all(not a.flags.writeable for a in sd._z2_minors(4, 2))
+
+
+def test_z2_engine_from_cached_minors_equals_a_fresh_build():
+    zs = np.linspace(0.0, 1.0, 201)
+    sd._z2_prepare(sd.SpikedModel(5, 6, 0.5))
+    warm = sd._z2_prepare(sd.SpikedModel(5, 6, 3.0))(zs)
+    sd._z2_minors.cache_clear()
+    cold = sd._z2_prepare(sd.SpikedModel(5, 6, 3.0))(zs)
+    assert sd._z2_minors.cache_info().misses == 1
+    assert np.array_equal(warm, cold)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_pdf_z2_mass_on_an_independent_rule(n, alpha):
+    # The loop oracle reads the engine's own grids, so it cannot see a grid that
+    # truncates the integral; a rule on z alone can (worst 1.5e-10 over n 3-8).
+    zq, wq = numkit.unit_grid(32, grade_left=12, grade_right=4)
+    for theta in (1.0, 10.0, 1e3):
+        total = float(np.dot(wq, sd.pdf_z2(sd.SpikedModel(n, n + alpha, theta), zq)))
+        assert abs(total - 1.0) <= 1e-9, (theta, total)
 
 
 def test_pdf_zn_normalization_large_theta():
@@ -537,6 +568,16 @@ def test_cdf_mesh_is_fixed_up_to_theta_1e4(monkeypatch):
     sd.model_cdf_fn("z1", sd.SpikedModel(5, 6, 1e6))
     assert [zs.size for zs in seen] == [432, 432, 432, 528]
     assert np.array_equal(seen[0], seen[1])
+
+
+def test_nz1_asym_density_checks_the_z1_support():
+    with pytest.raises(sd.UnsupportedModel):
+        sd.density_values("nz1_asym", sd.SpikedModel(1, 3, 1.0), [0.5, 5.0])
+
+
+def test_nz1_asym_cdf_checks_the_z1_support():
+    with pytest.raises(sd.UnsupportedModel):
+        sd.model_cdf_fn("nz1_asym", sd.SpikedModel(1, 3, 1.0))
 
 
 @pytest.mark.parametrize("stat", ["z1", "nz1_asym"])

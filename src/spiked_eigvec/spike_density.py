@@ -341,6 +341,7 @@ def pdf_zn(model: SpikedModel, z) -> float | np.ndarray:
 
 
 def _z2_y_grid():
+    """The y nodes and weights on [0, 1] of the z2 engine's (x, y) grid."""
     return numkit.unit_grid(Z2_Y_NODES, grade_left=2, grade_right=2)
 
 

@@ -52,6 +52,8 @@ def build_model(stat: str, n: int | None, m: int | None, theta: float | None) ->
 def _grid(stat: str, z_min: float, z_max: float, points: int) -> np.ndarray:
     if points < 2:
         raise ConfigError("grid_points must be at least 2")
+    if not np.isfinite(z_max):
+        raise ConfigError(f"z-max must be finite, got {z_max}")
     if not (0.0 <= z_min < z_max):
         raise ConfigError("need 0 <= z-min < z-max")
     if stat != "nz1_asym" and z_max > 1.0:

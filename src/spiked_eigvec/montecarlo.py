@@ -2,9 +2,9 @@
 
 Draws come from the Dumitriu-Edelman tridiagonal model: 2n - 1 (singular: 2m)
 Gamma variates per draw give T's diagonal and squared subdiagonal (`_tridiagonal`).
-One batched eigenvalue solve per chunk and an O(n) Gauss-weight sweep per overlap,
-or `eigh` for a nearly split T, give the projections (`_chunk_projections`).  Their
-law does not depend on the spike direction, validated for shape, norm and realness.
+One batched eigenvalue solve per chunk and an O(n) twisted factorization per
+overlap give the projections (`_chunk_projections`).  Their law does not depend
+on the spike direction, validated for shape, norm and realness.
 
 Each chunk of CHUNK_SIZE draws owns a counter-based Philox stream keyed by
 (seed, index of its first draw).  Chunks are a fixed size independent of the
@@ -25,10 +25,6 @@ from .spike_density import STATISTICS, SpikedModel
 # Draws per chunk.  Each chunk is one random stream, so this constant fixes
 # the draws: changing it changes every seeded output.
 CHUNK_SIZE = 2048
-
-# A draw with some b2_i <= SPLIT_TOL a_i a_{i+1} nearly splits (LAPACK's deflation
-# test).  1 + theta scales a_0 and b2_0 alike, so it cancels from the test.
-SPLIT_TOL = 1e-12
 
 
 class EigensolverFailure(RuntimeError):
@@ -101,16 +97,11 @@ def _tridiagonal(model: SpikedModel, seed: int, start: int, stop: int) -> tuple[
 
 def _chunk_projections(model: SpikedModel, seed: int, start: int, stop: int,
                        columns: tuple[int, ...] | None = None) -> np.ndarray:
-    """Overlaps |v^H u_l|^2 of draws [start, stop): the `columns` (None: all) of a row
-    of rank = n (m for the singular variant) overlaps in ascending eigenvalue order.
-
-    These are the Gauss weights of T = `_tridiagonal` (Golub and Welsch, Math.
-    Comp. 23, 1969), u_k(0)^2 = 1 / g_0'(lam_k), so no eigenvectors are needed.
-    With a the diagonal and b2 the squared subdiagonal of T, g_{s-1} = lam -
-    a_{s-1}, g_i = lam - a_i - b2_i / g_{i+1} and g'_i = 1 + (b2_i / g_{i+1}^2)
-    g'_{i+1}, a sum of positive terms.  A nearly split T (SPLIT_TOL) has pivots of
-    rounding noise and takes `eigh`'s squared first components, clipped at 1 (they
-    can read 1 + 2^-52).  Non-finite T or overlaps outside [0, 1] raise EigensolverFailure.
+    """Overlaps |v^H u_l|^2 of draws [start, stop): the `columns` (None: all) of a row of
+    rank = n (m for the singular variant) overlaps in ascending eigenvalue order, each the
+    Gauss weight u(0)^2 of T = `_tridiagonal` at an eigenvalue lam (Golub and Welsch, 1969)
+    from a twisted factorization of T - lam (Dhillon and Parlett, 2004; LAPACK dlar1v; README).
+    Non-finite T or overlaps outside [0, 1] raise EigensolverFailure.
     """
     a, b2 = _tridiagonal(model, seed, start, stop)
     count, size = a.shape
@@ -119,21 +110,29 @@ def _chunk_projections(model: SpikedModel, seed: int, start: int, stop: int,
     t = np.zeros((count, size, size))  # LAPACK reads the lower triangle only
     t[:, range(size), range(size)] = a
     t[:, range(1, size), range(size - 1)] = np.sqrt(b2)
-    split = np.any(b2 <= SPLIT_TOL * a[:, :-1] * a[:, 1:], axis=1) & np.isfinite(a).all(axis=1)
-    keep = ~split if split.any() else slice(None)  # no copies unless a draw splits
-    a, b2, proj = a[keep], b2[keep], np.empty((count, cols.size))
     try:
-        lam = np.linalg.eigvalsh(t)[:, cols][keep]
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            g, dg = lam - a[:, -1:], np.ones_like(lam)
-            for i in range(size - 2, -1, -1):
-                q = b2[:, i:i + 1] / g
-                dg = 1.0 + q / g * dg
-                g = lam - a[:, i:i + 1] - q
-        proj[keep] = 1.0 / dg
-        proj[split] = np.minimum(np.linalg.eigh(t[split])[1][:, 0, cols] ** 2, 1.0)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        raise EigensolverFailure(f"eigenvalue or Gauss-weight solve failed: {exc}") from exc
+        lam = np.linalg.eigvalsh(t)[:, cols]
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"eigenvalue solve failed: {exc}") from exc
+    d, b2 = a.T[:, :, None] - lam, b2.T[:, :, None]  # rows lead: a step reads one block
+    c, h, dm = np.zeros_like(d), np.zeros_like(d), d[-1].copy()
+    floor = np.finfo(float).eps * np.abs(lam) + np.finfo(float).tiny  # for a zero pivot
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for r in range(size - 2, -1, -1):  # up: D-_r = d_r - c_r and H_r = G_r - 1
+            np.copyto(dm, floor, where=dm == 0.0)
+            np.divide(b2[r], dm, out=c[r])
+            np.multiply(c[r] / dm, 1.0 + h[r + 1], out=h[r])
+            dm = d[r] - c[r]
+        dp, fp, best, proj = d[0].copy(), np.ones((2,) + lam.shape), np.abs(dm), 1.0 / (1.0 + h[0])
+        for r in range(1, size):  # down: D+_r, (F_r, P_r); twist at least |D+_r - c_r|
+            np.copyto(dp, floor, where=dp == 0.0)
+            s = b2[r - 1] / dp
+            fp *= s / dp
+            fp[0] += 1.0
+            dp = d[r] - s
+            gamma = np.abs(dp - c[r])
+            np.copyto(proj, fp[1] / (fp[0] + h[r]), where=gamma < best)
+            best = np.fmin(best, gamma)
     if not np.all((proj >= 0.0) & (proj <= 1.0)):
         raise EigensolverFailure("an overlap is not a number in [0, 1]")
     return proj

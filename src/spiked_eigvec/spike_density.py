@@ -259,25 +259,26 @@ def pdf_z1(model: SpikedModel, z) -> float | np.ndarray:
     return _density("z1", model, z)
 
 
-def _nz1_v(theta: float, v) -> np.ndarray:
-    """The one input check of the n * z1 limit law; returns v as an array."""
+def _nz1_exponent(theta: float, v) -> np.ndarray:
+    """-(1 + theta) v (-inf past overflow), after the n * z1 law's one input check."""
     if not 0.0 <= theta < math.inf:
         raise DomainError("theta must be finite and nonnegative")
     v = np.asarray(v, dtype=float)
     if not np.all(v >= 0):
         raise DomainError("v must be nonnegative")
-    return v
+    with np.errstate(over="ignore"):
+        return -(1.0 + theta) * v
 
 
 def pdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
     """Limit density of n * z1 as the dimension grows with m - n fixed."""
-    out = (1.0 + theta) * np.exp(-(1.0 + theta) * _nz1_v(theta, v))
+    out = (1.0 + theta) * np.exp(_nz1_exponent(theta, v))
     return float(out) if out.ndim == 0 else out
 
 
 def cdf_nz1_asymptotic(theta: float, v) -> float | np.ndarray:
     """Limit c.d.f. 1 - exp(-(1+theta) v) of n * z1."""
-    out = -np.expm1(-(1.0 + theta) * _nz1_v(theta, v))
+    out = -np.expm1(_nz1_exponent(theta, v))
     return float(out) if out.ndim == 0 else out
 
 

@@ -130,8 +130,8 @@ def test_validate_pass_and_report(tmp_path):
 
 
 def test_validate_nearly_split_real_draw(tmp_path):
-    # One of these draws has a squared subdiagonal of 2.5e-16: its sweep pivot
-    # is rounding noise, and the chunk used to exit 3.
+    # One of these draws has a squared subdiagonal of 2.5e-16, where a pivot is
+    # rounding noise; the chunk once exited 3 on it.
     argv = "validate --stat w1_real --n 2 --m 3 --theta 3.0027031298717315 --samples 2048"
     assert main(argv.split() + ["--seed", "265984065", "--out", str(tmp_path / "v.json")]) == 0
 
@@ -163,6 +163,22 @@ def test_exit_code_invalid_config(capsys):
     assert main("pdf --stat nz1_asym".split()) == 2
     assert main("pdf --stat w1_real --n 2 --m 5 --theta 1 --z-min 0".split()) == 2  # open support
     assert capsys.readouterr().out == ""
+
+
+def test_nz1_asym_rejects_infinite_z_max(capsys):
+    # An infinite z-max used to reach the grid and exit on "v must be nonnegative".
+    assert main("pdf --stat nz1_asym --theta 1 --z-max inf".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "z-max must be finite" in captured.err
+
+
+@pytest.mark.parametrize("kind,last", [("cdf", 1.0), ("pdf", 0.0)])
+def test_nz1_asym_huge_z_max(kind, last, capsys):
+    # (1 + theta) v overflows at v = 1e308; the law still reads its limit, and
+    # no RuntimeWarning (an error here) is raised.
+    assert main(f"{kind} --stat nz1_asym --theta 1 --z-max 1e308 --grid-points 3".split()) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-1] == f"1e+308,{last:.17g}"
 
 
 def test_module_entry_point():

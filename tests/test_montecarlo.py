@@ -267,24 +267,14 @@ def test_bit_identical_across_worker_counts(n, m, variant, monkeypatch):
 @pytest.mark.parametrize("variant", ["complex", "real", "singular"])
 @pytest.mark.parametrize("n", [2, 3, 30, 100])
 @pytest.mark.parametrize("theta", [0.0, 0.01, 1e4, 1e12])
-def test_gauss_weights_match_interlacing_oracle(variant, n, theta, monkeypatch):
-    # Same variates, same T: the weight sweep against the interlacing product.
+def test_gauss_weights_match_interlacing_oracle(variant, n, theta):
+    # Same variates, same T: the twisted weights against the interlacing product.
     model = sd.SpikedModel(n, n - 1 if variant == "singular" else n + 2, theta, variant)
     oracle = oracles.chunk_projections_interlacing(_dense(*mc._tridiagonal(model, 5, 0, 200)))
     if variant == "singular":
         oracle = oracle[:, 1:]
-    routed = _count_eigh_rows(monkeypatch)
     proj = mc._chunk_projections(model, seed=5, start=0, stop=200)
     assert np.max(np.abs(proj - oracle)) <= 1e-12
-    # The sweep, not eigh, gives these weights, at every theta.
-    assert sum(routed) <= 2
-
-
-def _count_eigh_rows(monkeypatch):
-    """A list that collects the number of draws each `eigh` call is handed."""
-    rows, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda t: rows.append(len(t)) or eigh(t))
-    return rows
 
 
 def _dense(a, b2):
@@ -308,6 +298,7 @@ def _inject(monkeypatch, a, b2):
     [
         ([1.0, 2.0], [0.0]),  # lam = 2 = a_1 with b2_0 = 0: a 0/0 pivot
         ([3.0, 1.0, 2.0], [1.0, 0.0]),  # the same one level down
+        ([1.0, 2.0, 1.0], [1.0, 0.0]),  # lam = 1 = a_0: a zero pivot above the split
     ],
 )
 def test_split_tridiagonal_is_right(diag, sub2, monkeypatch):
@@ -320,8 +311,9 @@ def test_split_tridiagonal_is_right(diag, sub2, monkeypatch):
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_nearly_split_tridiagonal_matches_eigh(size, monkeypatch):
-    # One squared subdiagonal in [1e-40, 1e-14]: the sweep's pivot there is
-    # rounding noise, so these draws take their weights from eigh.
+    # One squared subdiagonal in [1e-40, 1e-14]: T nearly splits there, and the
+    # pivots on one side of it are rounding noise.  The twist must land in the
+    # block that holds the eigenvector.
     rng = np.random.default_rng(size)
     count = 500
     a = rng.uniform(0.0, 10.0, (count, size))
@@ -330,6 +322,44 @@ def test_nearly_split_tridiagonal_matches_eigh(size, monkeypatch):
     model = _inject(monkeypatch, a, b2)
     got = mc._chunk_projections(model, seed=0, start=0, stop=count)
     assert np.max(np.abs(got - np.linalg.eigh(_dense(a, b2))[1][:, 0, :] ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_just_above_old_split_threshold_matches_eigh(size, monkeypatch):
+    # One b2_i in [1e-12, 1e-10] a_i a_{i+1}, just above LAPACK's deflation
+    # test: a bottom-up sweep alone is 1.9e-12 off eigh at size 3 and divides
+    # by an exact-zero pivot at size 5.
+    rng = np.random.default_rng(size)
+    count = 500
+    a = rng.uniform(0.0, 10.0, (count, size))
+    b2 = rng.uniform(0.01, 10.0, (count, size - 1))
+    rows, i = np.arange(count), rng.integers(0, size - 1, count)
+    b2[rows, i] = 10.0 ** rng.uniform(-12, -10, count) * a[rows, i] * a[rows, i + 1]
+    model = _inject(monkeypatch, a, b2)
+    got = mc._chunk_projections(model, seed=0, start=0, stop=count)
+    assert np.max(np.abs(got - np.linalg.eigh(_dense(a, b2))[1][:, 0, :] ** 2)) <= 1e-12
+
+
+def test_graded_tridiagonal_matches_mpmath(monkeypatch):
+    # A Gram-form T whose top eigenvalue sits at the bottom row behind small
+    # couplings; no b2_i is below 3.6e-4 a_i a_{i+1}.  A bottom-up sweep alone
+    # gives that eigenvalue a weight of 1.9e-4 instead of 1.2e-29.
+    import mpmath
+
+    diag = [0.253, 0.716, 0.276, 0.00289, 0.0677, 33.6]
+    sub2 = [0.181, 7.1e-5, 3.0e-4, 4.8e-5, 0.111]
+    model = _inject(monkeypatch, diag, sub2)
+    got = mc._chunk_projections(model, seed=0, start=0, stop=1)[0]
+    with mpmath.workdps(50):
+        t = mpmath.zeros(6)
+        for i, d in enumerate(diag):
+            t[i, i] = d
+        for i, e2 in enumerate(sub2):
+            t[i, i + 1] = t[i + 1, i] = mpmath.sqrt(e2)
+        lam, u = mpmath.eigsy(t)
+        want = [float(u[0, k] ** 2) for k in sorted(range(6), key=lambda k: lam[k])]
+    assert want[-1] < 1e-28
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -341,20 +371,18 @@ def test_nearly_split_tridiagonal_matches_eigh(size, monkeypatch):
         (2, 3, 3.0027031298717315, 265984065, 0),
     ],
 )
-def test_nearly_split_real_draws_match_eigh(n, m, theta, seed, start, monkeypatch):
+def test_nearly_split_real_draws_match_eigh(n, m, theta, seed, start):
     model = sd.SpikedModel(n, m, theta, "real")
     stop = start + mc.CHUNK_SIZE
     a, b2 = mc._tridiagonal(model, seed, start, stop)
     want = np.linalg.eigh(_dense(a, b2))[1][:, 0, :] ** 2
-    routed = _count_eigh_rows(monkeypatch)
     got = mc._chunk_projections(model, seed, start, stop)
-    assert sum(routed) == 1  # the one nearly split draw
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_overlap_outside_unit_interval_fails(monkeypatch):
-    # An infinite diagonal entry gets past the eigenvalue solve and the sweep,
-    # but not the final range check on the weights.
+    # An infinite diagonal entry gets past the eigenvalue solve and the twisted
+    # factorization, but not the final range check on the weights.
     model = _inject(monkeypatch, [np.inf, 1.0, 2.0], [1.0, 1.0])
     with pytest.raises(mc.EigensolverFailure, match="not a number in"):
         mc._chunk_projections(model, seed=0, start=0, stop=1)
@@ -365,7 +393,7 @@ def test_overlap_outside_unit_interval_fails(monkeypatch):
     [(5, 7, "complex"), (4, 6, "real"), (5, 3, "singular"), (1, 3, "complex")],
 )
 def test_selected_columns_are_bit_identical(n, m, variant):
-    # Each requested column runs its own sweep; asking for fewer must not
+    # Each requested column runs its own factorization; asking for fewer must not
     # change a value.
     model = sd.SpikedModel(n, m, 2.0, variant)
     spike = mc.make_spike(n, 0, real=variant == "real")

@@ -3,6 +3,7 @@
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -108,3 +109,23 @@ def test_sampled_rows_are_overlaps(model, seed):
         assert np.all(sums < 1.0)
     else:
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 8).flatmap(lambda size: st.tuples(
+    st.integers(0, 2**32), st.lists(st.booleans(), min_size=size - 1, max_size=size - 1))))
+def test_gauss_weights_of_graded_gram_tridiagonals(draw):
+    # T = B B^T for a lower bidiagonal B whose squared entries are log-uniform
+    # over nine decades; a True in `split` zeroes a subdiagonal entry of B, and
+    # so b2 there.  Every warning is an error here.
+    seed, split = draw
+    rng = np.random.default_rng(seed)
+    d2 = 10.0 ** rng.uniform(-6.0, 3.0, len(split) + 1)
+    s2 = np.where(split, 0.0, 10.0 ** rng.uniform(-6.0, 3.0, len(split)))
+    a = d2.copy()
+    a[1:] += s2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_tridiagonal", lambda *args: (a[None], (d2[:-1] * s2)[None]))
+        rows = mc._chunk_projections(sd.SpikedModel(a.size, a.size, 0.0), seed=0, start=0, stop=1)
+    assert np.all((rows >= 0.0) & (rows <= 1.0))
+    assert abs(rows.sum() - 1.0) <= 1e-8

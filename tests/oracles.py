@@ -11,7 +11,8 @@ largest-overlap integrand, the nested adaptive quadrature of that double
 integral, the per-z loops of the zn, yn_sing and z2 grid engines, the
 quadrature c.d.f., the Mehta determinant identity and Bessel-determinant
 normalization checks, the dense Wishart sampler with its Hermitian
-eigendecomposition, and the interlacing product for the sampler's overlaps.
+eigendecomposition, the interlacing product for the sampler's overlaps, and
+the Gram factors that feed a hand-built tridiagonal to the sampler.
 """
 
 from __future__ import annotations
@@ -1061,3 +1062,31 @@ def chunk_projections_interlacing(t: np.ndarray) -> np.ndarray:
     ratio = np.abs(lam[:, :, None] - mu[:, None, :]) / np.abs(lam[:, :, None] - lam[:, partner])
     # Rounding can break the interlacing of nearly equal lam_j and mu_j.
     return np.minimum(np.prod(ratio, axis=2), 1.0)
+
+
+def gram_factors(a, b2) -> tuple[np.ndarray, np.ndarray]:
+    """Squared lower bidiagonal factors (q, e) with L L^T = T + sigma I, for a batch of
+    symmetric tridiagonals T of diagonal a and squared subdiagonal b2 (rows are draws).
+
+    q holds the LDL^T pivots of T + sigma I and e_i = b2_i / q_i, the layout of
+    `montecarlo._tridiagonal`.  sigma is 0 for a positive definite T and twice T's largest
+    Gershgorin row sum otherwise, so T + sigma I is positive definite and has T's
+    eigenvectors: the sampler's overlaps of (q, e) are those of T.
+    """
+    a, b2 = np.atleast_2d(a).astype(float), np.atleast_2d(b2).astype(float)
+
+    def pivots(shift):
+        d = a + shift
+        for i in range(1, a.shape[1]):
+            d[:, i] -= b2[:, i - 1] / d[:, i - 1]
+        return d
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = pivots(np.zeros((a.shape[0], 1)))
+        b = np.sqrt(b2)
+        rows = np.abs(a)
+        rows[:, 1:] += b
+        rows[:, :-1] += b
+        sigma = np.where(np.all(q > 0.0, axis=1), 0.0, 2.0 * rows.max(axis=1))
+        q = pivots(sigma[:, None])
+        return q, b2 / q[:, :-1]

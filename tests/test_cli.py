@@ -136,6 +136,20 @@ def test_validate_nearly_split_real_draw(tmp_path):
     assert main(argv.split() + ["--seed", "265984065", "--out", str(tmp_path / "v.json")]) == 0
 
 
+def test_validate_non_finite_square_exits_3(monkeypatch, capsys):
+    # A NaN among the drawn squares stops the chunk with exit 3, never a NaN overlap.
+    draw = montecarlo._tridiagonal
+
+    def poisoned(*args):
+        q, e = draw(*args)
+        q[5, 1] = np.nan
+        return q, e
+
+    monkeypatch.setattr(montecarlo, "_tridiagonal", poisoned)
+    assert main("validate --stat z1 --n 3 --m 5 --theta 1 --samples 4096".split()) == 3
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_validate_negative_control(tmp_path):
     out = tmp_path / "neg.json"
     rc = main(

@@ -277,7 +277,16 @@ def test_gauss_weights_match_interlacing_oracle(variant, n, theta):
     assert np.max(np.abs(proj - oracle)) <= 1e-12
 
 
-def _dense(a, b2):
+def _dense(q, e):
+    """The dense T = L L^T of a batch of squared bidiagonal entries: diagonal q, subdiagonal e."""
+    idx = np.arange(q.shape[1])
+    low = np.zeros(q.shape + q.shape[1:])
+    low[:, idx, idx] = np.sqrt(q)
+    low[:, idx[1:], idx[:-1]] = np.sqrt(e)
+    return low @ low.transpose(0, 2, 1)
+
+
+def _symmetric(a, b2):
     """The dense symmetric T of a batch of diagonals a and squared subdiagonals b2."""
     idx = np.arange(a.shape[1])
     t = np.zeros(a.shape + a.shape[1:])
@@ -287,10 +296,11 @@ def _dense(a, b2):
 
 
 def _inject(monkeypatch, a, b2):
-    """Make `_chunk_projections` read the given (a, b2) batch; returns its model."""
-    a, b2 = np.atleast_2d(a).astype(float), np.atleast_2d(b2).astype(float)
-    monkeypatch.setattr(mc, "_tridiagonal", lambda *args: (a, b2))
-    return sd.SpikedModel(a.shape[1], a.shape[1], 0.0)
+    """Make `_chunk_projections` read the (a, b2) batch, as the Gram factors of a shift
+    of it with the same eigenvectors (`oracles.gram_factors`); returns its model."""
+    q, e = oracles.gram_factors(a, b2)
+    monkeypatch.setattr(mc, "_tridiagonal", lambda *args: (q, e))
+    return sd.SpikedModel(q.shape[1], q.shape[1], 0.0)
 
 
 @pytest.mark.parametrize(
@@ -303,7 +313,7 @@ def _inject(monkeypatch, a, b2):
 )
 def test_split_tridiagonal_is_right(diag, sub2, monkeypatch):
     model = _inject(monkeypatch, diag, sub2)
-    expected = np.linalg.eigh(_dense(np.array([diag]), np.array([sub2])))[1][0, 0] ** 2
+    expected = np.linalg.eigh(_symmetric(np.array([diag]), np.array([sub2])))[1][0, 0] ** 2
     for k, want in enumerate(expected):
         got = mc._chunk_projections(model, seed=0, start=0, stop=1, columns=(k,))
         assert abs(got[0, 0] - want) <= 1e-12, (k, got, want)
@@ -321,7 +331,7 @@ def test_nearly_split_tridiagonal_matches_eigh(size, monkeypatch):
     b2[np.arange(count), rng.integers(0, size - 1, count)] = 10.0 ** rng.uniform(-40, -14, count)
     model = _inject(monkeypatch, a, b2)
     got = mc._chunk_projections(model, seed=0, start=0, stop=count)
-    assert np.max(np.abs(got - np.linalg.eigh(_dense(a, b2))[1][:, 0, :] ** 2)) <= 1e-12
+    assert np.max(np.abs(got - np.linalg.eigh(_symmetric(a, b2))[1][:, 0, :] ** 2)) <= 1e-12
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
@@ -337,7 +347,7 @@ def test_just_above_old_split_threshold_matches_eigh(size, monkeypatch):
     b2[rows, i] = 10.0 ** rng.uniform(-12, -10, count) * a[rows, i] * a[rows, i + 1]
     model = _inject(monkeypatch, a, b2)
     got = mc._chunk_projections(model, seed=0, start=0, stop=count)
-    assert np.max(np.abs(got - np.linalg.eigh(_dense(a, b2))[1][:, 0, :] ** 2)) <= 1e-12
+    assert np.max(np.abs(got - np.linalg.eigh(_symmetric(a, b2))[1][:, 0, :] ** 2)) <= 1e-12
 
 
 def test_graded_tridiagonal_matches_mpmath(monkeypatch):
@@ -374,17 +384,16 @@ def test_graded_tridiagonal_matches_mpmath(monkeypatch):
 def test_nearly_split_real_draws_match_eigh(n, m, theta, seed, start):
     model = sd.SpikedModel(n, m, theta, "real")
     stop = start + mc.CHUNK_SIZE
-    a, b2 = mc._tridiagonal(model, seed, start, stop)
-    want = np.linalg.eigh(_dense(a, b2))[1][:, 0, :] ** 2
+    want = np.linalg.eigh(_dense(*mc._tridiagonal(model, seed, start, stop)))[1][:, 0, :] ** 2
     got = mc._chunk_projections(model, seed, start, stop)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_overlap_outside_unit_interval_fails(monkeypatch):
-    # An infinite diagonal entry gets past the eigenvalue solve and the twisted
-    # factorization, but not the final range check on the weights.
+def test_non_finite_square_fails(monkeypatch):
+    # An infinite diagonal entry of T gives an infinite square of its factor L;
+    # the chunk stops before iterating on it.
     model = _inject(monkeypatch, [np.inf, 1.0, 2.0], [1.0, 1.0])
-    with pytest.raises(mc.EigensolverFailure, match="not a number in"):
+    with pytest.raises(mc.EigensolverFailure, match="not finite"):
         mc._chunk_projections(model, seed=0, start=0, stop=1)
 
 
@@ -428,6 +437,50 @@ def test_trace_mean(n, m, theta, variant):
     # E trace T = E |D X|_F^2 = m (n + theta) in every variant: a wrong Gamma
     # shape or a missing factor 2 on the real chi-square moves the mean.
     model = sd.SpikedModel(n, m, theta, variant)
-    trace = mc._tridiagonal(model, 13, 0, 20_000)[0].sum(axis=1)
+    trace = sum(squares.sum(axis=1) for squares in mc._tridiagonal(model, 13, 0, 20_000))
     se = trace.std(ddof=1) / np.sqrt(trace.size)
     assert abs(trace.mean() - m * (n + theta)) <= 6.0 * se
+
+
+@pytest.mark.parametrize("theta,index", [(0.5, 0), (1e12, 29)])
+def test_extreme_eigenvalues_match_mpmath(theta, index):
+    # The smallest eigenvalue of drawn (30, 32) T and the largest at theta = 1e12
+    # (0.5 and 1e12 apart from the rest), against 40-digit mpmath.
+    import mpmath
+
+    q, e = mc._tridiagonal(sd.SpikedModel(30, 32, theta), 3, 0, 3)
+    got = mc._eigenvalues(q, e, (index,))[:, 0]
+    for draw in range(3):
+        with mpmath.workdps(40):
+            low = mpmath.zeros(30)
+            for i in range(30):
+                low[i, i] = mpmath.sqrt(q[draw, i])
+                if i < 29:
+                    low[i + 1, i] = mpmath.sqrt(e[draw, i])
+            want = sorted(mpmath.eigsy(low * low.T, eigvals_only=True))[index]
+            assert abs(got[draw] - want) <= 1e-14 * want, (draw, got[draw], want)
+
+
+def test_chunk_memory_is_linear_in_n():
+    # One 2,048-draw (100, 102) chunk of one column; a dense T alone would take
+    # 2048 * 100^2 * 8 B = 164 MB.
+    import tracemalloc
+
+    model = sd.SpikedModel(100, 102, 3.0)
+    tracemalloc.start()
+    try:
+        mc._chunk_projections(model, seed=1, start=0, stop=mc.CHUNK_SIZE, columns=(0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+
+
+@pytest.mark.parametrize("n,m,variant,columns", [(5, 7, "complex", (0,)), (5, 7, "complex", (2,)),
+                                                 (4, 3, "singular", (0,))])
+def test_iteration_cap_fails(n, m, variant, columns, monkeypatch):
+    # An eigenvalue iteration that runs out of sweeps raises; it never returns NaN.
+    monkeypatch.setattr(mc, "MAX_SWEEPS", 1)
+    model = sd.SpikedModel(n, m, 1.0, variant)
+    with pytest.raises(mc.EigensolverFailure, match="did not converge"):
+        mc._chunk_projections(model, seed=0, start=0, stop=100, columns=columns)

@@ -122,10 +122,27 @@ def test_gauss_weights_of_graded_gram_tridiagonals(draw):
     rng = np.random.default_rng(seed)
     d2 = 10.0 ** rng.uniform(-6.0, 3.0, len(split) + 1)
     s2 = np.where(split, 0.0, 10.0 ** rng.uniform(-6.0, 3.0, len(split)))
-    a = d2.copy()
-    a[1:] += s2
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mc, "_tridiagonal", lambda *args: (a[None], (d2[:-1] * s2)[None]))
-        rows = mc._chunk_projections(sd.SpikedModel(a.size, a.size, 0.0), seed=0, start=0, stop=1)
+        patch.setattr(mc, "_tridiagonal", lambda *args: (d2[None], s2[None]))
+        rows = mc._chunk_projections(sd.SpikedModel(d2.size, d2.size, 0.0), seed=0, start=0, stop=1)
     assert np.all((rows >= 0.0) & (rows <= 1.0))
     assert abs(rows.sum() - 1.0) <= 1e-8
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 20), st.integers(1, 2), st.booleans(), st.integers(0, 2**32))
+def test_eigenvalues_match_eigvalsh(block, copies, singular, seed):
+    # Every eigenvalue of a Gram T = L L^T of size 1-40.  Squares of L spread over
+    # six decades, some subdiagonal squares are exactly 0, a repeated block gives
+    # repeated eigenvalues, and a final q of 0 gives the singular variant's exact 0.
+    rng = np.random.default_rng(seed)
+    q = np.tile(10.0 ** rng.uniform(-3.0, 3.0, block), copies)
+    e = np.append(np.tile(np.append(10.0 ** rng.uniform(-3.0, 3.0, block - 1), 0.0), copies)[:-1], [])
+    e[rng.random(e.size) < 0.2] = 0.0
+    if singular:
+        q[-1] = 0.0
+    size = q.size
+    low = np.diag(np.sqrt(q)) + np.diag(np.sqrt(e), -1)
+    want = np.linalg.eigvalsh(low @ low.T)
+    got = mc._eigenvalues(q[None], e[None], tuple(range(size)))[0]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)

@@ -2,10 +2,12 @@
 
 The parsed argparse namespace is the configuration.  Each subcommand accepts
 exactly the options its handler reads (`--help` lists them), so argparse
-rejects any other option with exit code 2.  pdf and cdf tabulate on
-[1e-4, 1 - 1e-4] by default, figure on [1e-6, 1 - 1e-6] (fig5, the limit law
-of n z1, on [0, 6]): steep curves hold O(1e-3) mass inside z < 1e-4, and the
-wider window lets every emitted column integrate to 1 within 2e-3.
+rejects any other option with exit code 2.  A statistic's facts come from
+`spike_density.STATISTICS`: a limit law (`Statistic.law`) runs past z = 1, and
+pdf and cdf evaluate it from --theta alone unless --n or --m is given.  pdf and
+cdf tabulate on [1e-4, 1 - 1e-4] by default, figure on [1e-6, 1 - 1e-6] (fig5
+on [0, 6]): steep curves hold O(1e-3) mass inside z < 1e-4, and the wider
+window lets every emitted column integrate to 1 within 2e-3.
 
 All outputs are deterministic: CSV cells carry 17 significant digits with '.'
 decimal separators and LF line endings, simulation is reproducible bit for
@@ -56,7 +58,7 @@ def _grid(stat: str, z_min: float, z_max: float, points: int) -> np.ndarray:
         raise ConfigError(f"z-max must be finite, got {z_max}")
     if not (0.0 <= z_min < z_max):
         raise ConfigError("need 0 <= z-min < z-max")
-    if stat != "nz1_asym" and z_max > 1.0:
+    if z_max > 1.0 and not sd.STATISTICS[stat].law:
         raise ConfigError("z-max cannot exceed 1 for projection statistics")
     if sd.STATISTICS[stat].arcsine:
         # sin^2-spaced grid resolves the inverse-square-root endpoints.
@@ -81,12 +83,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
     """The pdf or cdf subcommand: one statistic's curve on a z grid."""
     stat, kind = args.statistic, args.command
     zs = _grid(stat, args.z_min, args.z_max, args.grid_points)
-    if stat == "nz1_asym":
-        # The limit law takes theta alone; the library checks its value.
-        if args.theta is None:
-            raise ConfigError("--theta is required")
-        law = sd.pdf_nz1_asymptotic if kind == "pdf" else sd.cdf_nz1_asymptotic
-        values, echo = np.asarray(law(args.theta, zs)), {"theta": args.theta}
+    law = sd.STATISTICS[stat].law
+    if law and args.theta is not None and args.n is None and args.m is None:
+        # With no --n or --m, a limit law takes theta alone; the library checks its value.
+        values, echo = np.asarray(law[kind](args.theta, zs)), {"theta": args.theta}
     else:
         model = build_model(stat, args.n, args.m, args.theta)
         curve = sd.density_values if kind == "pdf" else sd.cdf_grid
@@ -110,12 +110,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _draw(stat: str, model: sd.SpikedModel, seed: int, samples: int) -> np.ndarray:
-    """`samples` seeded draws of `stat` from `model` (n * z1 for nz1_asym)."""
-    sample_stat = "z1" if stat == "nz1_asym" else stat
-    spike = montecarlo.make_spike(model.n, seed, "first_basis", real=model.variant == "real")
-    draws = montecarlo.sample_wishart(model, spike, seed, samples, statistics=(sample_stat,))
-    values = draws[sample_stat]
-    return model.n * values if stat == "nz1_asym" else values
+    """`samples` seeded draws of `stat` from `model`."""
+    spike = montecarlo.make_spike(model.n, real=model.variant == "real")
+    return montecarlo.sample_wishart(model, spike, seed, samples, statistics=(stat,))[stat]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -157,10 +154,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 _FIGURES = {
-    # figure id -> (statistic, list of (label, n, m, theta))
+    # figure id -> (statistic, list of (label, n, m, theta)[, z-min, z-max]); [1e-6, 1 - 1e-6] if none
     "fig1": ("z1", [(f"n{n}", n, n + 2, 3.0) for n in (3, 4, 5, 6, 7)]),
     "fig3": ("z1", [(f"theta{t}", 3, 5, t) for t in (0.1, 1.0, 10.0)]),
-    "fig5": ("nz1_asym", [(f"n{n}_theta{t}", n, n + 2, t) for n in (15, 25, 30) for t in (0.5, 1.0, 5.0)]),
+    "fig5": ("nz1_asym", [(f"n{n}_theta{t}", n, n + 2, t) for n in (15, 25, 30) for t in (0.5, 1.0, 5.0)],
+             0.0, 6.0),
     "fig6": ("zn", [(f"n{n}", n, n + 2, 3.0) for n in (3, 4, 5, 6, 7)]),
     "fig8": ("zn", [(f"theta{t}", 3, 5, t) for t in (0.1, 1.0, 10.0)]),
     "fig11": ("z2", [(f"n{n}", n, n + 1, 3.0) for n in (3, 4, 5, 6, 7)]),
@@ -174,22 +172,21 @@ def cmd_figure(args: argparse.Namespace) -> int:
     fid = args.figure_id
     if fid not in _FIGURES:
         raise ConfigError(f"unknown figure id {fid!r}; supported: {sorted(_FIGURES)}")
-    stat, curves = _FIGURES[fid]
-    # The window's default depends on the figure: v in [0, 6] for the limit law.
-    lo, hi = (0.0, 6.0) if stat == "nz1_asym" else (1e-6, 1.0 - 1e-6)
+    stat, curves, *window = _FIGURES[fid]
+    lo, hi = window or (1e-6, 1.0 - 1e-6)
     zs = _grid(stat, lo if args.z_min is None else args.z_min,
                hi if args.z_max is None else args.z_max, args.grid_points)
     columns, labels = [], []
-    if stat == "nz1_asym":
-        # Analytic limit curves depend on theta only.
+    law = sd.STATISTICS[stat].law
+    if law:
+        # A limit law's c.d.f. curves depend on theta only.
         for t in sorted({c[3] for c in curves}):
             labels.append(f"theta{t}")
-            columns.append(np.asarray(sd.cdf_nz1_asymptotic(t, zs)))
+            columns.append(np.asarray(law["cdf"](t, zs)))
     else:
         for label, n, m, theta in curves:
-            model = sd.SpikedModel(n, m, theta, sd.STATISTICS[stat].variant)
             labels.append(label)
-            columns.append(sd.density_values(stat, model, zs))
+            columns.append(sd.density_values(stat, build_model(stat, n, m, theta), zs))
     rows = ["z," + ",".join(labels)]
     for i, z in enumerate(zs):
         rows.append(_fmt(z) + "," + ",".join(_fmt(col[i]) for col in columns))

@@ -258,9 +258,9 @@ def _chunk_projections(model: SpikedModel, seed: int, start: int, stop: int,
     q, e = _tridiagonal(model, seed, start, stop)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(e))):
         raise EigensolverFailure("a drawn square is not finite")
-    count, size = q.shape
-    rank = model.m if model.variant == "singular" else model.n  # singular T: 0 comes first
-    cols = np.arange(size - rank, size)[list(range(rank) if columns is None else columns)]
+    size = q.shape[1]
+    cols = np.arange(int(model.variant == "singular"), size)  # singular T: 0 comes first
+    cols = cols if columns is None else cols[list(columns)]
     if model.variant == "singular":  # T's nonzero eigenvalues are those of L^T L
         lam = _eigenvalues(*_transposed_gram(q, e), tuple(cols - 1))
     else:
@@ -302,11 +302,11 @@ def sample_wishart(
     """Draw spiked Wishart overlaps: {statistic: its `count` seeded values}.
 
     Each chunk runs the tridiagonal model of `_chunk_projections` on its own
-    Philox stream keyed (seed, first draw index).  The values do not depend on
-    the spike direction; `spike` is checked for shape, unit norm and
-    realness only.  The same (model, seed, count) reproduces identical values
-    bit for bit, including across different worker counts, and a smaller
-    count gives a prefix of a larger one.
+    Philox stream keyed (seed, first draw index); a statistic with a limit law
+    draws n times its column.  The values do not depend on the spike direction;
+    `spike` is checked for shape, unit norm and realness only.  The same (model,
+    seed, count) reproduces identical values bit for bit, including across
+    different worker counts, and a smaller count gives a prefix of a larger one.
     """
     if count < 1:
         raise InvalidCount("count must be at least 1")
@@ -320,19 +320,18 @@ def sample_wishart(
     # A middle column is its own statistic only below the top one: at n = 2
     # the second-smallest eigenvector is the largest.
     rank = model.m if model.variant == "singular" else model.n
-    columns = {
-        name: entry.column
-        for name, entry in STATISTICS.items()
-        if entry.variant == model.variant and entry.column is not None
-        and (entry.column <= 0 or entry.column < rank - 1)
+    sampled = {
+        name: entry for name, entry in STATISTICS.items()
+        if entry.variant == model.variant and (entry.column <= 0 or entry.column < rank - 1)
     }
-    statistics = tuple(columns) if statistics is None else statistics
+    if statistics is None:  # every overlap, without the limit laws' rescaled copies
+        statistics = tuple(name for name, entry in sampled.items() if not entry.law)
     for stat in statistics:
-        if stat not in columns:
+        if stat not in sampled:
             raise ValueError(f"statistic {stat!r} is not sampled for variant {model.variant!r}")
 
     bounds = [(a, min(a + CHUNK_SIZE, count)) for a in range(0, count, CHUNK_SIZE)]
-    wanted = tuple(columns[stat] for stat in statistics)
+    wanted = tuple(sampled[stat].column for stat in statistics)
     nworkers = worker_count(workers)
     if nworkers == 1 or len(bounds) == 1:
         chunks = [_chunk_projections(model, seed, a, b, wanted) for a, b in bounds]
@@ -340,4 +339,4 @@ def sample_wishart(
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             chunks = list(pool.map(lambda ab: _chunk_projections(model, seed, *ab, wanted), bounds))
     proj = np.concatenate(chunks, axis=0)
-    return {stat: proj[:, j].copy() for j, stat in enumerate(statistics)}
+    return {stat: col * (model.n if sampled[stat].law else 1) for stat, col in zip(statistics, proj.T)}

@@ -484,19 +484,20 @@ def _variant_density():
 class Statistic:
     """Everything the library, sampler and CLI need to know about a statistic.
 
-    `column` indexes the sampler's ascending projection row (None: not
-    sampled); `support(model)` raises when the density is undefined for the
-    model; `prepare(model)` builds its engine, a callable from a 1-d z array in
-    [0, 1] to density values, kept by `_engine` (None for the n * z1 limit law);
-    `arcsine` marks inverse-square-root endpoints, which the c.d.f. integrates
-    in the sin^2-substituted variable.
+    `column` indexes the sampler's ascending projection row; `support(model)`
+    raises when the density is undefined for the model; `prepare(model)` builds
+    its engine, a callable from a 1-d z array in [0, 1] to density values, kept
+    by `_engine`; `arcsine` marks inverse-square-root endpoints, which the c.d.f.
+    integrates in the sin^2-substituted variable.  `law`, set in place of an engine,
+    maps "pdf" and "cdf" to f(theta, v) of a limit law of v = n * overlap on [0, inf).
     """
 
     variant: str
-    column: int | None
+    column: int
     support: Callable
     prepare: Callable | None
     arcsine: bool = False
+    law: dict[str, Callable] | None = None
 
 
 STATISTICS = {
@@ -504,7 +505,9 @@ STATISTICS = {
     "z2": Statistic("complex", 1, _z2_support, _z2_prepare),
     "zn": Statistic("complex", -1, _zn_support, _zn_prepare),
     # The law of n * z1 needs a model on which z1 is defined.
-    "nz1_asym": Statistic("complex", None, _z1_support, None),
+    "nz1_asym": Statistic(
+        "complex", 0, _z1_support, None, law={"pdf": pdf_nz1_asymptotic, "cdf": cdf_nz1_asymptotic}
+    ),
     # The closed forms keep only their model; variant_density imports this module.
     "w1_real": Statistic(
         "real", 0, _real_support, lambda mo: partial(_variant_density()._pdf_w_real, mo), True
@@ -556,9 +559,10 @@ def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fast")
     """
     if preset != "fast":
         raise ValueError(f"unknown preset {preset!r}: the engines have one grid, 'fast'")
-    if statistic == "nz1_asym":
-        STATISTICS[statistic].support(model)
-        return np.asarray(pdf_nz1_asymptotic(model.theta, zs))
+    entry = _statistic(statistic)
+    if entry.law:
+        entry.support(model)
+        return np.asarray(entry.law["pdf"](model.theta, zs))
     return np.asarray(_density(statistic, model, zs))
 
 
@@ -599,11 +603,11 @@ def model_cdf_fn(statistic: str, model: SpikedModel):
     others.  A total mass outside 1 +- 1e-4 raises ArithmeticError and a NaN
     argument DomainError.  Values lie in [0, 1], non-decreasing in x exactly.
     """
-    if statistic == "nz1_asym":
-        STATISTICS[statistic].support(model)
-        theta = model.theta
-        return lambda x: np.asarray(cdf_nz1_asymptotic(theta, np.maximum(np.asarray(x, float), 0.0)))
-    arcsine = _statistic(statistic).arcsine
+    entry = _statistic(statistic)
+    if entry.law:
+        entry.support(model)
+        return lambda x: np.asarray(entry.law["cdf"](model.theta, np.maximum(x, 0.0)))
+    arcsine = entry.arcsine
     grade = 0 if arcsine else math.ceil(math.log2(1.0 + model.theta)) - 3
     edges, gl_x, cumint = _cdf_mesh(max(_CDF_LEVELS, grade))
     sb = edges * (0.5 * math.pi if arcsine else 1.0)

@@ -549,3 +549,59 @@ def test_validate_checks_tested_cdf_before_sampling(monkeypatch, capsys):
     argv = "validate --stat z1 --n 3 --m 5 --theta 1e17 --samples 200000".split()
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("numerical error:")
+
+
+def test_simulate_nz1_asym_is_n_times_z1(tmp_path):
+    # The limit law's draws are n times the z1 column of the same seeded draws.
+    rows = {}
+    for stat in ("z1", "nz1_asym"):
+        out = tmp_path / f"{stat}.csv"
+        argv = f"simulate --stat {stat} --n 30 --m 32 --theta 0.5 --seed 7 --samples 5000 --out"
+        assert main(argv.split() + [str(out)]) == 0
+        rows[stat] = out.read_text().splitlines()[1:]
+    assert len(rows["z1"]) == 5000
+    for z1, nz1 in zip(rows["z1"], rows["nz1_asym"]):
+        assert float(nz1.split(",")[1]) == 30 * float(z1.split(",")[1])
+
+
+@pytest.mark.parametrize("data_theta,code", [([], 0), (["--data-theta", "3"], 1)],
+                         ids=["matched", "control"])
+def test_validate_nz1_asym(data_theta, code, tmp_path):
+    out = tmp_path / "rep.json"
+    argv = "validate --stat nz1_asym --n 30 --m 32 --theta 0.5 --samples 24576".split()
+    assert main(argv + data_theta + ["--out", str(out)]) == code
+    assert json.loads(out.read_text())["report"]["passed"] is (code == 0)
+
+
+def test_figure_fig5_tables_the_law_and_histograms_every_curve(tmp_path):
+    out = tmp_path / "fig5.csv"
+    assert main("figure --id fig5 --grid-points 5 --samples 200 --out".split() + [str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "z,theta0.5,theta1.0,theta5.0"
+    hist = (tmp_path / "fig5.csv.hist.csv").read_text().splitlines()[1:]
+    labels = list(dict.fromkeys(row.split(",")[0] for row in hist))
+    assert labels == [f"n{n}_theta{t}" for n in (15, 25, 30) for t in (0.5, 1.0, 5.0)]
+
+
+@pytest.mark.parametrize("stat,code", [("z1 --n 4 --m 6", 2), ("nz1_asym", 0)])
+def test_z_max_past_one_only_for_a_limit_law(stat, code, capsys):
+    # Only a limit law's variable n z1 runs past 1.
+    assert main(f"pdf --stat {stat} --theta 3 --z-max 7 --grid-points 3".split()) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "z-max cannot exceed 1" in captured.err
+    else:
+        assert captured.out.splitlines()[-1].startswith("7,")
+
+
+@pytest.mark.parametrize("kind", ["pdf", "cdf"])
+@pytest.mark.parametrize("sizes", ["--n 1 --m 3", "--n 30", "--m 32"])
+def test_nz1_asym_checks_a_given_model(kind, sizes, capsys):
+    # Given --n or --m, the limit law's model is built and checked like any
+    # other statistic's; with --theta alone the law needs no model.
+    assert main(f"{kind} --stat nz1_asym {sizes} --theta 3".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert main(f"{kind} --stat nz1_asym --theta 3 --grid-points 3".split()) == 0
+    law_only = capsys.readouterr().out
+    assert main(f"{kind} --stat nz1_asym --n 30 --m 32 --theta 3 --grid-points 3".split()) == 0
+    assert capsys.readouterr().out == law_only

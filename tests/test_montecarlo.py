@@ -111,6 +111,12 @@ def test_default_statistics(n, m, variant, keys):
     assert tuple(mc.sample_wishart(model, spike, seed=3, count=8)) == keys
 
 
+def test_limit_law_draws_are_n_times_its_column():
+    model = sd.SpikedModel(30, 32, 0.5)
+    draws = mc.sample_wishart(model, mc.make_spike(30), 7, 3000, statistics=("z1", "nz1_asym"))
+    assert np.array_equal(draws["nz1_asym"], 30 * draws["z1"])
+
+
 def test_top_column_is_not_sampled_as_z2():
     # At n = 2 column 1 is the largest eigenvector: z2 would repeat zn.
     model = sd.SpikedModel(2, 4, 1.0)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -195,11 +196,14 @@ def cmd_figure(args: argparse.Namespace) -> int:
         _write_text("-", table)
         return 0
     # Every draw is made before anything is written, so a failed draw leaves
-    # no partial table behind.
-    hist_rows = ["curve,bin_left,bin_right,density"]
+    # no partial table behind.  A limit law's table is its c.d.f., so its
+    # sidecar holds the draws' empirical c.d.f. at each bin's right edge.
+    hist_rows = ["curve,bin_left,bin_right," + ("cdf" if law else "density")]
     for idx, (label, n, m, theta) in enumerate(curves):
         values = _draw(stat, build_model(stat, n, m, theta), args.seed + idx, args.samples)
-        counts, edges = np.histogram(values, bins=40, density=True)
+        counts, edges = np.histogram(values, bins=40, density=not law)
+        if law:
+            counts = np.cumsum(counts) / values.size
         for k in range(counts.size):
             hist_rows.append(
                 f"{label},{_fmt(edges[k])},{_fmt(edges[k + 1])},{_fmt(counts[k])}"
@@ -221,7 +225,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each parse starts a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="spiked-eigvec",
         description="Exact spiked-Wishart eigenvector overlap densities and their Monte-Carlo validation",

@@ -35,16 +35,12 @@ def _gl_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def gauss_legendre_panel(a: float, b: float, n: int):
-    """Gauss-Legendre nodes and weights mapped onto [a, b]."""
-    x, w = _gl_rule(n)
-    return a + (b - a) * x, (b - a) * w
-
-
 def _panels(edges, nodes_per_panel: int):
-    """One Gauss-Legendre rule per [edges[i], edges[i+1]], concatenated."""
-    rules = [gauss_legendre_panel(a, b, nodes_per_panel) for a, b in zip(edges[:-1], edges[1:])]
-    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
+    """One Gauss-Legendre rule per [edges[i], edges[i+1]], concatenated
+    (edges = [a, b] gives the rule on [a, b])."""
+    x, w = _gl_rule(nodes_per_panel)
+    a, b = np.asarray(edges[:-1], dtype=float)[:, None], np.asarray(edges[1:], dtype=float)[:, None]
+    return (a + (b - a) * x).ravel(), ((b - a) * w).ravel()
 
 
 # The half-line layouts: panel widths grow by HALFLINE_GROWTH, and a layout
@@ -125,12 +121,52 @@ def geometric_grid(start: float, end: float, nodes_per_panel: int):
     """Panels [0, start], [start, start * GEOMETRIC_RATIO], ... covering [0, end].
 
     Used where the integrand carries structure across many decades (for
-    example a Cauchy kernel 1/(w+u) with u spanning [1e-6, 1e2]).
+    example the z2 w nodes, which meet the e^{-beta w z} of every z in [0, 1]).
     """
     edges = [0.0, start]
     while edges[-1] < end:
         edges.append(min(edges[-1] * GEOMETRIC_RATIO, end))
     return _panels(edges, nodes_per_panel)
+
+
+# cauchy_proxies: first-kind Chebyshev nodes on [-1, 1] and their barycentric weights.
+PROXY_NODES = 22
+_PROXY_ANGLES = (2.0 * np.arange(PROXY_NODES) + 1.0) * math.pi / (2.0 * PROXY_NODES)
+_PROXY_T = np.cos(_PROXY_ANGLES)
+_PROXY_BARY = (-1.0) ** np.arange(PROXY_NODES) * np.sin(_PROXY_ANGLES)
+
+
+def cauchy_proxies(u: np.ndarray, q: np.ndarray):
+    """Proxy sources (uk, Q) with sum_u q[u] / (w + u) = sum_k Q[k] / (w + uk) for w >= 0.
+
+    u > 0 is cut into dyadic bands [a 2^j, a 2^(j+1)] from a = min u.  Each
+    occupied band gets PROXY_NODES first-kind Chebyshev nodes and Q = l^T q,
+    where l holds the barycentric Lagrange weights of the band's sources on its
+    nodes (the black-box FMM's anterpolation; Fong & Darve, J. Comput. Phys.
+    228, 2009).  The pole u = -w <= 0 lies at least three half-widths from a
+    band's centre, so the kernel's interpolation error is
+    (3 + 2 sqrt 2)^-22 ~ 1.5e-17 of sum |q| / (w + u), for every w >= 0 at
+    once.  q is (Nu,) or (Nu, k), and Q is (PROXY_NODES * bands,) or
+    (PROXY_NODES * bands, k).  Raises ValueError unless every u is finite and
+    positive.
+    """
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u < np.inf)):
+        raise ValueError("Cauchy proxy sources need finite u > 0")
+    a = np.min(u)
+    mant, expo = np.frexp(u / a)  # u / a = 2 mant 2^(expo - 1): band expo - 1, t = 4 mant - 3
+    order = np.argsort(expo.astype(np.int16), kind="stable")  # int16 sorts by radix
+    counts = np.bincount(expo - 1)
+    ends = np.cumsum(counts)
+    ell = np.subtract.outer(_PROXY_T, 4.0 * mant[order] - 3.0)  # (nodes, sources), band-major
+    with np.errstate(divide="ignore"):  # a source on a node: reset below
+        np.divide(_PROXY_BARY[:, None], ell, out=ell)
+    norm = np.ones(PROXY_NODES) @ ell
+    on_node = np.flatnonzero(np.isinf(norm))  # that node is the source's only proxy
+    ell[:, on_node], norm[on_node] = np.isinf(ell[:, on_node]), 1.0
+    qs = (np.take(q, order, axis=0).T / norm).T
+    uk = np.ldexp(0.5 * a * (_PROXY_T + 3.0), np.flatnonzero(counts)[:, None]).ravel()
+    return uk, np.concatenate([ell[:, lo:hi] @ qs[lo:hi] for lo, hi in zip(ends - counts, ends) if hi > lo])
 
 
 def discrete_orthogonal_basis(x: np.ndarray, t: np.ndarray, wt: np.ndarray,

@@ -20,10 +20,11 @@ model whose series cannot be bounded raises ArithmeticError; no series here
 has a term budget.  The second-smallest density's Laguerre determinants do
 not depend on theta: they are built once per (n, m - n), on an x grid laid
 out for beta -> 1, into an 8-entry cache (`_z2_minors`).  It applies the
-Cauchy kernel of its z-dependent column once per model, which leaves one
-exponential sum in z; that sum is interpolated once per model on 21 Chebyshev
-points of each of dyadic panels graded toward z = 0, and a model whose
-interpolant's mass misses 1 by more than 1e-4 raises ArithmeticError.
+Cauchy kernel of its z-dependent column once per model, through Chebyshev
+proxy sources (`numkit.cauchy_proxies`), which leaves one exponential sum in
+z; that sum is interpolated once per model on 21 Chebyshev points of each of
+dyadic panels graded toward z = 0, and a model whose interpolant's mass
+misses 1 by more than 1e-4 raises ArithmeticError.
 Laguerre values and log-gamma come from scipy.special, determinants from
 numpy.linalg.
 
@@ -419,11 +420,13 @@ _Z2_INTEGRALS = np.polynomial.chebyshev.chebval(  # int_{-1}^{1} T_j dt
 def _z2_prepare(model: SpikedModel) -> Callable:
     """The density as Chebyshev panels in z.  e^{-beta w z} is the phi column's
     only z dependence, so its Cauchy kernel is summed once, h[w] = sum_i gvec[w, i]
-    sum_u su[u] cof[u, i] / (w + u), which leaves pref * sum_k c_k e^{lam_k z}:
-    lam = beta u with c = sv, and lam = -beta w with c = -h.  That sum is entire
-    in z and is evaluated once, on 21 Chebyshev points of each panel [0, 2^-L],
-    [2^-L, 2^(1-L)], ..., [1/2, 1], with L = max(0, ceil(log2(max(1, -min lam) / 16)))
-    so that the fastest decay spans at most 16 units of lam z on the first panel.
+    sum_u su[u] cof[u, i] / (w + u), through the few hundred proxy sources of
+    `numkit.cauchy_proxies` in place of the (x, y) nodes u.  That leaves
+    pref * sum_k c_k e^{lam_k z}: lam = beta u with c = sv, and lam = -beta w
+    with c = -h.  That sum is entire in z and is evaluated once, on 21
+    Chebyshev points of each panel [0, 2^-L], [2^-L, 2^(1-L)], ..., [1/2, 1],
+    with L = max(0, ceil(log2(max(1, -min lam) / 16))) so that the fastest
+    decay spans at most 16 units of lam z on the first panel.
     coef[:, p] holds panel p's interpolant in t in [-1, 1].  The evaluator checks
     the exact mass on every call, so a model that fails it raises each time
     without a rebuild."""
@@ -431,11 +434,8 @@ def _z2_prepare(model: SpikedModel) -> Callable:
         raise ArithmeticError(f"z2 is validated for m - n <= {Z2_MAX_ALPHA}")
     b = _z2_basis(model)
     u, w, beta = b["u"], b["w"], b["beta"]
-    scof, kern = b["su"][:, None] * b["cof"], np.zeros(b["gvec"].shape)
-    for lo in range(0, u.size, 4096):  # one (Nw, 4096) kernel slab at a time
-        recip = np.add.outer(w, u[lo : lo + 4096])
-        kern += np.reciprocal(recip, out=recip) @ scof[lo : lo + 4096]
-    h = np.sum(b["gvec"] * kern, axis=1)
+    uk, qk = numkit.cauchy_proxies(u, b["su"][:, None] * b["cof"])
+    h = np.sum(b["gvec"] * (np.reciprocal(np.add.outer(w, uk)) @ qk), axis=1)
     lam, c = np.concatenate([beta * u, -beta * w]), np.concatenate([b["sv"], -h])
     levels = max(0, math.ceil(math.log2(max(1.0, -np.min(lam)) / 16.0)))
     edges = np.concatenate([[0.0], 2.0 ** np.arange(-levels, 1.0)])

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammainc, gammaln, roots_genlaguerre
 
 from spiked_eigvec.montecarlo import EigensolverFailure
-from spiked_eigvec.numkit import discrete_orthogonal_basis, gauss_legendre_panel
+from spiked_eigvec.numkit import _panels, discrete_orthogonal_basis
 from spiked_eigvec.spike_density import (
     DomainError,
     SpikedModel,
@@ -127,7 +127,7 @@ def scaled_det(matrix, d: int | None = None) -> ScaledDeterminant:
 
 
 def _panel_value(f, a, b, n):
-    x, w = gauss_legendre_panel(a, b, n)
+    x, w = _panels([a, b], n)
     return float(np.dot(w, np.asarray(f(x), dtype=float)))
 
 

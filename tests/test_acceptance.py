@@ -34,7 +34,7 @@ def _report(criterion, ok, detail=""):
 
 def _normalize(stat, model):
     if stat in ("w1_real", "w2_real"):
-        phi, w = numkit.gauss_legendre_panel(0.0, np.pi / 2.0, 192)
+        phi, w = numkit._panels([0.0, np.pi / 2.0], 192)
         vals = sd.density_values(stat, model, np.sin(phi) ** 2) * np.sin(2 * phi)
         return float(np.dot(w, vals))
     vals = sd.density_values(stat, model, _NORM_Z)

@@ -241,14 +241,14 @@ def test_pdf_z2_mass_check_exits_3(capsys):
     # the engine's exact mass misses 1, so no table is written.
     assert main("pdf --stat z2 --n 8 --m 11 --theta 0.01".split()) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "z2 mass -1.03837" in captured.err
+    assert captured.out == "" and "z2 mass -1.03853" in captured.err
 
 
 def test_exit_code_cdf_mass_check(capsys):
     # z2 raises on its own mass before the c.d.f. sums its mesh.
     assert main("cdf --stat z2 --n 8 --m 11 --theta 0.01".split()) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "z2 mass -1.03837" in captured.err
+    assert captured.out == "" and "z2 mass -1.03853" in captured.err
     # The arcsine mesh stays at 11 levels and loses mass at this theta.
     assert main("cdf --stat w2_real --n 2 --m 5 --theta 1e12 --z-max 1".split()) == 3
     captured = capsys.readouterr()
@@ -577,9 +577,43 @@ def test_figure_fig5_tables_the_law_and_histograms_every_curve(tmp_path):
     out = tmp_path / "fig5.csv"
     assert main("figure --id fig5 --grid-points 5 --samples 200 --out".split() + [str(out)]) == 0
     assert out.read_text().splitlines()[0] == "z,theta0.5,theta1.0,theta5.0"
-    hist = (tmp_path / "fig5.csv.hist.csv").read_text().splitlines()[1:]
+    head, *hist = (tmp_path / "fig5.csv.hist.csv").read_text().splitlines()
     labels = list(dict.fromkeys(row.split(",")[0] for row in hist))
     assert labels == [f"n{n}_theta{t}" for n in (15, 25, 30) for t in (0.5, 1.0, 5.0)]
+    # The table is the law's c.d.f., so the sidecar holds the draws' empirical
+    # c.d.f. at each bin's right edge: in [0, 1], non-decreasing, ending at 1.
+    assert head == "curve,bin_left,bin_right,cdf"
+    for label in labels:
+        cdf = np.array([float(row.split(",")[3]) for row in hist if row.startswith(label + ",")])
+        assert cdf.size == 40 and np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] == 1.0
+
+
+def test_figure_density_sidecar_keeps_its_header(tmp_path):
+    out = tmp_path / "fig1.csv"
+    assert main("figure --id fig1 --grid-points 5 --samples 200 --out".split() + [str(out)]) == 0
+    head, first, *_ = (tmp_path / "fig1.csv.hist.csv").read_text().splitlines()
+    assert head == "curve,bin_left,bin_right,density" and first.startswith("n3,")
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_back_to_back_calls_do_not_leak_options(tmp_path):
+    # One parser serves every call, so each parse must start from the defaults.
+    out = tmp_path / "rep.json"
+    argv = "validate --stat z1 --n 3 --m 5 --theta 1 --samples 2000 --out".split() + [str(out)]
+    assert main(argv + ["--data-theta", "3"]) == 1
+    assert json.loads(out.read_text())["data_theta"] == 3.0
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["data_theta"] == 1.0
+    table = tmp_path / "fig1.csv"
+    assert main("pdf --stat z1 --n 3 --m 5 --theta 1 --z-min 0.25 --z-max 0.5 --out".split()
+                + [str(tmp_path / "pdf.csv")]) == 0
+    assert main("figure --id fig1 --grid-points 3 --samples 10 --out".split() + [str(table)]) == 0
+    _, data = _read_csv(table)
+    assert data[0, 0] == 1e-6 and data[-1, 0] == 1.0 - 1e-6
 
 
 @pytest.mark.parametrize("stat,code", [("z1 --n 4 --m 6", 2), ("nz1_asym", 0)])

@@ -159,3 +159,54 @@ def test_unit_grid_panel_edges(grades, edges):
     np.testing.assert_array_equal(np.insert(mid + width / 2, 0, 0.0), edges)
     _, w = numkit.unit_grid(12, *grades)
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+W_DECADES = np.concatenate([[0.0], 10.0 ** np.arange(-10, 7)])
+
+
+def _proxy_error(u, q, w=W_DECADES):
+    """max over w and columns of |proxy sum - direct sum| / sum |q| / (w + u)."""
+    uk, qk = numkit.cauchy_proxies(u, q)
+    direct = (1.0 / np.add.outer(w, u)) @ q
+    scale = (1.0 / np.add.outer(w, u)) @ np.abs(q)
+    return np.max(np.abs((1.0 / np.add.outer(w, uk)) @ qk - direct) / scale)
+
+
+def test_cauchy_proxies_match_the_direct_sum_over_twelve_decades():
+    rng = np.random.default_rng(3)
+    u = 10.0 ** rng.uniform(-6.0, 6.0, 5000)
+    q = rng.standard_normal((u.size, 3))
+    uk, qk = numkit.cauchy_proxies(u, q)
+    assert qk.shape == (uk.size, 3) and uk.size == numkit.PROXY_NODES * 40  # 2^39 < 1e12 < 2^40
+    assert _proxy_error(u, q) <= 1e-14
+    # A 1-d q is one column.
+    assert _proxy_error(u, q[:, 0]) <= 1e-14
+
+
+def test_cauchy_proxies_single_band():
+    u = np.linspace(3.0, 5.9, 50)
+    uk, _ = numkit.cauchy_proxies(u, np.ones(u.size))
+    assert uk.size == numkit.PROXY_NODES and np.all((uk > 3.0) & (uk < 6.0))
+    assert _proxy_error(u, np.linspace(-1.0, 1.0, u.size)) <= 1e-14
+
+
+def test_cauchy_proxies_sources_on_band_edges_and_nodes():
+    # 1, 2, 4 and 8 open their bands (t = -1); the nearest float below 2 ends the
+    # first.  The proxies of a first call, fed back as sources, sit on or within a
+    # rounding of a node of their band, 28 of them exactly.
+    edges = np.array([1.0, np.nextafter(2.0, 0.0), 2.0, 4.0, 8.0])
+    uk, _ = numkit.cauchy_proxies(edges, np.ones(edges.size))
+    assert uk.size == 4 * numkit.PROXY_NODES
+    u = np.concatenate([edges, uk])
+    assert np.isin(4.0 * np.frexp(u)[0] - 3.0, numkit._PROXY_T).sum() == 28  # min u = 1
+    q = np.cos(np.arange(u.size))
+    with np.errstate(all="raise"):
+        uk2, qk2 = numkit.cauchy_proxies(u, q)
+    assert np.all(np.isfinite(qk2)) and np.array_equal(uk2, uk)
+    assert _proxy_error(u, q) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_cauchy_proxies_reject_sources_off_the_positive_axis(bad):
+    with pytest.raises(ValueError, match="finite u > 0"):
+        numkit.cauchy_proxies(np.array([1.0, bad, 3.0]), np.ones(3))

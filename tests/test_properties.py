@@ -1,5 +1,6 @@
 """Property tests over drawn inputs (hypothesis, deterministic profile)."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -146,3 +147,18 @@ def test_eigenvalues_match_eigvalsh(block, copies, singular, seed):
     want = np.linalg.eigvalsh(low @ low.T)
     got = mc._eigenvalues(q[None], e[None], tuple(range(size)))[0]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 200), st.floats(-6.0, 6.0), st.floats(0.0, 12.0), st.floats(-12.0, 8.0),
+       st.integers(0, 2**32))
+def test_cauchy_proxies_match_the_exact_sum(size, low, decades, log_w, seed):
+    # Sources over up to 12 decades with signed weights over 10, against an exactly
+    # rounded direct sum, at w = 0 and at w = 10^log_w.
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** (low + decades * rng.random(size))
+    q = rng.standard_normal(size) * 10.0 ** rng.uniform(-5.0, 5.0, size)
+    uk, qk = numkit.cauchy_proxies(u, q)
+    for w in (0.0, 10.0**log_w):
+        exact = math.fsum(q / (w + u))
+        assert abs(np.sum(qk / (w + uk)) - exact) <= 1e-14 * np.sum(np.abs(q) / (w + u))

@@ -299,14 +299,30 @@ def test_pdf_z2_alpha_limit(monkeypatch):
 
 
 def test_pdf_z2_mass_check_raises_on_every_call_from_one_build():
-    # The engine keeps a model whose mass check fails (-1.03837 at (8, 11, 0.01)),
+    # The engine keeps a model whose mass check fails (-1.03853 at (8, 11, 0.01)),
     # so a second call raises again without building the panels again.
     sd._engine.cache_clear()
     model = sd.SpikedModel(8, 11, 0.01)
     for _ in range(2):
-        with pytest.raises(ArithmeticError, match="z2 mass -1.03837"):
+        with pytest.raises(ArithmeticError, match="z2 mass -1.03853"):
             sd.pdf_z2(model, 0.5)
     assert sd._engine.cache_info().misses == 1
+
+
+def test_z2_prepare_memory_stays_below_the_kernel_matrix():
+    # With its minors built, a (8, 13) prepare holds no (w, u) array: the Cauchy
+    # kernel runs through proxies.  The full 528 x 28,800 kernel takes 116 MiB,
+    # and building it in 528 x 4,096 slabs peaks at 35.5 MiB.
+    import tracemalloc
+
+    sd._z2_minors(8, 5)
+    tracemalloc.start()
+    try:
+        sd._z2_prepare(sd.SpikedModel(8, 13, 3.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20, peak
 
 
 def test_z2_minors_are_built_once_per_n_and_alpha():

@@ -11,7 +11,7 @@ Z = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
 
 
 def _norm_real(model):
-    phi, w = numkit.gauss_legendre_panel(0.0, math.pi / 2.0, 256)
+    phi, w = numkit._panels([0.0, math.pi / 2.0], 256)
     return float(np.dot(w, vd.pdf_w1_real(model, np.sin(phi) ** 2) * np.sin(2 * phi)))
 
 

@@ -30,15 +30,25 @@ class EmptySample(ValueError):
 
 @lru_cache(maxsize=64)
 def _gl_rule(n: int):
-    # Nodes/weights on [0, 1].
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss-Legendre nodes and weights on [0, 1], and the (n + 1, n) map from
+    the node values to the power coefficients in t = 2x - 1 of their
+    interpolant integrated from x = 0.  The map is `leg2poly` of each column
+    of the integrated Legendre series, run on all columns at once."""
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(n)
+    c = 0.5 * leg.legint(np.linalg.inv(leg.legvander(x, n - 1)), lbnd=-1)
+    c0, c1 = np.zeros_like(c), np.zeros_like(c)
+    c0[0], c1[0] = c[-2], c[-1]
+    for i in range(n, 1, -1):  # np.roll multiplies by t: c1's top row is still zero
+        c0, c1 = -(c1 * (i - 1)) / i, c0 + np.roll(c1, 1, axis=0) * (2 * i - 1) / i
+        c0[0] += c[i - 2]
+    return 0.5 * (x + 1.0), 0.5 * w, c0 + np.roll(c1, 1, axis=0)
 
 
 def _panels(edges, nodes_per_panel: int):
     """One Gauss-Legendre rule per [edges[i], edges[i+1]], concatenated
     (edges = [a, b] gives the rule on [a, b])."""
-    x, w = _gl_rule(nodes_per_panel)
+    x, w, _ = _gl_rule(nodes_per_panel)
     a, b = np.asarray(edges[:-1], dtype=float)[:, None], np.asarray(edges[1:], dtype=float)[:, None]
     return (a + (b - a) * x).ravel(), ((b - a) * w).ravel()
 

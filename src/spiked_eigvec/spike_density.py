@@ -342,9 +342,9 @@ def pdf_zn(model: SpikedModel, z) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _z2_y_grid():
-    """The y nodes and weights on [0, 1] of the z2 engine's (x, y) grid."""
-    return numkit.unit_grid(Z2_Y_NODES, grade_left=2, grade_right=2)
+# The y nodes and weights on [0, 1] of the z2 engine's (x, y) grid.
+_Z2_Y, _Z2_WY = numkit.unit_grid(Z2_Y_NODES, grade_left=2, grade_right=2)
+_Z2_Y.flags.writeable = _Z2_WY.flags.writeable = False
 
 
 @lru_cache(maxsize=8)
@@ -356,9 +356,8 @@ def _z2_minors(n: int, alpha: int) -> tuple:
     for its slowest decay, beta -> 1."""
     power_x = 5.0 + alpha + (alpha + 1.0) * (n + alpha)
     x, wx = numkit.halfline_grid(n - 2.0, power_hint=power_x, nodes_per_panel=Z2_X_NODES)
-    y, _ = _z2_y_grid()
-    ny = y.size
-    u = np.repeat(x, ny) * np.tile(y, x.size)
+    ny = _Z2_Y.size
+    u = np.repeat(x, ny) * np.tile(_Z2_Y, x.size)
 
     # The (alpha+3) determinant without its phi column: row i = 1..alpha+3
     # holds L_{n+i-4}^(2)(-u), L_{n+i-5}^(3)(-u), then L_{n+i-k}^(k-2)(-x)
@@ -387,10 +386,9 @@ def _z2_basis(model: SpikedModel) -> dict:
     theta-dependent factors."""
     n, alpha, beta = model.n, model.alpha, model.beta
     x, wx, vdet, cof = _z2_minors(n, alpha)
-    y, wy = _z2_y_grid()
-    xu = np.repeat(x, y.size)
-    yu = np.tile(y, x.size)
-    wxy = np.outer(wx, wy).ravel()
+    xu = np.repeat(x, _Z2_Y.size)
+    yu = np.tile(_Z2_Y, x.size)
+    wxy = np.outer(wx, _Z2_WY).ravel()
     u = xu * yu
 
     # Shared w grid for the phi-column integrals (Cauchy kernel against u).
@@ -528,7 +526,7 @@ def _statistic(name: str) -> Statistic:
     return STATISTICS[name]
 
 
-ENGINE_CACHE_SIZE = 12  # engines (over all statistics) and c.d.f. meshes kept at once
+ENGINE_CACHE_SIZE = 12  # engines kept at once, over all statistics
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
@@ -573,21 +571,6 @@ def density_values(statistic: str, model: SpikedModel, zs, preset: str = "fast")
 _CDF_PANELS, _CDF_LEVELS, _CDF_ORDER = 32, 11, 8
 
 
-@lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _cdf_mesh(levels: int):
-    """Panel edges on [0, 1], nodes on [0, 1] and the (order + 1, order) matrix
-    from a panel's node values to the powers in t in [-1, 1] of its interpolant
-    integrated from the panel start, per unit panel width."""
-    leg = np.polynomial.legendre
-    h = 1.0 / _CDF_PANELS
-    ends = h * 2.0 ** -np.arange(levels, 0, -1)
-    edges = np.concatenate([[0.0], ends, np.linspace(h, 1.0 - h, _CDF_PANELS - 1),
-                            1.0 - ends[::-1], [1.0]])
-    x, _ = leg.leggauss(_CDF_ORDER)
-    cumint = 0.5 * leg.legint(np.linalg.inv(leg.legvander(x, _CDF_ORDER - 1)), lbnd=-1)
-    return edges, 0.5 * (x + 1.0), np.column_stack([leg.leg2poly(c) for c in cumint.T])
-
-
 def cdf_grid(statistic: str, model: SpikedModel, zs):
     """Cumulative distribution at many z values; see model_cdf_fn."""
     return model_cdf_fn(statistic, model)(zs)
@@ -596,8 +579,9 @@ def cdf_grid(statistic: str, model: SpikedModel, zs):
 def model_cdf_fn(statistic: str, model: SpikedModel):
     """Vectorized c.d.f. callable suitable for the KS test.
 
-    One pdf pass on the nodes of `_cdf_mesh`; on each panel the c.d.f. is the
-    integrated degree-7 interpolant plus the mass of the panels before it.
+    One pdf pass on the mesh's nodes, numkit's 8-node Gauss-Legendre rule on
+    every panel; on each panel the c.d.f. is the degree-7 interpolant
+    integrated by that rule's cached map, plus the mass of the panels before it.
     The mesh lives in s with z = sin^2(s) for the arcsine-type statistics,
     which removes their inverse-square-root endpoints, and z = s for all
     others.  A total mass outside 1 +- 1e-4 raises ArithmeticError and a NaN
@@ -608,13 +592,16 @@ def model_cdf_fn(statistic: str, model: SpikedModel):
         entry.support(model)
         return lambda x: np.asarray(entry.law["cdf"](model.theta, np.maximum(x, 0.0)))
     arcsine = entry.arcsine
-    grade = 0 if arcsine else math.ceil(math.log2(1.0 + model.theta)) - 3
-    edges, gl_x, cumint = _cdf_mesh(max(_CDF_LEVELS, grade))
-    sb = edges * (0.5 * math.pi if arcsine else 1.0)
+    levels = max(_CDF_LEVELS, 0 if arcsine else math.ceil(math.log2(1.0 + model.theta)) - 3)
+    h = 1.0 / _CDF_PANELS
+    ends = h * 2.0 ** -np.arange(levels, 0, -1)
+    sb = np.concatenate([[0.0], ends, np.linspace(h, 1.0 - h, _CDF_PANELS - 1),
+                         1.0 - ends[::-1], [1.0]]) * (0.5 * math.pi if arcsine else 1.0)
     widths = np.diff(sb)
-    nodes = sb[:-1, None] + widths[:, None] * gl_x
+    nodes = numkit._panels(sb, _CDF_ORDER)[0].reshape(widths.size, _CDF_ORDER)
     jac = np.sin(2.0 * nodes) if arcsine else 1.0
     vals = density_values(statistic, model, np.sin(nodes) ** 2 if arcsine else nodes)
+    cumint = numkit._gl_rule(_CDF_ORDER)[2]
     coef = cumint @ (vals * jac * widths[:, None]).T  # (order + 1, panels): powers of t
     starts = np.cumsum(coef.sum(axis=0))
     _check_mass("c.d.f.", starts[-1])

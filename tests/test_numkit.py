@@ -161,6 +161,25 @@ def test_unit_grid_panel_edges(grades, edges):
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("order", [1, 8, 21])
+def test_gl_rule_map_integrates_the_interpolant(order):
+    # On one panel of unit width, the map takes the node values of p, degree <
+    # order, to the power coefficients of 1/2 int_{-1}^t p; at t = 1 that is
+    # the Gauss-weight sum.  The power basis loses digits in proportion to the
+    # map's largest entry (3e4 at order 21).
+    x, w, cumint = numkit._gl_rule(order)
+    assert cumint.shape == (order + 1, order)
+    tol = 1e-14 * np.abs(cumint).max()
+    poly, t = np.polynomial.polynomial, np.linspace(-1.0, 1.0, 101)
+    for p in np.random.default_rng(order).standard_normal((5, order)):
+        values = poly.polyval(2.0 * x - 1.0, p)
+        coef = cumint @ values
+        exact = 0.5 * poly.polyint(p, lbnd=-1)
+        assert np.max(np.abs(poly.polyval(t, coef) - poly.polyval(t, exact))) <= tol
+        assert abs(poly.polyval(1.0, coef) - w @ values) <= tol
+    assert np.max(np.abs(cumint.sum(axis=0) - w)) <= tol
+
+
 W_DECADES = np.concatenate([[0.0], 10.0 ** np.arange(-10, 7)])
 
 

@@ -47,4 +47,7 @@ def test_readme_cli_example_runs(argv, code, tmp_path):
 
 
 def test_readme_cli_examples_include_the_negative_control():
-    assert [code for _, code in CLI_EXAMPLES].count(1) == 1
+    # The control samples one theta and tests another; the other example that
+    # exits 1 is the n = 30 limit-law verdict at 100,000 draws.
+    assert [code for argv, code in CLI_EXAMPLES if "--data-theta" in argv] == [1]
+    assert [code for _, code in CLI_EXAMPLES].count(1) == 2

@@ -2,11 +2,11 @@
 
 Draws come from the Dumitriu-Edelman tridiagonal model: 2n - 1 (singular: 2m)
 Gamma variates per draw are the squared entries of a lower bidiagonal L with
-T = L L^T (`_tridiagonal`).  A Laguerre iteration on L's Sturm pivots finds each
-requested eigenvalue of T (`_eigenvalues`), and an O(n) twisted factorization
-per overlap gives the projections (`_chunk_projections`).  No step forms a
-dense matrix or calls LAPACK.  The law of the projections does not depend on
-the spike direction, validated for shape, norm and realness.
+T = L L^T (`_tridiagonal`).  Every later step reads only these squares: a Laguerre
+iteration on L's Sturm pivots finds each requested eigenvalue lam (`_eigenvalues`),
+and an O(n) twisted factorization of L L^T - lam gives its projection
+(`_chunk_projections`).  No step forms T's entries or a dense matrix, or calls LAPACK.
+The law of the projections does not depend on the spike direction (`sample_wishart`).
 
 Each chunk of CHUNK_SIZE draws owns a counter-based Philox stream keyed by
 (seed, index of its first draw).  Chunks are a fixed size independent of the
@@ -90,10 +90,7 @@ def _tridiagonal(model: SpikedModel, seed: int, start: int, stop: int) -> tuple[
     a final q of 0 makes it square, and its T has rank m.
     """
     n, m = model.n, model.m
-    size = min(n, m + 1)
-    # B is n x m lower bidiagonal with nonzero rows 0..size-1; the squares
-    # B[i, i]^2 and B[i + 1, i]^2 are Gamma variates with these shapes.
-    ndiag = min(n, m)
+    size, ndiag = min(n, m + 1), min(n, m)
     shapes = np.concatenate([np.arange(m, m - ndiag, -1), np.arange(n - 1, n - size, -1)])
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), start]))
     chi = 2.0 if model.variant == "real" else 1.0
@@ -250,40 +247,38 @@ def _chunk_projections(model: SpikedModel, seed: int, start: int, stop: int,
     rank = n (m for the singular variant) overlaps in ascending eigenvalue order, each the
     Gauss weight u(0)^2 of T = L L^T (`_tridiagonal`) at an eigenvalue lam (Golub and
     Welsch, 1969).  lam comes from L's Sturm pivots (`_eigenvalues`), the weight from a
-    twisted factorization of T - lam (Dhillon and Parlett, 2004; LAPACK dlar1v; README)
-    on T's diagonal a_i = q_i + e_{i-1} and squared subdiagonal b2_i = q_i e_i.
+    twisted factorization of L L^T - lam on the same squares: `_pivots`' stationary qd
+    pass down, a progressive one up (Dhillon and Parlett, 2004; LAPACK dlar1v; README).
     Non-finite squares, an eigenvalue iteration that does not converge and overlaps
     outside [0, 1] raise EigensolverFailure.
     """
     q, e = _tridiagonal(model, seed, start, stop)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(e))):
         raise EigensolverFailure("a drawn square is not finite")
-    size = q.shape[1]
-    cols = np.arange(int(model.variant == "singular"), size)  # singular T: 0 comes first
+    size, singular = q.shape[1], model.variant == "singular"
+    cols = np.arange(int(singular), size)  # singular T: 0 comes first
     cols = cols if columns is None else cols[list(columns)]
-    if model.variant == "singular":  # T's nonzero eigenvalues are those of L^T L
-        lam = _eigenvalues(*_transposed_gram(q, e), tuple(cols - 1))
-    else:
-        lam = _eigenvalues(q, e, tuple(cols))
-    a = q.copy()
-    a[:, 1:] += e
-    d, b2 = a.T[:, :, None] - lam, (q[:, :-1] * e).T[:, :, None]  # rows lead: a step reads one block
-    c, h, dm = np.zeros_like(d), np.zeros_like(d), d[-1].copy()
+    # T's nonzero eigenvalues are those of L^T L, one index lower
+    lam = _eigenvalues(*(_transposed_gram(q, e) if singular else (q, e)), tuple(cols - singular))
+    qs, es = q.T[:, :, None], e.T[:, :, None]  # rows lead: a step reads one block
+    p, h = qs - lam, np.zeros((size,) + lam.shape)  # p_last = q_last - lam
     floor = EPS * np.abs(lam) + TINY  # for a zero pivot
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for r in range(size - 2, -1, -1):  # up: D-_r = d_r - c_r and H_r = G_r - 1
+        for r in range(size - 2, -1, -1):  # up: D-_{r+1} = e_r + p_{r+1}, p_r and H_r = G_r - 1
+            dm = es[r] + p[r + 1]
             np.copyto(dm, floor, where=dm == 0.0)
-            np.divide(b2[r], dm, out=c[r])
-            np.multiply(c[r] / dm, 1.0 + h[r + 1], out=h[r])
-            dm = d[r] - c[r]
-        dp, fp, best, proj = d[0].copy(), np.ones((2,) + lam.shape), np.abs(dm), 1.0 / (1.0 + h[0])
-        for r in range(1, size):  # down: D+_r, (F_r, P_r); twist at least |D+_r - c_r|
+            t = qs[r] / dm
+            p[r] = t * p[r + 1] - lam
+            np.multiply(t * es[r] / dm, 1.0 + h[r + 1], out=h[r])
+        s, fp, best, proj = -lam, np.ones((2,) + lam.shape), np.abs(p[0]), 1.0 / (1.0 + h[0])
+        for r in range(1, size):  # down: D+_{r-1}, s_r, (F_r, P_r); twist at least |gamma_r|
+            dp = qs[r - 1] + s
             np.copyto(dp, floor, where=dp == 0.0)
-            s = b2[r - 1] / dp
-            fp *= s / dp
+            t = es[r - 1] / dp
+            fp *= t * qs[r - 1] / dp
             fp[0] += 1.0
-            dp = d[r] - s
-            gamma = np.abs(dp - c[r])
+            gamma = np.abs(t * s + p[r])  # gamma_r = s_r + p_r + lam
+            s = t * s - lam
             np.copyto(proj, fp[1] / (fp[0] + h[r]), where=gamma < best)
             best = np.fmin(best, gamma)
     if not np.all((proj >= 0.0) & (proj <= 1.0)):

@@ -601,7 +601,7 @@ def model_cdf_fn(statistic: str, model: SpikedModel):
     nodes = numkit._panels(sb, _CDF_ORDER)[0].reshape(widths.size, _CDF_ORDER)
     jac = np.sin(2.0 * nodes) if arcsine else 1.0
     vals = density_values(statistic, model, np.sin(nodes) ** 2 if arcsine else nodes)
-    cumint = numkit._gl_rule(_CDF_ORDER)[2]
+    cumint = numkit._gl_map(_CDF_ORDER)
     coef = cumint @ (vals * jac * widths[:, None]).T  # (order + 1, panels): powers of t
     starts = np.cumsum(coef.sum(axis=0))
     _check_mass("c.d.f.", starts[-1])

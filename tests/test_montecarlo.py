@@ -356,26 +356,48 @@ def test_just_above_old_split_threshold_matches_eigh(size, monkeypatch):
     assert np.max(np.abs(got - np.linalg.eigh(_symmetric(a, b2))[1][:, 0, :] ** 2)) <= 1e-12
 
 
+def _mpmath_weights(diag, sub):
+    """u(0)^2 of each eigenvector, in ascending eigenvalue order, of the symmetric
+    tridiagonal with mpmath diagonal `diag` and subdiagonal `sub`."""
+    import mpmath
+
+    t = mpmath.zeros(len(diag))
+    for i, d in enumerate(diag):
+        t[i, i] = d
+    for i, b in enumerate(sub):
+        t[i, i + 1] = t[i + 1, i] = b
+    lam, u = mpmath.eigsy(t)
+    return [float(u[0, k] ** 2) for k in sorted(range(len(diag)), key=lambda k: lam[k])]
+
+
 def test_graded_tridiagonal_matches_mpmath(monkeypatch):
+    import mpmath
+
     # A Gram-form T whose top eigenvalue sits at the bottom row behind small
     # couplings; no b2_i is below 3.6e-4 a_i a_{i+1}.  A bottom-up sweep alone
     # gives that eigenvalue a weight of 1.9e-4 instead of 1.2e-29.
-    import mpmath
-
     diag = [0.253, 0.716, 0.276, 0.00289, 0.0677, 33.6]
     sub2 = [0.181, 7.1e-5, 3.0e-4, 4.8e-5, 0.111]
     model = _inject(monkeypatch, diag, sub2)
     got = mc._chunk_projections(model, seed=0, start=0, stop=1)[0]
     with mpmath.workdps(50):
-        t = mpmath.zeros(6)
-        for i, d in enumerate(diag):
-            t[i, i] = d
-        for i, e2 in enumerate(sub2):
-            t[i, i + 1] = t[i + 1, i] = mpmath.sqrt(e2)
-        lam, u = mpmath.eigsy(t)
-        want = [float(u[0, k] ** 2) for k in sorted(range(6), key=lambda k: lam[k])]
+        want = _mpmath_weights(diag, [mpmath.sqrt(b2) for b2 in sub2])
     assert want[-1] < 1e-28
     assert np.max(np.abs(got - want)) <= 1e-13
+
+    # T = L L^T from L's squares over ten decades: a twist on T's entries
+    # a = q + e and b2 = q e put this row's sum 0.998 off 1.
+    q = np.array([1.13e-4, 1.11e-5, 278.0, 509.0, 8350.0, 8.27, 4.76e-5, 725.0,
+                  0.382, 2330.0, 48500.0, 1.67e-5, 3.24e-3, 1350.0, 2.08e-4, 2.19e-5])
+    e = np.array([0.0725, 51100.0, 4.82, 801.0, 12.0, 68400.0, 5.63e-3, 1.14e-5,
+                  3.4e-5, 1.01e-5, 3.73, 4.71e-4, 340.0, 0.716, 44600.0])
+    monkeypatch.setattr(mc, "_tridiagonal", lambda *args: (q[None], e[None]))
+    got = mc._chunk_projections(sd.SpikedModel(q.size, q.size, 0.0), seed=0, start=0, stop=1)[0]
+    with mpmath.workdps(50):
+        qm, em = [mpmath.mpf(x) for x in q], [mpmath.mpf(0.0)] + [mpmath.mpf(x) for x in e]
+        want = _mpmath_weights([qi + ei for qi, ei in zip(qm, em)],
+                               [mpmath.sqrt(qi * ei) for qi, ei in zip(qm, em[1:])])
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize(

@@ -167,7 +167,7 @@ def test_gl_rule_map_integrates_the_interpolant(order):
     # order, to the power coefficients of 1/2 int_{-1}^t p; at t = 1 that is
     # the Gauss-weight sum.  The power basis loses digits in proportion to the
     # map's largest entry (3e4 at order 21).
-    x, w, cumint = numkit._gl_rule(order)
+    (x, w), cumint = numkit._gl_rule(order), numkit._gl_map(order)
     assert cumint.shape == (order + 1, order)
     tol = 1e-14 * np.abs(cumint).max()
     poly, t = np.polynomial.polynomial, np.linspace(-1.0, 1.0, 101)
